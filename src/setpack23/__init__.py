@@ -19,9 +19,8 @@ from .search_graph import (LabeledBinocular, SearchEdge, SearchGraph,
 from .binoculars import (Multigraph, MultiEdge, berman_furer_witness,
                          classify_minimal_binocular, find_minimal_binocular,
                          is_binocular, naive_improving_binocular)
-from .color_coding import (Coloring, colorful_subgraph, compute_walks,
-                           find_colorful_binocular, make_colorings,
-                           search_improving_binocular)
+from .color_coding import (Coloring, colorful_subgraph, find_colorful_binocular,
+                           make_colorings, search_improving_binocular)
 from .hereditary import (HereditaryInstance, hereditary_closure, is_hereditary,
                          solve_hereditary)
 from .oracle import OracleResult, solve_exact

@@ -48,13 +48,6 @@ class Multigraph:
             if not e.ends <= vs:
                 raise ValueError(f"edge {e.id} leaves the vertex set")
 
-    def degree(self, v: int) -> int:
-        d = 0
-        for e in self.edges:
-            if v in e.ends:
-                d += 2 if e.is_loop else 1
-        return d
-
     def sub(self, edge_ids: Iterable[int]) -> "Multigraph":
         ids = set(edge_ids)
         edges = tuple(e for e in self.edges if e.id in ids)

@@ -4,7 +4,9 @@ Audit ratios are reported as exact integer fractions (opt/alg), never
 floats.  Hereditary rows additionally carry the 4/3 guarantee; any violation
 of 3*opt <= 4*alg flips the exit code, since it would falsify the
 implementation rather than the bound.  SETPACK_SEED in the environment
-overrides ``--seed`` everywhere.
+overrides ``--seed`` everywhere.  Exit codes: 0 success, 1 hereditary
+guarantee violated, 2 bad input, 3 internal invariant violated, 4 a search
+or oracle budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import instance as inst
+from .color_coding import WalkBudgetExceeded
 from .hereditary import hereditary_closure, is_hereditary, solve_hereditary
 from .local_search import SearchParams, solve
 from .normalize import dump_normalized, load_tuple, normalize
-from .oracle import solve_exact
+from .oracle import OracleBudgetExceeded, solve_exact
+from .search_graph import FullModeRefused
 
 CSV_COLUMNS = ["instance", "alg_weight", "opt_weight", "ratio_num", "ratio_den",
                "iterations", "binoculars", "wall_ms"]
@@ -337,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
+    except (OracleBudgetExceeded, FullModeRefused, WalkBudgetExceeded) as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 4
     except (inst.FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,10 +3,13 @@
 Universe elements receive random colors; a search-graph edge survives into
 the colorful subgraph when the color sets of its W-label vertices are
 pairwise disjoint.  Colorful walks (loop-free walks whose per-edge W-color
-sets are pairwise disjoint) are tabulated by a dynamic program over reachable
-states, and a candidate binocular is stitched together from at most two
-loops plus up to three stored walks.  Everything found is re-checked against
-the improving-binocular predicate, so random colorings only ever cost
+sets are pairwise disjoint) are tabulated once per start vertex by a dynamic
+program over reachable states; a state is the bitmask tuple (end vertex,
+colors, U-label mask, W-label mask, length) and stores one witness walk.
+Each choice of at most two loops projects the tables onto the loops' labels,
+and a candidate binocular is stitched together from those loops plus up to
+three stored walks.  Everything found is re-checked against the
+improving-binocular predicate, so random colorings only ever cost
 completeness, never soundness.  A t-perfect hash family would make the
 search deterministic; seeded uniform colorings with a repetition count are
 the standard substitute, and an injective test mode restores exact
@@ -97,58 +100,47 @@ def colorful_subgraph(sg: SearchGraph, f: Coloring, g: ConflictGraph) -> Colorfu
 
 # -- walk dynamic program ---------------------------------------------------
 
-@dataclass
-class WalkTable:
-    """Reachable colorful-walk states from a fixed start vertex.
-
-    Keys are (end vertex, color mask, X, Y, length) where X and Y are the
-    overlaps of the walk's accumulated U- and W-labels with the fixed context
-    sets; each true state stores one witness walk as a tuple of edge indices.
-    """
-
-    start: int
-    context_u: frozenset[int]
-    context_w: frozenset[int]
-    max_len: int
-    entries: dict[tuple[int, int, frozenset[int], frozenset[int], int], tuple[int, ...]]
-
-    def holds(self, v: int, colors: int, x: frozenset[int], y: frozenset[int], length: int) -> bool:
-        return (v, colors, x, y, length) in self.entries
-
-
 class WalkBudgetExceeded(RuntimeError):
     """The reachable state space outgrew the configured budget."""
 
 
-def _raw_walk_states(csg: ColorfulSearchGraph, start: int, max_len: int,
-                     max_states: int) -> dict:
-    """Context-free walk DP keyed by (v, colors, U-union, W-union, length).
+def _label_mask(labels: Iterable[int]) -> int:
+    m = 0
+    for v in labels:
+        m |= 1 << v
+    return m
 
-    Merging on the full label unions is lossless: states with equal keys
-    admit exactly the same extensions and the same projections onto any
-    context pair, so one stored witness per key suffices.
+
+def walk_states(csg: ColorfulSearchGraph, start: int, max_len: int,
+                max_states: int = 500_000) -> dict[tuple[int, int, int, int, int], tuple[int, ...]]:
+    """Every reachable colorful-walk state from ``start``, one witness walk each.
+
+    Keys are (end vertex, color mask, U-mask, W-mask, length), where the
+    masks carry bit v for every vertex v in the U- and W-labels of the walk's
+    edges; witnesses are tuples of edge indices.  The base state is the empty
+    walk; a transition appends a non-loop edge whose W-color set is disjoint
+    from the colors accumulated so far.  Merging on the full label unions is
+    lossless: states with equal keys admit exactly the same extensions and
+    the same projections onto any context, so one witness per key suffices.
     """
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in csg.vertices}
+    incident: dict[int, list[tuple[int, int, int, int, int]]] = {v: [] for v in csg.vertices}
     for i, e in enumerate(csg.edges):
         if e.is_loop:
             continue
         a, b = e.endpoints
-        incident[a].append((i, b))
-        incident[b].append((i, a))
-    u_fs = [frozenset(e.u_label) for e in csg.edges]
-    w_fs = [frozenset(e.w_label) for e in csg.edges]
+        step = (csg.edge_colors[i], _label_mask(e.u_label), _label_mask(e.w_label), i)
+        incident[a].append((b,) + step)
+        incident[b].append((a,) + step)
 
-    empty: frozenset[int] = frozenset()
-    states: dict[tuple, tuple[int, ...]] = {(start, 0, empty, empty, 0): ()}
-    frontier = [((start, 0, empty, empty, 0), ())]
+    states: dict[tuple[int, int, int, int, int], tuple[int, ...]] = {(start, 0, 0, 0, 0): ()}
+    frontier = [((start, 0, 0, 0, 0), ())]
     for length in range(1, max_len + 1):
         nxt = []
         for (v, colors, uu, ww, _), witness in frontier:
-            for ei, other in incident[v]:
-                col = csg.edge_colors[ei]
+            for other, col, u_m, w_m, ei in incident[v]:
                 if col & colors:
                     continue
-                key = (other, colors | col, uu | u_fs[ei], ww | w_fs[ei], length)
+                key = (other, colors | col, uu | u_m, ww | w_m, length)
                 if key in states:
                     continue
                 wit = witness + (ei,)
@@ -162,64 +154,25 @@ def _raw_walk_states(csg: ColorfulSearchGraph, start: int, max_len: int,
     return states
 
 
-def compute_walks(csg: ColorfulSearchGraph, start: int,
-                  context_u: Iterable[int], context_w: Iterable[int],
-                  max_len: int, max_states: int = 500_000) -> WalkTable:
-    """Tabulate every reachable colorful-walk state from ``start``.
+def project_walks(states: dict, ctx_u_mask: int, ctx_w_mask: int) -> dict[int, list]:
+    """Project walk states onto a context, grouped by end vertex.
 
-    The base state is the empty walk at the start vertex (empty color set and
-    overlaps at length zero); a transition appends a non-loop edge whose
-    W-color set is disjoint from the colors accumulated so far.
+    Returns v -> list of (colors, X, Y, length, witness) with X and Y the
+    walk's U- and W-masks restricted to the context; the first witness
+    stored under a projected key represents it.
     """
-    ctx_u = frozenset(context_u)
-    ctx_w = frozenset(context_w)
-    raw = _raw_walk_states(csg, start, max_len, max_states)
-    entries: dict[tuple, tuple[int, ...]] = {}
-    for (v, colors, uu, ww, length), witness in raw.items():
-        key = (v, colors, uu & ctx_u, ww & ctx_w, length)
-        entries.setdefault(key, witness)
-    return WalkTable(start, ctx_u, ctx_w, max_len, entries)
-
-
-def replay_walk(csg: ColorfulSearchGraph, start: int, witness: Iterable[int],
-                context_u: Iterable[int], context_w: Iterable[int]):
-    """Re-walk a stored witness and return its (end, colors, X, Y, length)."""
-    ctx_u = frozenset(context_u)
-    ctx_w = frozenset(context_w)
-    v = start
-    colors = 0
-    x: frozenset[int] = frozenset()
-    y: frozenset[int] = frozenset()
-    length = 0
-    for ei in witness:
-        e = csg.edges[ei]
-        if e.is_loop or v not in e.endpoints:
-            raise ValueError("witness is not a walk from the start vertex")
-        col = csg.edge_colors[ei]
-        if col & colors:
-            raise ValueError("witness is not colorful")
-        colors |= col
-        x |= frozenset(e.u_label) & ctx_u
-        y |= frozenset(e.w_label) & ctx_w
-        v = e.endpoints[0] if v == e.endpoints[1] else e.endpoints[1]
-        length += 1
-    return v, colors, x, y, length
-
-
-# -- structure search --------------------------------------------------------
-
-def _project(raw: dict, ctx_u: frozenset[int], ctx_w: frozenset[int]):
-    """Group projected states by end vertex: v -> list of (C, X, Y, l, witness)."""
     by_end: dict[int, list] = {}
     seen = set()
-    for (v, colors, uu, ww, length), witness in raw.items():
-        key = (v, colors, uu & ctx_u, ww & ctx_w, length)
+    for (v, colors, uu, ww, length), witness in states.items():
+        key = (v, colors, uu & ctx_u_mask, ww & ctx_w_mask, length)
         if key in seen:
             continue
         seen.add(key)
         by_end.setdefault(v, []).append((colors, key[2], key[3], length, witness))
     return by_end
 
+
+# -- structure search --------------------------------------------------------
 
 def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                             walk_cap: int, max_states: int = 500_000) -> LabeledBinocular | None:
@@ -232,15 +185,11 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
     four walk shapes: two closed walks plus a connector, three paths between
     two vertices, one loop plus a closed walk and a connector, or two loops
     plus a connector.  Any hit is a binocular by construction and is
-    re-verified by the caller.
+    re-verified by the caller.  Every stored walk is at most ``walk_cap``
+    long, and a closed walk of nonzero length has at least two edges because
+    loops never enter the walk DP.
     """
-    raw_tables: dict[int, dict] = {}
-
-    def raw(v: int) -> dict:
-        if v not in raw_tables:
-            raw_tables[v] = _raw_walk_states(csg, v, walk_cap, max_states)
-        return raw_tables[v]
-
+    tables = {v: walk_states(csg, v, walk_cap, max_states) for v in csg.vertices}
     loops = csg.loops
 
     def loop_choices():
@@ -251,22 +200,23 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
             yield pair
 
     for L in loop_choices():
-        ctx_u = frozenset(v for i in L for v in csg.edges[i].u_label)
-        ctx_w = frozenset(v for i in L for v in csg.edges[i].w_label)
+        ctx_u = _label_mask(v for i in L for v in csg.edges[i].u_label)
+        ctx_w = _label_mask(v for i in L for v in csg.edges[i].w_label)
 
-        def conditions(colors: int, x: frozenset[int], y: frozenset[int]) -> bool:
-            remaining = ctx_w - y
+        def conditions(colors: int, x: int, y: int) -> bool:
+            remaining = ctx_w & ~y
             acc = 0
-            for v in sorted(remaining):
-                c = csg.vertex_colors[v]
+            m = remaining
+            while m:
+                low = m & -m
+                c = csg.vertex_colors[low.bit_length() - 1]
                 if acc & c:
                     return False  # loop W-vertices must be pairwise color-disjoint
                 acc |= c
+                m ^= low
             if acc & colors:
                 return False
-            lhs = sum(g.weights[v] for v in remaining)
-            rhs = sum(g.weights[v] for v in ctx_u - x) + 2 * len(L)
-            return lhs >= rhs
+            return g.weight_mask(remaining) >= g.weight_mask(ctx_u & ~x) + 2 * len(L)
 
         def assemble(f_witness: tuple[int, ...]) -> LabeledBinocular:
             edge_ids = sorted(set(L) | set(f_witness))
@@ -275,52 +225,48 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
         if len(L) == 2:
             u = csg.edges[L[0]].endpoints[0]
             v = csg.edges[L[1]].endpoints[0]
-            for colors, x, y, length, wit in _project(raw(u), ctx_u, ctx_w).get(v, []):
-                if length <= walk_cap and conditions(colors, x, y):
+            for colors, x, y, _, wit in project_walks(tables[u], ctx_u, ctx_w).get(v, []):
+                if conditions(colors, x, y):
                     return assemble(wit)
-        elif len(L) == 1:
-            u = csg.edges[L[0]].endpoints[0]
-            proj_u = _project(raw(u), ctx_u, ctx_w)
+            continue
+
+        projected = {v: project_walks(tables[v], ctx_u, ctx_w) for v in csg.vertices}
+        closed = {v: [s for s in projected[v].get(v, []) if s[3]] for v in csg.vertices}
+        if len(L) == 1:
+            proj_u = projected[csg.edges[L[0]].endpoints[0]]
             for v in csg.vertices:
-                closed = [s for s in _project(raw(v), ctx_u, ctx_w).get(v, []) if 2 <= s[3] <= walk_cap]
-                if not closed:
+                if not closed[v]:
                     continue
-                for c1, x1, y1, l1, wit1 in proj_u.get(v, []):
-                    if l1 > walk_cap:
-                        continue
-                    for c2, x2, y2, l2, wit2 in closed:
+                for c1, x1, y1, _, wit1 in proj_u.get(v, []):
+                    for c2, x2, y2, _, wit2 in closed[v]:
                         if c1 & c2:
                             continue
                         if conditions(c1 | c2, x1 | x2, y1 | y2):
                             return assemble(wit1 + wit2)
-        else:
-            projected = {v: _project(raw(v), ctx_u, ctx_w) for v in csg.vertices}
-            for u in csg.vertices:
-                proj_u = projected[u]
-                closed_u = [s for s in proj_u.get(u, []) if 2 <= s[3] <= walk_cap]
-                for v in csg.vertices:
-                    if v < u:
-                        continue
-                    # Two closed walks joined by a (possibly empty) connector.
-                    closed_v = [s for s in projected[v].get(v, []) if 2 <= s[3] <= walk_cap]
-                    connectors = [s for s in proj_u.get(v, []) if s[3] <= walk_cap]
-                    for c1, _, _, _, wit1 in closed_u:
-                        for c2, _, _, _, wit2 in closed_v:
-                            if c1 & c2:
-                                continue
-                            for c3, _, _, _, wit3 in connectors:
-                                if c3 & (c1 | c2):
-                                    continue
-                                return assemble(wit1 + wit2 + wit3)
-                    # Three edge-disjoint walks between two distinct vertices.
-                    if v == u:
-                        continue
-                    paths = [s for s in proj_u.get(v, []) if 1 <= s[3] <= walk_cap]
-                    for i1, i2, i3 in combinations(range(len(paths)), 3):
-                        c1, c2, c3 = paths[i1][0], paths[i2][0], paths[i3][0]
-                        if c1 & c2 or c1 & c3 or c2 & c3:
+            continue
+
+        for u in csg.vertices:
+            proj_u = projected[u]
+            for v in csg.vertices:
+                if v < u:
+                    continue
+                # Two closed walks joined by a (possibly empty) connector.
+                connectors = proj_u.get(v, [])
+                for c1, _, _, _, wit1 in closed[u]:
+                    for c2, _, _, _, wit2 in closed[v]:
+                        if c1 & c2:
                             continue
-                        return assemble(paths[i1][4] + paths[i2][4] + paths[i3][4])
+                        for c3, _, _, _, wit3 in connectors:
+                            if c3 & (c1 | c2):
+                                continue
+                            return assemble(wit1 + wit2 + wit3)
+                # Three edge-disjoint walks between two distinct vertices.
+                if v == u:
+                    continue
+                for p1, p2, p3 in combinations(connectors, 3):
+                    if p1[0] & p2[0] or p1[0] & p3[0] or p2[0] & p3[0]:
+                        continue
+                    return assemble(p1[4] + p2[4] + p3[4])
     return None
 
 

@@ -103,9 +103,6 @@ class ConflictGraph:
     def weight_of(self, vertices: Iterable[int]) -> int:
         return sum(self.weights[v] for v in set(vertices))
 
-    def is_independent(self, vertices: Iterable[int]) -> bool:
-        return self.independent_mask(self.mask(vertices))
-
     def classes(self) -> WeightClasses:
         return WeightClasses(
             prime=frozenset(v for v in range(self.n) if self.weights[v] == 1),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -234,10 +233,3 @@ def embed_3dm(triples: Sequence[tuple[object, object, object]]) -> Instance:
             raise FormatError(f"triple {t!r} has a repeated element")
     return _build([tuple(t) for t in triples])
 
-
-def all_possible_sets(universe_n: int) -> list[tuple[int, ...]]:
-    """All distinct 2- and 3-subsets of the universe, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-    out.extend(combinations(range(universe_n), 2))
-    out.extend(combinations(range(universe_n), 3))
-    return out

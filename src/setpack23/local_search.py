@@ -192,21 +192,8 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     adjm = [g.adj_mask(v) for v in cands]
     gain_rate = 2 if tight else 1
 
-    def prune(wx: int, n_mask: int, slots_used: int, depth_left: int) -> bool:
-        wn = (n_mask & w1m).bit_count() + 2 * (n_mask & w2m).bit_count()
-        slack = wx - wn + 2 * depth_left
-        if slack < 0:
-            return True
-        if claw_slots:
-            cap = wn + n_mask.bit_count() - slots_used
-            need = gain_rate * depth_left
-            if need > cap and slack - ((need - cap + 1) // 2) < 0:
-                return True
-        return False
-
     def rec_grown(x_vmask: int, n_mask: int, wx: int, slots_used: int, size: int,
                   ext: int, closed: int, gt_root: int, depth: int) -> int:
-        # hot loop: prune() is inlined below, keep the two in sync
         last = size + 1 == depth
         while ext:
             low = ext & -ext
@@ -241,21 +228,13 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
 
     # Iterative deepening: candidate sets of size exactly `depth`, smallest
     # first, so the frequent small improvements stay cheap and only the
-    # final no-improvement certification pays for the full depth.
+    # final no-improvement certification pays for the full depth.  Root r
+    # enters as the only extension of the empty set and grows only through
+    # candidates after it, so every connected set is tried from its least
+    # member.
     for depth in range(1, tau + 1):
         for r in range(k):
-            x_vmask = vbit[r]
-            n_mask = anb[r]
-            wx = w[r]
-            if depth == 1:
-                if visit(x_vmask, n_mask, wx):
-                    return x_vmask
-                continue
-            if prune(wx, n_mask, esum[r], depth - 1):
-                continue
-            gt_root = ~((1 << (r + 1)) - 1)
-            hit = rec_grown(x_vmask, n_mask, wx, esum[r], 1,
-                            link[r] & gt_root, link[r] | (1 << r), gt_root, depth)
+            hit = rec_grown(0, 0, 0, 0, 0, 1 << r, 0, ~((1 << (r + 1)) - 1), depth)
             if hit:
                 return hit
     return 0
@@ -276,6 +255,13 @@ def find_improvement(g: ConflictGraph, A: Iterable[int], tau: int,
     return Improvement(g.unmask(hit), g.unmask(_neighborhood_mask(g, a_mask, hit)))
 
 
+def _apply_mask(g: ConflictGraph, a_mask: int, x_mask: int) -> int:
+    """Replace N(X, A) by X in the solution mask and check independence."""
+    new_mask = (a_mask & ~_neighborhood_mask(g, a_mask, x_mask)) | x_mask
+    assert g.independent_mask(new_mask), "solution lost independence"
+    return new_mask
+
+
 def apply_improvement(g: ConflictGraph, A: Iterable[int], imp: Improvement | Iterable[int]) -> frozenset[int]:
     """Replace N(X, A) by X; the result is independent and lexicographically heavier."""
     x = imp.x if isinstance(imp, Improvement) else frozenset(imp)
@@ -283,10 +269,7 @@ def apply_improvement(g: ConflictGraph, A: Iterable[int], imp: Improvement | Ite
     x_mask = g.mask(x)
     if not _is_improvement_mask(g, a_mask, x_mask):
         raise ValueError("apply_improvement called with a non-improving set")
-    n_mask = _neighborhood_mask(g, a_mask, x_mask)
-    new_mask = (a_mask & ~n_mask) | x_mask
-    assert g.independent_mask(new_mask), "solution lost independence"
-    return g.unmask(new_mask)
+    return g.unmask(_apply_mask(g, a_mask, x_mask))
 
 
 def solve(instance: Instance, params: SearchParams) -> tuple[Packing, RunStats]:
@@ -312,9 +295,7 @@ def solve(instance: Instance, params: SearchParams) -> tuple[Packing, RunStats]:
         applied = False
         hit = _find_improvement_mask(g, a_mask, tau, params.improve_method)
         if hit:
-            n_mask = _neighborhood_mask(g, a_mask, hit)
-            a_mask = (a_mask & ~n_mask) | hit
-            assert g.independent_mask(a_mask), "solution lost independence"
+            a_mask = _apply_mask(g, a_mask, hit)
             stats.improvements_applied += 1
             applied = True
         elif params.mode == "general":
@@ -324,13 +305,10 @@ def solve(instance: Instance, params: SearchParams) -> tuple[Packing, RunStats]:
                 sg, g, members, params,
                 seed=params.seed * 1_000_003 + stats.iterations)
             if b is not None:
-                x = extract_improvement(b, g, members)
-                if not _is_improvement_mask(g, a_mask, g.mask(x)):
+                x_mask = g.mask(extract_improvement(b, g, members))
+                if not _is_improvement_mask(g, a_mask, x_mask):
                     raise AssertionError("binocular produced a non-improving set")
-                x_mask = g.mask(x)
-                n_mask = _neighborhood_mask(g, a_mask, x_mask)
-                a_mask = (a_mask & ~n_mask) | x_mask
-                assert g.independent_mask(a_mask), "solution lost independence"
+                a_mask = _apply_mask(g, a_mask, x_mask)
                 stats.binoculars_applied += 1
                 applied = True
         if not applied:

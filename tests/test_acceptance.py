@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from setpack23.binoculars import naive_improving_binocular
 from setpack23.cli import random_triples
-from setpack23.color_coding import compute_walks, search_improving_binocular
+from setpack23.color_coding import search_improving_binocular
 from setpack23.conflict import build_conflict_graph
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import embed_3dm, generate_random
@@ -25,7 +25,7 @@ from setpack23.search_graph import enumerate_search_edges, extract_improvement
 
 from conftest import binocular_gadget, random_nice_tuple
 from test_binoculars import definition_minimal_binoculars, random_multigraph
-from test_color_coding import brute_force_walk_keys, random_csg
+from test_color_coding import brute_force_walk_keys, random_csg, walk_table
 
 from setpack23.binoculars import (classify_minimal_binocular, is_binocular,
                                   berman_furer_witness, multigraph)
@@ -147,9 +147,9 @@ def test_ac4_walk_dp_equals_brute_force():
         start = rng.choice(csg.vertices)
         ctx_u = frozenset(rng.sample(range(200, 206), rng.randrange(4)))
         ctx_w = frozenset(rng.sample(range(100, 106), rng.randrange(4)))
-        table = compute_walks(csg, start, ctx_u, ctx_w, max_len=6)
+        table = walk_table(csg, start, ctx_u, ctx_w, max_len=6)
         expected = brute_force_walk_keys(csg, start, ctx_u, ctx_w, 6)
-        assert set(table.entries) == expected
+        assert set(table) == expected
         agreements += 1
     _report("AC4", f"({agreements}/100 random tables agree with exhaustive "
                    f"walk enumeration on every reachable key)")

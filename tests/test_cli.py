@@ -52,6 +52,27 @@ def test_oracle_command(capsys, chain_file):
     assert code == 0 and doc["optimum_weight"] == 4 and doc["witness"] == [0, 2]
 
 
+def _gen_random(capsys, path, universe: int, sets: int) -> str:
+    code, _, _ = run_cli(capsys, "gen", "--kind", "random", "--universe", str(universe),
+                         "--sets", str(sets), "--seed", "1", "-o", str(path))
+    assert code == 0
+    return str(path)
+
+
+def test_oracle_budget_overrun_exits_four(tmp_path, capsys):
+    path = _gen_random(capsys, tmp_path / "i60.txt", 30, 60)
+    code, out, err = run_cli(capsys, "oracle", path, "--budget", "1000")
+    assert code == 4 and out == ""
+    assert err == "budget exceeded: exceeded 1000 nodes\n"
+
+
+def test_full_pair_mode_refusal_exits_four(tmp_path, capsys):
+    path = _gen_random(capsys, tmp_path / "i24.txt", 20, 24)
+    code, out, err = run_cli(capsys, "solve", path, "--tau", "2", "--pair-mode", "full")
+    assert code == 4 and out == ""
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
 def test_gen_solve_roundtrip(tmp_path, capsys):
     target = tmp_path / "inst.json"
     code, _, _ = run_cli(capsys, "gen", "--kind", "random", "--universe", "10",

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from setpack23.color_coding import (Coloring, ColorfulSearchGraph, colorful_subgraph,
-                                    compute_walks, default_color_count,
-                                    find_colorful_binocular, make_colorings,
-                                    replay_walk, search_improving_binocular)
+                                    default_color_count, find_colorful_binocular,
+                                    make_colorings, project_walks,
+                                    search_improving_binocular, walk_states)
 from setpack23.conflict import build_conflict_graph
 from setpack23.local_search import SearchParams, is_local_improvement
 from setpack23.search_graph import (SearchEdge, enumerate_search_edges,
@@ -78,6 +78,48 @@ def brute_force_walk_keys(csg: ColorfulSearchGraph, start: int,
     return keys
 
 
+def _mask(vertices) -> int:
+    return sum(1 << v for v in set(vertices))
+
+
+def _unmask(mask: int) -> frozenset:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def walk_table(csg: ColorfulSearchGraph, start: int, ctx_u, ctx_w, max_len: int) -> dict:
+    """The DP's states projected onto the context, keyed (end, colors, X, Y, length).
+
+    X and Y come back as frozensets so keys compare with the references below.
+    """
+    by_end = project_walks(walk_states(csg, start, max_len), _mask(ctx_u), _mask(ctx_w))
+    return {(v, colors, _unmask(x), _unmask(y), length): witness
+            for v, rows in by_end.items() for colors, x, y, length, witness in rows}
+
+
+def replay_walk(csg: ColorfulSearchGraph, start: int, witness, ctx_u, ctx_w):
+    """Re-walk a stored witness and return its (end, colors, X, Y, length)."""
+    ctx_u = frozenset(ctx_u)
+    ctx_w = frozenset(ctx_w)
+    v = start
+    colors = 0
+    x: frozenset = frozenset()
+    y: frozenset = frozenset()
+    length = 0
+    for ei in witness:
+        e = csg.edges[ei]
+        if e.is_loop or v not in e.endpoints:
+            raise ValueError("witness is not a walk from the start vertex")
+        col = csg.edge_colors[ei]
+        if col & colors:
+            raise ValueError("witness is not colorful")
+        colors |= col
+        x |= frozenset(e.u_label) & ctx_u
+        y |= frozenset(e.w_label) & ctx_w
+        v = e.endpoints[0] if v == e.endpoints[1] else e.endpoints[1]
+        length += 1
+    return v, colors, x, y, length
+
+
 class TestColorings:
     def test_deterministic(self):
         assert make_colorings(8, 5, 3, seed=42) == make_colorings(8, 5, 3, seed=42)
@@ -131,21 +173,21 @@ class TestColorfulSubgraph:
 class TestWalkTable:
     def test_base_case(self, rng):
         csg = random_csg(rng)
-        table = compute_walks(csg, 0, (), (), max_len=3)
-        assert table.holds(0, 0, frozenset(), frozenset(), 0)
-        assert not any(k[4] == 0 and k[0] != 0 for k in table.entries)
+        table = walk_table(csg, 0, (), (), max_len=3)
+        assert (0, 0, frozenset(), frozenset(), 0) in table
+        assert not any(k[4] == 0 and k[0] != 0 for k in table)
 
     def test_single_edge_step(self):
         e = SearchEdge((0, 1), (200,), (100,))
         csg = ColorfulSearchGraph((0, 1), (e,), (0b11,), {100: 0b11})
-        table = compute_walks(csg, 0, (200,), (100,), max_len=2)
-        assert table.holds(1, 0b11, frozenset({200}), frozenset({100}), 1)
+        table = walk_table(csg, 0, (200,), (100,), max_len=2)
+        assert (1, 0b11, frozenset({200}), frozenset({100}), 1) in table
 
     def test_identical_parallel_colors_block_closing(self):
         edges = (SearchEdge((0, 1), (), (100,)), SearchEdge((0, 1), (), (101,)))
         csg = ColorfulSearchGraph((0, 1), edges, (0b1, 0b1), {100: 0b1, 101: 0b1})
-        table = compute_walks(csg, 0, (), (), max_len=4)
-        assert not any(k[0] == 0 and k[4] == 2 for k in table.entries)
+        table = walk_table(csg, 0, (), (), max_len=4)
+        assert not any(k[0] == 0 and k[4] == 2 for k in table)
 
     def test_matches_brute_force(self, rng):
         for _ in range(25):
@@ -153,8 +195,8 @@ class TestWalkTable:
             start = rng.choice(csg.vertices)
             ctx_u = frozenset(rng.sample(range(200, 206), rng.randrange(3)))
             ctx_w = frozenset(rng.sample(range(100, 106), rng.randrange(3)))
-            table = compute_walks(csg, start, ctx_u, ctx_w, max_len=5)
-            assert set(table.entries) == brute_force_walk_keys(csg, start, ctx_u, ctx_w, 5)
+            table = walk_table(csg, start, ctx_u, ctx_w, max_len=5)
+            assert set(table) == brute_force_walk_keys(csg, start, ctx_u, ctx_w, 5)
 
     def test_witness_replay(self, rng):
         for _ in range(15):
@@ -162,8 +204,8 @@ class TestWalkTable:
             start = rng.choice(csg.vertices)
             ctx_u = frozenset(rng.sample(range(200, 206), 2))
             ctx_w = frozenset(rng.sample(range(100, 105), 2))
-            table = compute_walks(csg, start, ctx_u, ctx_w, max_len=5)
-            for key, witness in table.entries.items():
+            table = walk_table(csg, start, ctx_u, ctx_w, max_len=5)
+            for key, witness in table.items():
                 assert replay_walk(csg, start, witness, ctx_u, ctx_w) == key
 
 
@@ -217,6 +259,15 @@ class TestBinocularSearch:
         hits = sum(search_improving_binocular(sg, g, a, params, seed=s) is not None
                    for s in range(20))
         assert hits == 20  # 64 repetitions each; misses would be astronomically rare
+
+    def test_seeded_binocular_solve_is_pinned(self):
+        # Golden output of the seeded random-coloring path (64 colorings):
+        # a refactor of the walk DP or the assembly order must keep it.
+        from setpack23.instance import generate_random
+        from setpack23.local_search import solve
+        packing, stats = solve(generate_random(12, 16, 0.6, seed=34), SearchParams(tau=2, seed=1))
+        assert sorted(packing.members) == [1, 5, 10, 13]
+        assert (stats.iterations, stats.binoculars_applied, stats.final_weight) == (5, 1, 7)
 
     def test_empty_search_graph_returns_none(self):
         from setpack23.search_graph import SearchGraph
