@@ -28,7 +28,6 @@ from .hereditary import hereditary_closure, is_hereditary, solve_hereditary
 from .local_search import SearchParams, solve
 from .normalize import dump_normalized, load_tuple, normalize
 from .oracle import OracleBudgetExceeded, solve_exact
-from .search_graph import FullModeRefused
 
 CSV_COLUMNS = ["instance", "alg_weight", "opt_weight", "ratio_num", "ratio_den",
                "iterations", "binoculars", "wall_ms"]
@@ -162,10 +161,7 @@ def _params_from_args(args, mode: str = "general") -> SearchParams:
         mode=mode,
         seed=args.seed,
         coloring_reps=getattr(args, "colorings", 64),
-        pair_mode=getattr(args, "pair_mode", "canonical"),
-        improve_method="naive" if getattr(args, "naive_improve", False) else "auto",
         injective_colorings=getattr(args, "injective_colorings", False),
-        t_override=getattr(args, "t_override", None),
     )
 
 
@@ -271,11 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--tau", type=int)
             group.add_argument("--epsilon", type=str,
                                help="positive rational; tau becomes 4*ceil(2/epsilon)")
-            p.add_argument("--pair-mode", choices=["canonical", "full"], default="canonical")
             p.add_argument("--colorings", type=int, default=64, metavar="R")
-            p.add_argument("--t-override", type=int)
             p.add_argument("--injective-colorings", action="store_true")
-            p.add_argument("--naive-improve", action="store_true")
 
     p = sub.add_parser("solve", help="general-mode local search with the binocular phase")
     p.add_argument("instance")
@@ -334,14 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if "SETPACK_SEED" in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ["SETPACK_SEED"])
     try:
+        env_seed = os.environ.get("SETPACK_SEED")
+        if env_seed is not None and hasattr(args, "seed"):
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise ValueError(f"SETPACK_SEED must be an integer, got {env_seed!r}") from None
         return args.func(args)
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
-    except (OracleBudgetExceeded, FullModeRefused, WalkBudgetExceeded) as exc:
+    except (OracleBudgetExceeded, WalkBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
     except (inst.FormatError, ValueError, OSError) as exc:

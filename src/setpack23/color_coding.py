@@ -263,10 +263,14 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                 # Three edge-disjoint walks between two distinct vertices.
                 if v == u:
                     continue
-                for p1, p2, p3 in combinations(connectors, 3):
-                    if p1[0] & p2[0] or p1[0] & p3[0] or p2[0] & p3[0]:
-                        continue
-                    return assemble(p1[4] + p2[4] + p3[4])
+                for i, (c1, _, _, _, wit1) in enumerate(connectors):
+                    for j in range(i + 1, len(connectors)):
+                        c2, _, _, _, wit2 = connectors[j]
+                        if c1 & c2:
+                            continue  # every triple holding this pair overlaps
+                        for c3, _, _, _, wit3 in connectors[j + 1:]:
+                            if not c3 & (c1 | c2):
+                                return assemble(wit1 + wit2 + wit3)
     return None
 
 
@@ -283,10 +287,10 @@ def search_improving_binocular(sg: SearchGraph, g: ConflictGraph, A: Iterable[in
         return None
     members = frozenset(A)
     if params.injective_colorings:
-        t = max(params.t_override or 0, g.universe_size, 1)
+        t = max(g.universe_size, 1)
         colorings = make_colorings(g.universe_size, t, 1, seed, injective=True)
     else:
-        t = params.t_override or default_color_count(sg.tau, g.n)
+        t = default_color_count(sg.tau, g.n)
         colorings = make_colorings(g.universe_size, t, params.coloring_reps, seed)
     # Walks inside a minimal binocular are simple paths or cycles, so lengths
     # beyond the vertex count of the search graph cannot be needed.

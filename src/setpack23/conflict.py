@@ -85,6 +85,10 @@ class ConflictGraph:
             mask ^= low
         return out
 
+    def neighborhood_mask(self, x_mask: int, a_mask: int) -> int:
+        """N(X, A): the members of A that lie in X or are adjacent to X."""
+        return (x_mask | self.neighbors_mask(x_mask)) & a_mask
+
     def independent_mask(self, mask: int) -> bool:
         m = mask
         while m:
@@ -133,9 +137,7 @@ def build_conflict_graph(instance: Instance) -> ConflictGraph:
 
 def neighborhood(g: ConflictGraph, U: Iterable[int], W: Iterable[int]) -> frozenset[int]:
     """The neighborhood of U inside W: ``(U & W) | {w in W adjacent to some u in U}``."""
-    u_mask = g.mask(U)
-    w_mask = g.mask(W)
-    return g.unmask((u_mask & w_mask) | (g.neighbors_mask(u_mask) & w_mask))
+    return g.unmask(g.neighborhood_mask(g.mask(U), g.mask(W)))
 
 
 def find_claw_violations(weights: Mapping[int, int], adj: Mapping[int, Iterable[int]]) -> list[ClawViolation]:

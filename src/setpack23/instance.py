@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 
 class FormatError(ValueError):
@@ -68,12 +70,12 @@ class Instance:
         return len(self.sets)
 
     def weight_of(self, set_ids: Iterable[int]) -> int:
-        by_id = self.by_id
-        return sum(by_id[i].weight for i in set_ids)
+        return sum(self.by_id[i].weight for i in set_ids)
 
-    @property
-    def by_id(self) -> dict[int, PackSet]:
-        return {s.id: s for s in self.sets}
+    @cached_property
+    def by_id(self) -> Mapping[int, PackSet]:
+        """Read-only sets by id, built once per instance; not part of equality."""
+        return MappingProxyType({s.id: s for s in self.sets})
 
     @property
     def total_weight(self) -> int:

@@ -11,8 +11,8 @@ Two enumeration strategies exist for the bounded search.  The default grows
 candidate sets that are connected in a linkage graph (candidates are linked
 when their solution neighborhoods intersect or they conflict); a minimal
 improvement that split into linkage-disconnected parts would contain a
-smaller improvement, so the restriction loses nothing.  A naive full-subset
-enumerator is kept for cross-validation.
+smaller improvement, so the restriction loses nothing.  The naive
+full-subset enumerator serves small tau (below 5) and cross-validation.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ class SearchParams:
 
     ``tau`` bounds the plain improvement size; when only ``epsilon`` is
     given, tau is derived as ``4 * ceil(2 / epsilon)``.  Hereditary mode
-    forces ``tau >= 10`` and disables the binocular phase.
+    forces ``tau >= 10`` and disables the binocular phase.  The improvement
+    enumerator follows from tau (grown from 5 up, naive below); the binocular
+    phase tries ``coloring_reps`` random colorings, or one injective coloring.
     """
 
     tau: int | None = None
@@ -50,10 +52,7 @@ class SearchParams:
     mode: str = "general"  # "general" | "hereditary"
     seed: int = 0
     coloring_reps: int = 64
-    pair_mode: str = "canonical"  # "canonical" | "full"
-    improve_method: str = "auto"  # "auto" | "grown" | "naive"
     injective_colorings: bool = False
-    t_override: int | None = None
 
     def resolved_tau(self) -> int:
         tau = self.tau
@@ -88,14 +87,10 @@ class RunStats:
         })
 
 
-def _neighborhood_mask(g: ConflictGraph, a_mask: int, x_mask: int) -> int:
-    return (x_mask & a_mask) | (g.neighbors_mask(x_mask) & a_mask)
-
-
 def _is_improvement_mask(g: ConflictGraph, a_mask: int, x_mask: int) -> bool:
     if not g.independent_mask(x_mask):
         return False
-    n_mask = _neighborhood_mask(g, a_mask, x_mask)
+    n_mask = g.neighborhood_mask(x_mask, a_mask)
     wx, wn = g.weight_mask(x_mask), g.weight_mask(n_mask)
     if wx > wn:
         return True
@@ -252,12 +247,12 @@ def find_improvement(g: ConflictGraph, A: Iterable[int], tau: int,
     hit = _find_improvement_mask(g, a_mask, tau, method)
     if not hit:
         return None
-    return Improvement(g.unmask(hit), g.unmask(_neighborhood_mask(g, a_mask, hit)))
+    return Improvement(g.unmask(hit), g.unmask(g.neighborhood_mask(hit, a_mask)))
 
 
 def _apply_mask(g: ConflictGraph, a_mask: int, x_mask: int) -> int:
     """Replace N(X, A) by X in the solution mask and check independence."""
-    new_mask = (a_mask & ~_neighborhood_mask(g, a_mask, x_mask)) | x_mask
+    new_mask = (a_mask & ~g.neighborhood_mask(x_mask, a_mask)) | x_mask
     assert g.independent_mask(new_mask), "solution lost independence"
     return new_mask
 
@@ -293,14 +288,14 @@ def solve(instance: Instance, params: SearchParams) -> tuple[Packing, RunStats]:
 
     while True:
         applied = False
-        hit = _find_improvement_mask(g, a_mask, tau, params.improve_method)
+        hit = _find_improvement_mask(g, a_mask, tau, "auto")
         if hit:
             a_mask = _apply_mask(g, a_mask, hit)
             stats.improvements_applied += 1
             applied = True
         elif params.mode == "general":
             members = g.unmask(a_mask)
-            sg = enumerate_search_edges(g, members, tau, params.pair_mode)
+            sg = enumerate_search_edges(g, members, tau)
             b = search_improving_binocular(
                 sg, g, members, params,
                 seed=params.seed * 1_000_003 + stats.iterations)

@@ -326,16 +326,24 @@ def check_normalized(n: NormalizedInstance) -> list[str]:
 # -- wire format -------------------------------------------------------------
 
 def load_tuple(data: str | bytes) -> AnalysisTuple:
-    """Read a tuple file: JSON with weights, edges, A-ids and B-ids."""
+    """Read a tuple file: JSON with weights, edges, A-ids and B-ids.
+
+    A malformed document raises ``ValueError`` with a one-line message.
+    """
     doc = json.loads(data)
-    raw_w = doc["weights"]
-    if isinstance(raw_w, list):
-        weights = {i: int(w) for i, w in enumerate(raw_w)}
-    else:
-        weights = {int(k): int(v) for k, v in raw_w.items()}
-    edges = [(int(u), int(v)) for u, v in doc.get("edges", [])]
-    return analysis_tuple(weights, edges, [int(x) for x in doc["A"]],
-                          [int(x) for x in doc["B"]])
+    if not isinstance(doc, dict) or not {"weights", "A", "B"} <= doc.keys():
+        raise ValueError('tuple file must be a JSON object with "weights", "A" and "B"')
+    try:
+        raw_w = doc["weights"]
+        if isinstance(raw_w, list):
+            weights = {i: int(w) for i, w in enumerate(raw_w)}
+        else:
+            weights = {int(k): int(v) for k, v in raw_w.items()}
+        edges = [(int(u), int(v)) for u, v in doc.get("edges", [])]
+        return analysis_tuple(weights, edges, [int(x) for x in doc["A"]],
+                              [int(x) for x in doc["B"]])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed tuple file: {type(exc).__name__}: {exc}") from None
 
 
 def dump_normalized(n: NormalizedInstance) -> str:

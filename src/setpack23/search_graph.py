@@ -74,10 +74,6 @@ class LabeledBinocular:
         return frozenset(v for e in self.edges for v in e.w_label)
 
 
-class FullModeRefused(RuntimeError):
-    """Full pair enumeration requested on a graph above the vertex budget."""
-
-
 def _independent_subsets(g: ConflictGraph, pool: list[int], max_size: int):
     """Yield non-empty independent subsets of pool as (tuple, mask), lex order."""
     def rec(start: int, chosen: tuple[int, ...], mask: int):
@@ -93,62 +89,34 @@ def _independent_subsets(g: ConflictGraph, pool: list[int], max_size: int):
     yield from rec(0, (), 0)
 
 
-def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int,
-                           pair_mode: str = "canonical",
-                           full_budget: int = 16) -> SearchGraph:
+def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> SearchGraph:
     """Build the search graph for the solution A.
 
-    Canonical mode only considers U inside N(W, A); every such U is the
-    neighborhood minus a choice of one or two weight-2 vertices, which the
-    weight-balance equation pins down exactly.  Full mode ranges U over all
-    small subsets of A and is refused above ``full_budget`` vertices.
+    W ranges over the independent sets of at most tau vertices outside A,
+    and U over N(W, A) minus one or two weight-2 vertices; the
+    weight-balance equation pins down how many.  Pairs whose U reaches
+    outside N(W, A) are never enumerated.
     """
     a_mask = g.mask(A)
     if not g.independent_mask(a_mask):
         raise ValueError("solution must be independent")
     outside = [v for v in range(g.n) if not (a_mask >> v) & 1]
     edges: set[SearchEdge] = set()
-
-    if pair_mode == "full":
-        if g.n > full_budget:
-            raise FullModeRefused(f"full pair enumeration refused above {full_budget} vertices")
-        a_list = sorted(g.unmask(a_mask))
-        u_choices: list[tuple[tuple[int, ...], int]] = [((), 0)]
-        for size in range(1, tau + 1):
-            for combo in combinations(a_list, size):
-                u_choices.append((combo, g.mask(combo)))
-    elif pair_mode != "canonical":
-        raise ValueError(f"unknown pair mode {pair_mode!r}")
-
     for w_tuple, w_mask in _independent_subsets(g, outside, tau):
         ww = g.weight_mask(w_mask)
         m_mask = g.neighbors_mask(w_mask) & a_mask
-        if pair_mode == "canonical":
-            # U = N(W, A) minus a removed set R of weight-2 vertices; the
-            # balance w(U) + 2 = w(W) forces |R| = (w(M) - w(W) + 2) / 2.
-            need2, rem = divmod(g.weight_mask(m_mask) - ww + 2, 2)
-            if rem or need2 not in (1, 2):
+        # U = N(W, A) minus a removed set R of weight-2 vertices; the
+        # balance w(U) + 2 = w(W) forces |R| = (w(M) - w(W) + 2) / 2.
+        need2, rem = divmod(g.weight_mask(m_mask) - ww + 2, 2)
+        if rem or need2 not in (1, 2):
+            continue
+        m2 = sorted(g.unmask(m_mask & g.w2_mask))
+        for r_combo in combinations(m2, need2):
+            r_mask = g.mask(r_combo)
+            u_mask = m_mask & ~r_mask
+            if u_mask.bit_count() > tau:
                 continue
-            m2 = sorted(g.unmask(m_mask & g.w2_mask))
-            for r_combo in combinations(m2, need2):
-                r_mask = g.mask(r_combo)
-                u_mask = m_mask & ~r_mask
-                if u_mask.bit_count() > tau:
-                    continue
-                edges.add(SearchEdge(tuple(r_combo),
-                                     tuple(sorted(g.unmask(u_mask))),
-                                     w_tuple))
-        else:
-            for u_tuple, u_mask in u_choices:
-                if g.weight_mask(u_mask) + 2 != ww:
-                    continue
-                e_mask = m_mask & ~u_mask
-                if e_mask & ~g.w2_mask:
-                    continue
-                cnt = e_mask.bit_count()
-                if cnt < 1 or cnt > 2:
-                    continue
-                edges.add(SearchEdge(tuple(sorted(g.unmask(e_mask))), u_tuple, w_tuple))
+            edges.add(SearchEdge(tuple(r_combo), tuple(sorted(g.unmask(u_mask))), w_tuple))
 
     vertices = tuple(sorted(g.unmask(a_mask & g.w2_mask)))
     return SearchGraph(vertices, tuple(sorted(edges)), tau)
@@ -214,7 +182,7 @@ def extract_improvement(b: LabeledBinocular, g: ConflictGraph, A: Iterable[int])
     w_total = b.w_total
     u_total = b.u_total
     w_mask = g.mask(w_total)
-    n_mask = (w_mask & a_mask) | (g.neighbors_mask(w_mask) & a_mask)
+    n_mask = g.neighborhood_mask(w_mask, a_mask)
     u_mask = g.mask(u_total)
     assert n_mask & ~u_mask == 0, "solution neighborhood escaped the U-side of the binocular"
     assert g.weight_mask(w_mask) > g.weight_mask(u_mask), "binocular weight chain violated"

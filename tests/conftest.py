@@ -11,6 +11,7 @@ from setpack23 import build_conflict_graph, is_local_improvement, parse_instance
 from setpack23.conflict import ConflictGraph
 from setpack23.instance import Instance, PackSet, generate_random
 from setpack23.normalize import AnalysisTuple, analysis_tuple
+from setpack23.search_graph import SearchEdge, SearchGraph, _independent_subsets
 
 
 def chain_instance() -> Instance:
@@ -51,6 +52,38 @@ def brute_force_improvement_exists(g: ConflictGraph, A: frozenset[int], tau: int
             if is_local_improvement(g, A, combo):
                 return True
     return False
+
+
+def full_search_edges(g: ConflictGraph, A: frozenset[int], tau: int) -> SearchGraph:
+    """Reference search graph: U ranges over every subset of A of size <= tau.
+
+    The solver's ``enumerate_search_edges`` only tries U inside N(W, A);
+    every edge it builds must appear here too.  Exponential in |A|, so only
+    for tiny graphs.
+    """
+    a_mask = g.mask(A)
+    outside = [v for v in range(g.n) if not (a_mask >> v) & 1]
+    a_list = sorted(g.unmask(a_mask))
+    u_choices: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for size in range(1, tau + 1):
+        for combo in combinations(a_list, size):
+            u_choices.append((combo, g.mask(combo)))
+    edges: set[SearchEdge] = set()
+    for w_tuple, w_mask in _independent_subsets(g, outside, tau):
+        ww = g.weight_mask(w_mask)
+        m_mask = g.neighbors_mask(w_mask) & a_mask
+        for u_tuple, u_mask in u_choices:
+            if g.weight_mask(u_mask) + 2 != ww:
+                continue
+            e_mask = m_mask & ~u_mask
+            if e_mask & ~g.w2_mask:
+                continue
+            cnt = e_mask.bit_count()
+            if cnt < 1 or cnt > 2:
+                continue
+            edges.add(SearchEdge(tuple(sorted(g.unmask(e_mask))), u_tuple, w_tuple))
+    vertices = tuple(sorted(g.unmask(a_mask & g.w2_mask)))
+    return SearchGraph(vertices, tuple(sorted(edges)), tau)
 
 
 def random_packing(g: ConflictGraph, rng: random.Random) -> frozenset[int]:

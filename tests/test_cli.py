@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -36,11 +37,6 @@ def test_epsilon_one_resolves_to_tau_eight(capsys, chain_file):
     assert code == 0 and json.loads(out)["stats"]["final_weight"] == 4
 
 
-def test_naive_improve_flag(capsys, chain_file):
-    code, out, _ = run_cli(capsys, "solve", chain_file, "--tau", "2", "--naive-improve")
-    assert code == 0 and json.loads(out)["stats"]["final_weight"] == 4
-
-
 def test_tau_and_epsilon_are_mutually_exclusive(chain_file):
     with pytest.raises(SystemExit):
         main(["solve", chain_file, "--tau", "2", "--epsilon", "1"])
@@ -66,11 +62,11 @@ def test_oracle_budget_overrun_exits_four(tmp_path, capsys):
     assert err == "budget exceeded: exceeded 1000 nodes\n"
 
 
-def test_full_pair_mode_refusal_exits_four(tmp_path, capsys):
-    path = _gen_random(capsys, tmp_path / "i24.txt", 20, 24)
-    code, out, err = run_cli(capsys, "solve", path, "--tau", "2", "--pair-mode", "full")
-    assert code == 4 and out == ""
-    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+@pytest.mark.parametrize("flag", [["--pair-mode", "full"], ["--naive-improve"],
+                                  ["--t-override", "9"]])
+def test_removed_solver_flags_are_rejected(chain_file, flag):
+    with pytest.raises(SystemExit):
+        main(["solve", chain_file, "--tau", "2", *flag])
 
 
 def test_gen_solve_roundtrip(tmp_path, capsys):
@@ -149,6 +145,45 @@ def test_seed_env_override(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("SETPACK_SEED", "1")
     main(["gen", "--sets", "6", "--seed", "999", "-o", str(out2)])
     assert out1.read_text() == out2.read_text()
+
+
+def test_bad_seed_env_exits_two(capsys, monkeypatch, chain_file):
+    monkeypatch.setenv("SETPACK_SEED", "abc")
+    code, out, err = run_cli(capsys, "solve", chain_file, "--tau", "2")
+    assert code == 2 and out == ""
+    assert err == "error: SETPACK_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("doc", [{"weights": {"0": 1}, "B": []}, [1, 2],
+                                 {"weights": 5, "A": [], "B": []}])
+def test_malformed_tuple_exits_two(tmp_path, capsys, doc):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "normalize", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# SHA-256 of the `setpack bench --count 20 --seed 0` JSON rows with `wall_ms`
+# dropped, serialized with sorted keys.  A change here means a seeded solver
+# output moved.
+BENCH_DIGESTS = {
+    "random-small": "68eec73ce0fc78250e091c4068b7c2bca0123fd8fdec48f19350b591ff1fc7fb",
+    "threedm-small": "14585ac57d25ae7a2b11dceeec45c36372eb1c150006decfa07b35cfc67a8409",
+    "hereditary-small": "e483a5b32e2056a50128a887810ad330307372ae3fde5fd7d4e03c9695fac574",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(BENCH_DIGESTS))
+def test_bench_output_is_pinned(capsys, monkeypatch, suite):
+    monkeypatch.delenv("SETPACK_SEED", raising=False)
+    code, out, _ = run_cli(capsys, "bench", "--suite", suite, "--count", "20", "--seed", "0")
+    assert code == 0
+    rows = json.loads(out)
+    for r in rows:
+        del r["wall_ms"]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == BENCH_DIGESTS[suite]
 
 
 def test_rows_roundtrip_and_ordering():

@@ -42,6 +42,9 @@ def test_neighborhood_contained_in_w(seed, n, m):
     u = frozenset(rng.sample(verts, rng.randrange(len(verts) + 1)))
     w = frozenset(rng.sample(verts, rng.randrange(len(verts) + 1)))
     assert neighborhood(g, u, w) <= w
+    expected = {x for x in w if x in u or any(y in u for y in g.adj[x])}
+    assert neighborhood(g, u, w) == expected
+    assert g.neighborhood_mask(g.mask(u), g.mask(w)) == g.mask(expected)
 
 
 @given(st.integers(0, 2 ** 31))

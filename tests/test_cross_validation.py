@@ -12,7 +12,7 @@ from setpack23.local_search import SearchParams, find_improvement, is_local_impr
 from setpack23.search_graph import (LabeledBinocular, SearchEdge, enumerate_search_edges,
                                     extract_improvement, is_improving_binocular,
                                     validate_search_edge)
-from conftest import instance_from_sets, random_packing
+from conftest import full_search_edges, instance_from_sets, random_packing
 
 
 def test_hereditary_outputs_survive_naive_tau10_certification():
@@ -65,8 +65,8 @@ def test_full_mode_reaches_pairs_canonical_cannot():
                                (1, 4, 7), (2, 10)])
     g = build_conflict_graph(inst)
     a = frozenset({0, 1, 2})
-    canonical = enumerate_search_edges(g, a, tau=2, pair_mode="canonical")
-    full = enumerate_search_edges(g, a, tau=2, pair_mode="full")
+    canonical = enumerate_search_edges(g, a, tau=2)
+    full = full_search_edges(g, a, tau=2)
     extra = SearchEdge((0, 1), (2,), (3, 4))
     assert extra not in canonical.edges
     assert extra in full.edges

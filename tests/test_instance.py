@@ -96,3 +96,14 @@ def test_validate_packing():
     with pytest.raises(FormatError):
         validate_packing(inst, Packing(frozenset({9})))
     assert Packing(frozenset({0, 2})).weight(inst) == 3
+
+
+def test_by_id_is_built_once_and_stays_out_of_equality():
+    inst = parse_instance("1 2 3\n3 4\n")
+    twin = parse_instance("1 2 3\n3 4\n")
+    assert inst.by_id is inst.by_id
+    assert inst.by_id[1].elements == (2, 3)
+    with pytest.raises(TypeError):
+        inst.by_id[2] = inst.by_id[1]
+    assert inst == twin and hash(inst) == hash(twin)
+    assert "by_id" not in repr(inst)

@@ -4,12 +4,12 @@ import pytest
 
 from setpack23.conflict import ConflictGraph, build_conflict_graph
 from setpack23.local_search import is_local_improvement
-from setpack23.search_graph import (FullModeRefused, LabeledBinocular, SearchEdge,
+from setpack23.search_graph import (LabeledBinocular, SearchEdge,
                                     enumerate_search_edges, extract_improvement,
                                     is_improving_binocular, to_dot,
                                     validate_search_edge)
 from setpack23.instance import generate_random
-from conftest import binocular_gadget, instance_from_sets, random_packing
+from conftest import binocular_gadget, full_search_edges, instance_from_sets, random_packing
 
 
 def two_anchor_instance(v_elements):
@@ -52,15 +52,9 @@ class TestEnumerate:
             inst = generate_random(7, rng.randrange(4, 9), rng.random(), seed + 50)
             g = build_conflict_graph(inst)
             a = random_packing(g, rng)
-            canonical = enumerate_search_edges(g, a, tau=2, pair_mode="canonical")
-            full = enumerate_search_edges(g, a, tau=2, pair_mode="full")
+            canonical = enumerate_search_edges(g, a, tau=2)
+            full = full_search_edges(g, a, tau=2)
             assert set(canonical.edges) <= set(full.edges)
-
-    def test_full_mode_budget(self):
-        inst = generate_random(20, 24, 0.5, seed=0)
-        g = build_conflict_graph(inst)
-        with pytest.raises(FullModeRefused):
-            enumerate_search_edges(g, frozenset(), tau=2, pair_mode="full")
 
 
 def _hand_graph(weights, edges):
