@@ -13,6 +13,16 @@ when their solution neighborhoods intersect or they conflict); a minimal
 improvement that split into linkage-disconnected parts would contain a
 smaller improvement, so the restriction loses nothing.  The naive
 full-subset enumerator serves small tau (below 5) and cross-validation.
+
+The grown enumerator returns the least improving set by (size, root,
+preorder).  It deepens iteratively up to size ``_ID_DEPTH``, where the
+frequent small improvements are cheap, then runs one DFS capped at tau that
+tests every larger node and lowers the cap to s - 1 on a hit of size s.
+The final call, which certifies that no improvement of size up to tau
+remains, thus walks the search tree once instead of once per depth.  Its
+prunes only loosen as the cap grows and never cut off an improving
+descendant, so the capped DFS returns the hit that iterative deepening to
+tau would.
 """
 
 from __future__ import annotations
@@ -26,6 +36,10 @@ from typing import Iterable
 
 from .conflict import ConflictGraph, build_conflict_graph
 from .instance import Instance, Packing
+
+# The grown enumerator deepens iteratively up to this size, then runs one
+# capped DFS for every larger size.
+_ID_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,8 @@ def is_local_improvement(g: ConflictGraph, A: Iterable[int], X: Iterable[int]) -
 def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str) -> int:
     if method == "auto":
         method = "grown" if tau >= 5 else "naive"
+    elif method not in ("grown", "naive"):
+        raise ValueError(f"unknown improvement method {method!r}")
     cands = [v for v in range(g.n) if not (a_mask >> v) & 1]
     if not cands:
         return 0
@@ -142,22 +158,24 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
                         return hit
             return 0
         return rec_naive(-1, 0, 0, 0, 0)
-    if method != "grown":
-        raise ValueError(f"unknown improvement method {method!r}")
 
     # A vertex untouched by the solution is an improvement on its own.
     for i in range(k):
         if anb[i] == 0:
             return vbit[i]
 
+    # Candidates are linked when they conflict or share a solution neighbor.
+    # cadj[i] holds the conflicts alone, as a candidate-index mask.
+    cadj = [0] * k
     link = [0] * k
     for i in range(k):
-        bi = 0
         adj_i = g.adj_mask(cands[i])
         for j in range(k):
-            if j != i and (anb[i] & anb[j] or adj_i & vbit[j]):
-                bi |= 1 << j
-        link[i] = bi
+            if adj_i & vbit[j]:
+                cadj[i] |= 1 << j
+            elif j != i and anb[i] & anb[j]:
+                link[i] |= 1 << j
+        link[i] |= cadj[i]
 
     # In genuine conflict graphs every element of a solution set hosts at
     # most one member of an independent candidate set, so the neighborhood
@@ -183,55 +201,64 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         esum = [0] * k
         tight = False
 
-    w1m, w2m = g._w1_mask, g._w2_mask
-    adjm = [g.adj_mask(v) for v in cands]
+    w2m = g._w2_mask
     gain_rate = 2 if tight else 1
+    hit = 0
+    floor = cap = 0  # test sets of size floor..cap; a hit lowers cap
 
     def rec_grown(x_vmask: int, n_mask: int, wx: int, slots_used: int, size: int,
-                  ext: int, closed: int, gt_root: int, depth: int) -> int:
-        last = size + 1 == depth
-        while ext:
+                  ext: int, closed: int, gt_root: int) -> None:
+        nonlocal hit, cap
+        size += 1  # the size of every child
+        while ext and size <= cap:
             low = ext & -ext
             ext ^= low
             j = low.bit_length() - 1
-            if adjm[j] & x_vmask:
-                continue
             n2 = n_mask | anb[j]
             w2 = wx + w[j]
-            wn = (n2 & w1m).bit_count() + 2 * (n2 & w2m).bit_count()
-            if last:
-                if w2 > wn or (w2 == wn and ((x_vmask | vbit[j]) & w2m).bit_count()
-                               > (n2 & w2m).bit_count()):
-                    return x_vmask | vbit[j]
+            n_heavy = (n2 & w2m).bit_count()
+            n_size = n2.bit_count()
+            wn = n_size + n_heavy
+            # X holds w2 - size weight-2 vertices, N holds n_heavy.
+            if size >= floor and (w2 > wn or (w2 == wn and w2 - size > n_heavy)):
+                hit = x_vmask | vbit[j]
+                # Below floor no improvement exists, so a hit of size floor
+                # is the least and ends the search.
+                cap = size - 1 if size > floor else 0
+                return
+            depth_left = cap - size
+            if depth_left == 0:
                 continue
-            slots2 = slots_used + esum[j]
-            depth_left = depth - size - 1
             slack = w2 - wn + 2 * depth_left
             if slack < 0:
                 continue
+            slots2 = slots_used + esum[j]
             if claw_slots:
                 need = gain_rate * depth_left
-                cap = wn + n2.bit_count() - slots2
-                if need > cap and slack - ((need - cap + 1) // 2) < 0:
+                free = wn + n_size - slots2
+                if need > free and slack - ((need - free + 1) // 2) < 0:
                     continue
+            # Candidates that conflict with j are in closed | link[j], so
+            # dropping them from ext removes them from the branch for good.
             fresh = link[j] & ~closed & gt_root
-            hit = rec_grown(x_vmask | vbit[j], n2, w2, slots2, size + 1,
-                            ext | fresh, closed | link[j] | low, gt_root, depth)
-            if hit:
-                return hit
-        return 0
+            rec_grown(x_vmask | vbit[j], n2, w2, slots2, size,
+                      (ext | fresh) & ~cadj[j], closed | link[j] | low, gt_root)
 
-    # Iterative deepening: candidate sets of size exactly `depth`, smallest
-    # first, so the frequent small improvements stay cheap and only the
-    # final no-improvement certification pays for the full depth.  Root r
-    # enters as the only extension of the empty set and grows only through
-    # candidates after it, so every connected set is tried from its least
-    # member.
-    for depth in range(1, tau + 1):
+    # Root r enters as the only extension of the empty set and grows only
+    # through candidates after it, so every connected set is tried from its
+    # least member.  Floors 1.._ID_DEPTH are iterative-deepening passes
+    # (floor == cap).  The last floor is the capped DFS: it starts at cap tau
+    # and ends when a hit drives the cap below the floor or the roots run
+    # out.  Its last hit is the least by (size, root, preorder), because it
+    # visits every node of each deepening pass in the same preorder.
+    for floor in range(1, min(tau, _ID_DEPTH + 1) + 1):
+        cap = floor if floor <= _ID_DEPTH else tau
         for r in range(k):
-            hit = rec_grown(0, 0, 0, 0, 0, 1 << r, 0, ~((1 << (r + 1)) - 1), depth)
-            if hit:
-                return hit
+            if cap < floor:
+                break
+            rec_grown(0, 0, 0, 0, 0, 1 << r, 0, ~((1 << (r + 1)) - 1))
+        if hit:
+            return hit
     return 0
 
 
@@ -253,7 +280,8 @@ def find_improvement(g: ConflictGraph, A: Iterable[int], tau: int,
 def _apply_mask(g: ConflictGraph, a_mask: int, x_mask: int) -> int:
     """Replace N(X, A) by X in the solution mask and check independence."""
     new_mask = (a_mask & ~g.neighborhood_mask(x_mask, a_mask)) | x_mask
-    assert g.independent_mask(new_mask), "solution lost independence"
+    if not g.independent_mask(new_mask):
+        raise AssertionError("solution lost independence")
     return new_mask
 
 
@@ -273,7 +301,7 @@ def solve(instance: Instance, params: SearchParams) -> tuple[Packing, RunStats]:
 
     The pair (weight, weight-2 count) of the solution strictly increases
     lexicographically per iteration, which also enforces the quadratic
-    iteration bound asserted on every run.
+    iteration bound checked on every run.
     """
     from .color_coding import search_improving_binocular
     from .search_graph import enumerate_search_edges, extract_improvement
@@ -310,9 +338,11 @@ def solve(instance: Instance, params: SearchParams) -> tuple[Packing, RunStats]:
             break
         stats.iterations += 1
         key = (g.weight_mask(a_mask), g.w2_count_mask(a_mask))
-        assert key > prev_key, "solution did not progress lexicographically"
+        if key <= prev_key:
+            raise AssertionError("solution did not progress lexicographically")
         prev_key = key
-        assert stats.iterations <= iteration_bound, "iteration bound exceeded"
+        if stats.iterations > iteration_bound:
+            raise AssertionError("iteration bound exceeded")
 
     stats.final_weight = g.weight_mask(a_mask)
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -4,11 +4,13 @@ import random
 from itertools import combinations
 
 from setpack23.binoculars import naive_improving_binocular
+from setpack23.cli import suite_instances
 from setpack23.color_coding import search_improving_binocular
 from setpack23.conflict import build_conflict_graph
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import generate_random
-from setpack23.local_search import SearchParams, find_improvement, is_local_improvement
+from setpack23.local_search import (_ID_DEPTH, SearchParams, apply_improvement,
+                                    find_improvement, is_local_improvement)
 from setpack23.search_graph import (LabeledBinocular, SearchEdge, enumerate_search_edges,
                                     extract_improvement, is_improving_binocular,
                                     validate_search_edge)
@@ -123,3 +125,56 @@ def test_naive_binocular_and_randomized_search_agree_on_gadget_presence():
             assert injective is not None
         compared += 1
     assert compared >= 30
+
+
+def alternating_paths(lengths: list[int], seed: int):
+    """Disjoint element paths of 2-sets, set ids shuffled by ``seed``.
+
+    A path with m solution sets (every other set) is improved only by its
+    m + 1 other sets taken whole, so the least improvement has size
+    min(lengths) + 1.  Returns the instance and the solution.
+    """
+    raw, solution, start = [], [], 0
+    for m in lengths:
+        for i in range(2 * m + 1):
+            if i % 2:
+                solution.append(len(raw))
+            raw.append((start + i, start + i + 1))
+        start += 2 * m + 2
+    order = list(range(len(raw)))
+    random.Random(seed).shuffle(order)
+    inst = instance_from_sets([raw[i] for i in order])
+    return inst, frozenset(order.index(i) for i in solution)
+
+
+def test_grown_hit_has_the_least_size():
+    # the grown hit's size must be the least s at which the naive search with
+    # tau = s finds an improvement, also past the iterative-deepening depth
+    rng = random.Random(4711)
+    states = []
+    for trial in range(20):
+        base = generate_random(rng.randrange(12, 18), rng.randrange(8, 13),
+                               p3=1.0, seed=7100 + trial)
+        closed = hereditary_closure(base).base
+        g = build_conflict_graph(closed)
+        states += [(closed, frozenset(), 10), (closed, random_packing(g, rng), 10)]
+    for _, inst, params in suite_instances("threedm-small", 20, 0):
+        g = build_conflict_graph(inst)
+        states += [(inst, frozenset(), params.resolved_tau()),
+                   (inst, random_packing(g, rng), params.resolved_tau())]
+    for trial in range(12):
+        lengths = [rng.randrange(2, 7) for _ in range(rng.randrange(1, 4))]
+        inst, a = alternating_paths(lengths, seed=trial)
+        states.append((inst, a, 8))
+    sizes = []
+    for inst, a, tau in states:
+        g = build_conflict_graph(inst)
+        # follow the solver's path: apply each least hit until none is left
+        while (imp := find_improvement(g, a, tau, method="grown")) is not None:
+            size = len(imp.x)
+            assert find_improvement(g, a, size, method="naive") is not None
+            assert size == 1 or find_improvement(g, a, size - 1, method="naive") is None
+            sizes.append(size)
+            a = apply_improvement(g, a, imp)
+    assert max(sizes) > _ID_DEPTH + 1
+    assert sum(size > _ID_DEPTH for size in sizes) >= 10

@@ -95,3 +95,15 @@ def test_wrapper_type_accepted():
     assert isinstance(closed, HereditaryInstance)
     packing, _ = solve_hereditary(closed)
     assert packing.members == {0}
+
+
+def test_larger_solve_is_pinned():
+    # 62 sets; packing, iterations and weight as the iterative-deepening
+    # enumerator produced them
+    closed = hereditary_closure(generate_random(30, 16, 1.0, seed=3))
+    assert len(closed.base) == 62
+    packing, stats = solve_hereditary(closed)
+    assert sorted(packing.members) == [4, 6, 7, 8, 13, 14, 15]
+    assert stats.iterations == stats.improvements_applied == 10
+    assert stats.binoculars_applied == 0
+    assert stats.final_weight == packing.weight(closed.base) == 14

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setpack23.conflict import build_conflict_graph
+import setpack23
+from setpack23.conflict import ConflictGraph, build_conflict_graph
 from setpack23.instance import generate_random, parse_instance
 from setpack23.local_search import (SearchParams, apply_improvement, find_improvement,
                                     is_local_improvement, solve)
@@ -66,6 +72,12 @@ class TestFindImprovement:
         assert imp == find_improvement(g, {0}, tau=3, method="naive")
         assert imp.x == {1} and imp.removed == frozenset()
 
+    def test_unknown_method_is_rejected_without_candidates(self):
+        # A covers every vertex, so no candidate is left to enumerate
+        g = ConflictGraph([1, 1], [])
+        with pytest.raises(ValueError, match="unknown improvement method"):
+            find_improvement(g, {0, 1}, tau=2, method="bogus")
+
 
 class TestApply:
     def test_apply_singleton_to_empty(self):
@@ -122,6 +134,35 @@ class TestSolve:
         assert not brute_force_improvement_exists(g, packing.members, tau)
         assert stats.iterations <= 2 * g.n * (g.n + 2)
         assert stats.final_weight == packing.weight(inst)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("ConflictGraph.independent_mask = lambda self, mask: False",
+     "solution lost independence"),
+    ("ConflictGraph.weight_mask = lambda self, mask: 0\n"
+     "ConflictGraph.w2_count_mask = lambda self, mask: 0",
+     "solution did not progress lexicographically"),
+])
+def test_solve_checks_survive_optimize(tmp_path, fault, message):
+    # python -O strips assert statements; the solve-path checks must still
+    # fire, and the CLI must still map them to exit code 3
+    path = tmp_path / "chain.txt"
+    path.write_text("1 2 3\n3 4\n4 5 6\n6 7\n")
+    script = textwrap.dedent("""
+        import sys
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        from setpack23.cli import main
+        from setpack23.conflict import ConflictGraph
+        {fault}
+        sys.exit(main(["solve", sys.argv[1], "--tau", "5"]))
+    """).format(fault=fault)
+    src = str(Path(setpack23.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.strip() == f"internal invariant violated: {message}"
 
 
 def test_runstats_wire_keys():
