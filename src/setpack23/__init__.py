@@ -16,15 +16,10 @@ from .local_search import (Improvement, RunStats, SearchParams, apply_improvemen
 from .search_graph import (LabeledBinocular, SearchEdge, SearchGraph,
                            enumerate_search_edges, extract_improvement,
                            is_improving_binocular)
-from .binoculars import (Multigraph, MultiEdge, berman_furer_witness,
-                         classify_minimal_binocular, find_minimal_binocular,
-                         is_binocular, naive_improving_binocular)
 from .color_coding import (Coloring, colorful_subgraph, find_colorful_binocular,
                            make_colorings, search_improving_binocular)
 from .hereditary import (HereditaryInstance, hereditary_closure, is_hereditary,
                          solve_hereditary)
 from .oracle import OracleResult, solve_exact
-from .normalize import (AnalysisTuple, NormalizedInstance, analysis_tuple,
-                        check_normalized, deletable_set, normalize)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,7 +26,6 @@ from . import instance as inst
 from .color_coding import WalkBudgetExceeded
 from .hereditary import hereditary_closure, is_hereditary, solve_hereditary
 from .local_search import SearchParams, solve
-from .normalize import dump_normalized, load_tuple, normalize
 from .oracle import OracleBudgetExceeded, solve_exact
 
 CSV_COLUMNS = ["instance", "alg_weight", "opt_weight", "ratio_num", "ratio_den",
@@ -213,6 +212,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .normalize import dump_normalized, load_tuple, normalize
     t = load_tuple(Path(args.tuple).read_text())
     out = dump_normalized(normalize(t))
     if args.output == "-":

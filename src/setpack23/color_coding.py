@@ -10,10 +10,14 @@ Each choice of at most two loops projects the tables onto the loops' labels,
 and a candidate binocular is stitched together from those loops plus up to
 three stored walks.  Everything found is re-checked against the
 improving-binocular predicate, so random colorings only ever cost
-completeness, never soundness.  A t-perfect hash family would make the
-search deterministic; seeded uniform colorings with a repetition count are
-the standard substitute, and an injective test mode restores exact
-completeness whenever the whole universe fits into the color budget.
+completeness, never soundness.
+
+Whenever the color budget t covers the universe, the search runs one
+injective coloring, which is exact: colorful then means element-disjoint
+W-labels, so every walk state reachable under some random coloring is
+reachable under the injective one.  Only a universe larger than the budget
+falls back to seeded uniform colorings with a repetition count, the
+standard substitute for a t-perfect hash family.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def default_color_count(tau: int, n_vertices: int) -> int:
 
 def make_colorings(universe_n: int, t: int, reps: int, seed: int,
                    injective: bool = False) -> list[Coloring]:
-    """Seeded uniform colorings, or one injective coloring in test mode."""
+    """Seeded uniform colorings, or the one injective coloring (needs t >= universe)."""
     if t < 1 or reps < 1:
         raise ValueError("need t >= 1 and reps >= 1")
     if injective:
@@ -92,7 +96,8 @@ def colorful_subgraph(sg: SearchGraph, f: Coloring, g: ConflictGraph) -> Colorfu
                 break
             acc |= c
         if ok:
-            assert acc, "every W-label vertex carries at least one colored element"
+            if not acc:
+                raise AssertionError("every W-label vertex carries at least one colored element")
             kept.append(e)
             cols.append(acc)
     return ColorfulSearchGraph(sg.vertices, tuple(kept), tuple(cols), vcol)
@@ -276,21 +281,23 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
 
 def search_improving_binocular(sg: SearchGraph, g: ConflictGraph, A: Iterable[int],
                                params, seed: int = 0) -> LabeledBinocular | None:
-    """Monte-Carlo search for an improving binocular in the search graph.
+    """Color-coding search for an improving binocular in the search graph.
 
-    Tries ``coloring_reps`` independent colorings (or a single injective one)
-    and returns the first colorful binocular assembled; colorful implies
-    improving, which is asserted rather than assumed.  Returning none is
-    evidence of absence, exact under an injective coloring.
+    When the default color budget covers the universe (or
+    ``params.injective_colorings`` asks for it), one injective coloring
+    runs and a none result is exact.  Otherwise ``params.coloring_reps``
+    seeded random colorings run, and none is evidence of absence only.
+    The first colorful binocular assembled is returned; colorful implies
+    improving, which is checked rather than assumed.
     """
     if not sg.edges:
         return None
     members = frozenset(A)
-    if params.injective_colorings:
+    t = default_color_count(sg.tau, g.n)
+    if params.injective_colorings or t >= g.universe_size:
         t = max(g.universe_size, 1)
         colorings = make_colorings(g.universe_size, t, 1, seed, injective=True)
     else:
-        t = default_color_count(sg.tau, g.n)
         colorings = make_colorings(g.universe_size, t, params.coloring_reps, seed)
     # Walks inside a minimal binocular are simple paths or cycles, so lengths
     # beyond the vertex count of the search graph cannot be needed.

@@ -57,8 +57,10 @@ class SearchParams:
     ``tau`` bounds the plain improvement size; when only ``epsilon`` is
     given, tau is derived as ``4 * ceil(2 / epsilon)``.  Hereditary mode
     forces ``tau >= 10`` and disables the binocular phase.  The improvement
-    enumerator follows from tau (grown from 5 up, naive below); the binocular
-    phase tries ``coloring_reps`` random colorings, or one injective coloring.
+    enumerator follows from tau (grown from 5 up, naive below).  The
+    binocular phase runs one exact, injective coloring whenever the color
+    budget covers the universe or ``injective_colorings`` is set, and
+    ``coloring_reps`` seeded random colorings otherwise.
     """
 
     tau: int | None = None
@@ -121,6 +123,42 @@ def is_local_improvement(g: ConflictGraph, A: Iterable[int], X: Iterable[int]) -
     return _is_improvement_mask(g, g.mask(A), g.mask(X))
 
 
+def _candidate_linkage(g: ConflictGraph, cands: list[int]) -> tuple[list[int], list[int]]:
+    """Candidate-index masks (cadj, link) for the candidates ``cands``.
+
+    ``cands`` must be every vertex outside the solution, so each neighbor
+    of a candidate is a candidate or a solution vertex.  cadj[i] holds the
+    candidates conflicting with cands[i]; link[i] adds those sharing a
+    solution neighbor with it.  The cost is O(sum of degrees).
+    """
+    pos = [-1] * g.n
+    for i, v in enumerate(cands):
+        pos[v] = i
+    bucket = [0] * g.n  # solution vertex -> the candidates adjacent to it
+    cadj = []
+    sol_nbrs = []
+    for i, v in enumerate(cands):
+        bit = 1 << i
+        conflicts = 0
+        nbrs = []
+        for u in g.adj[v]:
+            j = pos[u]
+            if j < 0:
+                bucket[u] |= bit
+                nbrs.append(u)
+            else:
+                conflicts |= 1 << j
+        cadj.append(conflicts)
+        sol_nbrs.append(nbrs)
+    link = []
+    for i, nbrs in enumerate(sol_nbrs):
+        shared = 0
+        for u in nbrs:
+            shared |= bucket[u]
+        link.append((shared & ~(1 << i)) | cadj[i])
+    return cadj, link
+
+
 def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str) -> int:
     if method == "auto":
         method = "grown" if tau >= 5 else "naive"
@@ -165,17 +203,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             return vbit[i]
 
     # Candidates are linked when they conflict or share a solution neighbor.
-    # cadj[i] holds the conflicts alone, as a candidate-index mask.
-    cadj = [0] * k
-    link = [0] * k
-    for i in range(k):
-        adj_i = g.adj_mask(cands[i])
-        for j in range(k):
-            if adj_i & vbit[j]:
-                cadj[i] |= 1 << j
-            elif j != i and anb[i] & anb[j]:
-                link[i] |= 1 << j
-        link[i] |= cadj[i]
+    cadj, link = _candidate_linkage(g, cands)
 
     # In genuine conflict graphs every element of a solution set hosts at
     # most one member of an independent candidate set, so the neighborhood

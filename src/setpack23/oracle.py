@@ -62,5 +62,6 @@ def solve_exact(instance: Instance, budget: int = 10_000_000) -> OracleResult:
             stack.append((i + 1, used | elem_mask[i], cur_w + weight[i], chosen + (ordered[i].id,)))
 
     witness = Packing(frozenset(best_sel))
-    assert witness.weight(instance) == best_w
+    if witness.weight(instance) != best_w:
+        raise AssertionError("oracle witness does not weigh the optimum")
     return OracleResult(best_w, witness, nodes)

@@ -184,8 +184,10 @@ def extract_improvement(b: LabeledBinocular, g: ConflictGraph, A: Iterable[int])
     w_mask = g.mask(w_total)
     n_mask = g.neighborhood_mask(w_mask, a_mask)
     u_mask = g.mask(u_total)
-    assert n_mask & ~u_mask == 0, "solution neighborhood escaped the U-side of the binocular"
-    assert g.weight_mask(w_mask) > g.weight_mask(u_mask), "binocular weight chain violated"
+    if n_mask & ~u_mask:
+        raise AssertionError("solution neighborhood escaped the U-side of the binocular")
+    if g.weight_mask(w_mask) <= g.weight_mask(u_mask):
+        raise AssertionError("binocular weight chain violated")
     return w_total
 
 

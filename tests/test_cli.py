@@ -2,10 +2,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import setpack23
 from setpack23.cli import (AuditRow, main, rows_from_json, rows_to_csv, rows_to_json,
                            suite_instances)
 from setpack23.instance import parse_instance
@@ -208,3 +213,19 @@ def test_suite_instances_are_deterministic():
     a = [(n, i.sets) for n, i, _ in suite_instances("hereditary-small", 3, seed=5)]
     b = [(n, i.sets) for n, i, _ in suite_instances("hereditary-small", 3, seed=5)]
     assert a == b
+
+
+def test_package_import_leaves_test_only_modules_out():
+    # the package and its CLI import the solve path only; binoculars and
+    # normalize load from their submodules when a caller asks for them
+    script = ("import sys, setpack23, setpack23.cli\n"
+              "print(' '.join(sorted(m for m in sys.modules if m.startswith('setpack23'))))")
+    src = str(Path(setpack23.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"setpack23.binoculars", "setpack23.normalize"}
+    solve_path = {"instance", "conflict", "local_search", "hereditary", "search_graph",
+                  "color_coding", "oracle"}
+    assert {f"setpack23.{m}" for m in solve_path} <= loaded

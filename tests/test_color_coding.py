@@ -15,6 +15,23 @@ from setpack23.binoculars import naive_improving_binocular
 from conftest import binocular_gadget
 
 
+def random_coloring_search(sg, g, a, seed: int = 0):
+    """The seeded random-coloring search (default repetitions), whatever the
+    universe size.
+
+    ``search_improving_binocular`` runs it only when the universe exceeds
+    the color budget; the statistical completeness tests call it directly.
+    """
+    t = default_color_count(sg.tau, g.n)
+    cap = min(math.ceil(sg.tau * math.log2(max(2, g.n))), len(sg.vertices) + 1)
+    for f in make_colorings(g.universe_size, t, SearchParams.coloring_reps, seed):
+        hit = find_colorful_binocular(colorful_subgraph(sg, f, g), g, cap)
+        if hit is not None:
+            assert is_improving_binocular(hit, g, a)
+            return hit
+    return None
+
+
 # -- synthetic colorful search graphs -----------------------------------------
 
 def random_csg(rng: random.Random, max_vertices: int = 8, max_edges: int = 14,
@@ -255,19 +272,89 @@ class TestBinocularSearch:
         inst, a = binocular_gadget("double_loop", random.Random(2))
         g = build_conflict_graph(inst)
         sg = enumerate_search_edges(g, a, tau=2)
-        params = SearchParams(tau=2)
-        hits = sum(search_improving_binocular(sg, g, a, params, seed=s) is not None
-                   for s in range(20))
+        hits = sum(random_coloring_search(sg, g, a, seed=s) is not None for s in range(20))
         assert hits == 20  # 64 repetitions each; misses would be astronomically rare
 
     def test_seeded_binocular_solve_is_pinned(self):
-        # Golden output of the seeded random-coloring path (64 colorings):
-        # a refactor of the walk DP or the assembly order must keep it.
+        # Golden output of a seeded binocular solve (the budget covers the
+        # universe, so one injective coloring): a refactor of the walk DP or
+        # the assembly order must keep it.
         from setpack23.instance import generate_random
         from setpack23.local_search import solve
         packing, stats = solve(generate_random(12, 16, 0.6, seed=34), SearchParams(tau=2, seed=1))
         assert sorted(packing.members) == [1, 5, 10, 13]
         assert (stats.iterations, stats.binoculars_applied, stats.final_weight) == (5, 1, 7)
+
+    def test_seeded_random_coloring_solve_is_pinned(self):
+        # Golden output of the seeded random-coloring path: at tau=1 the
+        # 28-element universe exceeds the 13-color budget.
+        from setpack23.instance import generate_random
+        from setpack23.local_search import solve
+        packing, stats = solve(generate_random(30, 20, 0.8, seed=4), SearchParams(tau=1, seed=1))
+        assert sorted(packing.members) == [0, 5, 8, 9, 10, 13, 17, 18]
+        assert (stats.iterations, stats.binoculars_applied, stats.final_weight) == (8, 2, 16)
+
+    @pytest.fixture
+    def coloring_calls(self, monkeypatch):
+        import setpack23.color_coding as cc
+        calls = []
+        real = cc.make_colorings
+
+        def spy(universe_n, t, reps, seed, injective=False):
+            calls.append((universe_n, t, reps, injective))
+            return real(universe_n, t, reps, seed, injective)
+        monkeypatch.setattr(cc, "make_colorings", spy)
+        return calls
+
+    def test_injective_coloring_when_budget_covers_universe(self, coloring_calls):
+        inst, a = binocular_gadget("theta", random.Random(5))
+        g = build_conflict_graph(inst)
+        sg = enumerate_search_edges(g, a, tau=2)
+        assert default_color_count(2, g.n) >= g.universe_size
+        hits = {search_improving_binocular(sg, g, a, SearchParams(tau=2), seed=s)
+                for s in range(5)}
+        assert len(hits) == 1 and None not in hits  # the seed plays no part
+        assert coloring_calls == [(g.universe_size, g.universe_size, 1, True)] * 5
+
+    def test_random_colorings_when_universe_exceeds_budget(self, coloring_calls):
+        from setpack23.instance import generate_random
+        from conftest import random_packing
+        g = build_conflict_graph(generate_random(30, 20, 1.0, seed=4))
+        a = random_packing(g, random.Random(4))
+        sg = enumerate_search_edges(g, a, tau=1)
+        t = default_color_count(1, g.n)
+        assert sg.edges and g.universe_size > t
+        search_improving_binocular(sg, g, a, SearchParams(tau=1, coloring_reps=7), seed=3)
+        assert coloring_calls == [(g.universe_size, t, 7, False)]
+        coloring_calls.clear()
+        search_improving_binocular(sg, g, a, SearchParams(tau=1, injective_colorings=True), 3)
+        assert coloring_calls == [(g.universe_size, g.universe_size, 1, True)]
+
+    def test_auto_random_and_naive_agree_on_existence(self):
+        # on search graphs of at most 8 edges the naive oracle tries every
+        # minimal binocular; the default search, and seeded random colorings
+        # forced even where the budget covers the universe, must agree with it
+        from setpack23.instance import generate_random
+        from conftest import random_packing
+        rng = random.Random(24_680)
+        compared = found = randomized = 0
+        for trial in range(300):
+            inst = generate_random(rng.randrange(6, 11), rng.randrange(4, 10), rng.random(),
+                                   seed=12_000 + trial)
+            g = build_conflict_graph(inst)
+            a = random_packing(g, rng)
+            tau = rng.choice([1, 2, 3])
+            sg = enumerate_search_edges(g, a, tau)
+            if not sg.edges or len(sg.edges) > 8:
+                continue
+            naive = naive_improving_binocular(sg, g, a, max_size=max(2, len(sg.edges)))
+            auto = search_improving_binocular(sg, g, a, SearchParams(tau=tau), seed=trial)
+            forced = random_coloring_search(sg, g, a, seed=trial)
+            assert (naive is not None) == (auto is not None) == (forced is not None), trial
+            compared += 1
+            found += naive is not None
+            randomized += g.universe_size > default_color_count(tau, g.n)
+        assert compared >= 100 and found >= 20 and randomized >= 5
 
     def test_empty_search_graph_returns_none(self):
         from setpack23.search_graph import SearchGraph

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import setpack23
+from setpack23.cli import suite_instances
 from setpack23.conflict import ConflictGraph, build_conflict_graph
-from setpack23.instance import generate_random, parse_instance
-from setpack23.local_search import (SearchParams, apply_improvement, find_improvement,
-                                    is_local_improvement, solve)
+from setpack23.hereditary import hereditary_closure
+from setpack23.instance import generate_random, parse_instance, serialize_instance
+from setpack23.local_search import (SearchParams, _candidate_linkage, apply_improvement,
+                                    find_improvement, is_local_improvement, solve)
 from setpack23.oracle import solve_exact
 from conftest import (brute_force_improvement_exists, chain_instance,
                       instance_from_sets, random_packing)
@@ -146,23 +148,76 @@ class TestSolve:
 def test_solve_checks_survive_optimize(tmp_path, fault, message):
     # python -O strips assert statements; the solve-path checks must still
     # fire, and the CLI must still map them to exit code 3
-    path = tmp_path / "chain.txt"
-    path.write_text("1 2 3\n3 4\n4 5 6\n6 7\n")
+    proc = _solve_optimized(tmp_path, fault, "1 2 3\n3 4\n4 5 6\n6 7\n", ["--tau", "5"])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.strip() == f"internal invariant violated: {message}"
+
+
+def test_binocular_checks_survive_optimize(tmp_path):
+    # the seeded solve applies one binocular; with U(B) emptied, the check in
+    # extract_improvement must fire under -O too
+    text = serialize_instance(generate_random(12, 16, 0.6, seed=34))
+    fault = "LabeledBinocular.u_total = property(lambda self: frozenset())"
+    proc = _solve_optimized(tmp_path, fault, text, ["--tau", "2", "--seed", "1"])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.strip() == ("internal invariant violated: solution neighborhood "
+                                   "escaped the U-side of the binocular")
+
+
+def _solve_optimized(tmp_path, fault: str, text: str, args: list[str]):
+    """Run ``setpack solve`` under ``python -O`` after executing ``fault``."""
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
     script = textwrap.dedent("""
         import sys
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         from setpack23.cli import main
         from setpack23.conflict import ConflictGraph
+        from setpack23.search_graph import LabeledBinocular
         {fault}
-        sys.exit(main(["solve", sys.argv[1], "--tau", "5"]))
+        sys.exit(main(["solve", sys.argv[1]] + sys.argv[2:]))
     """).format(fault=fault)
     src = str(Path(setpack23.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script, str(path)],
+    return subprocess.run([sys.executable, "-O", "-c", script, str(path)] + args,
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.strip() == f"internal invariant violated: {message}"
+
+
+def reference_linkage(g: ConflictGraph, a_mask: int) -> tuple[list[int], list[int]]:
+    """Reference (cadj, link) by a double loop over every candidate pair."""
+    cands = [v for v in range(g.n) if not (a_mask >> v) & 1]
+    k = len(cands)
+    anb = [g.adj_mask(v) & a_mask for v in cands]
+    cadj = [0] * k
+    link = [0] * k
+    for i in range(k):
+        adj_i = g.adj_mask(cands[i])
+        for j in range(k):
+            if adj_i & (1 << cands[j]):
+                cadj[i] |= 1 << j
+            elif j != i and anb[i] & anb[j]:
+                link[i] |= 1 << j
+        link[i] |= cadj[i]
+    return cadj, link
+
+
+def test_candidate_linkage_matches_double_loop():
+    rng = random.Random(5150)
+    states = []
+    for trial in range(15):
+        base = generate_random(rng.randrange(12, 18), rng.randrange(8, 13),
+                               p3=1.0, seed=6200 + trial)
+        g = build_conflict_graph(hereditary_closure(base).base)
+        states += [(g, frozenset()), (g, random_packing(g, rng))]
+    for _, inst, params in suite_instances("threedm-small", 20, 0):
+        g = build_conflict_graph(inst)
+        states += [(g, frozenset()), (g, random_packing(g, rng)),
+                   (g, solve(inst, params)[0].members)]
+    for g, a in states:
+        a_mask = g.mask(a)
+        cands = [v for v in range(g.n) if not (a_mask >> v) & 1]
+        assert _candidate_linkage(g, cands) == reference_linkage(g, a_mask)
 
 
 def test_runstats_wire_keys():
