@@ -400,7 +400,6 @@ def naive_improving_binocular(sg: SearchGraph, g: ConflictGraph, A: Iterable[int
     """
     if max_size > budget:
         raise BinocularBudgetExceeded(f"max_size {max_size} above budget {budget}")
-    members = frozenset(A)
     m = len(sg.edges)
     total = 0
     for k in range(2, max_size + 1):
@@ -416,6 +415,6 @@ def naive_improving_binocular(sg: SearchGraph, g: ConflictGraph, A: Iterable[int
             if not is_minimal_binocular(medges):
                 continue
             cand = LabeledBinocular(tuple(edges))
-            if is_improving_binocular(cand, g, members):
+            if is_improving_binocular(cand, g):
                 return cand
     return None

@@ -87,37 +87,41 @@ def colorful_subgraph(sg: SearchGraph, f: Coloring, g: ConflictGraph) -> Colorfu
     kept: list[SearchEdge] = []
     cols: list[int] = []
     for e in sg.edges:
-        acc = 0
-        ok = True
-        for v in e.w_label:
-            c = vcol[v]
-            if acc & c:
-                ok = False
-                break
-            acc |= c
-        if ok:
-            if not acc:
-                raise AssertionError("every W-label vertex carries at least one colored element")
-            kept.append(e)
-            cols.append(acc)
+        acc = _disjoint_colors(e.w_mask, vcol)
+        if acc < 0:
+            continue
+        if not acc:
+            raise AssertionError("every W-label vertex carries at least one colored element")
+        kept.append(e)
+        cols.append(acc)
     return ColorfulSearchGraph(sg.vertices, tuple(kept), tuple(cols), vcol)
+
+
+def _disjoint_colors(mask: int, vertex_colors: Mapping[int, int]) -> int:
+    """The union color mask of the vertices in ``mask``, or -1 if two share a color."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        c = vertex_colors[low.bit_length() - 1]
+        if acc & c:
+            return -1
+        acc |= c
+        mask ^= low
+    return acc
 
 
 # -- walk dynamic program ---------------------------------------------------
 
+# The most states one walk table may hold before the search gives up.
+WALK_STATE_BUDGET = 500_000
+
+
 class WalkBudgetExceeded(RuntimeError):
-    """The reachable state space outgrew the configured budget."""
+    """The reachable state space outgrew ``WALK_STATE_BUDGET``."""
 
 
-def _label_mask(labels: Iterable[int]) -> int:
-    m = 0
-    for v in labels:
-        m |= 1 << v
-    return m
-
-
-def walk_states(csg: ColorfulSearchGraph, start: int, max_len: int,
-                max_states: int = 500_000) -> dict[tuple[int, int, int, int, int], tuple[int, ...]]:
+def walk_states(csg: ColorfulSearchGraph, start: int,
+                max_len: int) -> dict[tuple[int, int, int, int, int], tuple[int, ...]]:
     """Every reachable colorful-walk state from ``start``, one witness walk each.
 
     Keys are (end vertex, color mask, U-mask, W-mask, length), where the
@@ -133,7 +137,7 @@ def walk_states(csg: ColorfulSearchGraph, start: int, max_len: int,
         if e.is_loop:
             continue
         a, b = e.endpoints
-        step = (csg.edge_colors[i], _label_mask(e.u_label), _label_mask(e.w_label), i)
+        step = (csg.edge_colors[i], e.u_mask, e.w_mask, i)
         incident[a].append((b,) + step)
         incident[b].append((a,) + step)
 
@@ -151,8 +155,8 @@ def walk_states(csg: ColorfulSearchGraph, start: int, max_len: int,
                 wit = witness + (ei,)
                 states[key] = wit
                 nxt.append((key, wit))
-                if len(states) > max_states:
-                    raise WalkBudgetExceeded(f"walk table beyond {max_states} states")
+                if len(states) > WALK_STATE_BUDGET:
+                    raise WalkBudgetExceeded(f"walk table beyond {WALK_STATE_BUDGET} states")
         frontier = nxt
         if not frontier:
             break
@@ -180,7 +184,7 @@ def project_walks(states: dict, ctx_u_mask: int, ctx_w_mask: int) -> dict[int, l
 # -- structure search --------------------------------------------------------
 
 def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
-                            walk_cap: int, max_states: int = 500_000) -> LabeledBinocular | None:
+                            walk_cap: int) -> LabeledBinocular | None:
     """Assemble a colorful binocular from at most two loops and stored walks.
 
     For every loop choice L the fixed context is the union of the loop
@@ -194,7 +198,7 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
     long, and a closed walk of nonzero length has at least two edges because
     loops never enter the walk DP.
     """
-    tables = {v: walk_states(csg, v, walk_cap, max_states) for v in csg.vertices}
+    tables = {v: walk_states(csg, v, walk_cap) for v in csg.vertices}
     loops = csg.loops
 
     def loop_choices():
@@ -205,21 +209,15 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
             yield pair
 
     for L in loop_choices():
-        ctx_u = _label_mask(v for i in L for v in csg.edges[i].u_label)
-        ctx_w = _label_mask(v for i in L for v in csg.edges[i].w_label)
+        ctx_u = ctx_w = 0
+        for i in L:
+            ctx_u |= csg.edges[i].u_mask
+            ctx_w |= csg.edges[i].w_mask
 
         def conditions(colors: int, x: int, y: int) -> bool:
             remaining = ctx_w & ~y
-            acc = 0
-            m = remaining
-            while m:
-                low = m & -m
-                c = csg.vertex_colors[low.bit_length() - 1]
-                if acc & c:
-                    return False  # loop W-vertices must be pairwise color-disjoint
-                acc |= c
-                m ^= low
-            if acc & colors:
+            acc = _disjoint_colors(remaining, csg.vertex_colors)
+            if acc < 0 or acc & colors:
                 return False
             return g.weight_mask(remaining) >= g.weight_mask(ctx_u & ~x) + 2 * len(L)
 
@@ -292,7 +290,6 @@ def search_improving_binocular(sg: SearchGraph, g: ConflictGraph, A: Iterable[in
     """
     if not sg.edges:
         return None
-    members = frozenset(A)
     t = default_color_count(sg.tau, g.n)
     if params.injective_colorings or t >= g.universe_size:
         t = max(g.universe_size, 1)
@@ -308,7 +305,7 @@ def search_improving_binocular(sg: SearchGraph, g: ConflictGraph, A: Iterable[in
             continue
         hit = find_colorful_binocular(csg, g, cap)
         if hit is not None:
-            if not is_improving_binocular(hit, g, members):
+            if not is_improving_binocular(hit, g):
                 raise AssertionError("colorful binocular failed the improving predicate")
             return hit
     return None

@@ -77,10 +77,6 @@ class Instance:
         """Read-only sets by id, built once per instance; not part of equality."""
         return MappingProxyType({s.id: s for s in self.sets})
 
-    @property
-    def total_weight(self) -> int:
-        return sum(s.weight for s in self.sets)
-
 
 @dataclass(frozen=True)
 class Packing:

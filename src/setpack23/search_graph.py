@@ -11,7 +11,7 @@ conditions that force its combined W-sets to be a local improvement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
@@ -20,11 +20,27 @@ from .conflict import ConflictGraph
 
 @dataclass(frozen=True, order=True)
 class SearchEdge:
-    """A labeled edge: sorted endpoint tuple plus the inducing (U, W) labels."""
+    """A labeled edge: sorted endpoint tuple plus the inducing (U, W) labels.
+
+    ``u_mask`` and ``w_mask`` carry bit v for every vertex v of the U- and
+    W-label.  They are computed once at construction and take no part in
+    order, equality or hashing, which stay keyed on the tuples.
+    """
 
     endpoints: tuple[int, ...]
     u_label: tuple[int, ...]
     w_label: tuple[int, ...]
+    u_mask: int = field(init=False, repr=False, compare=False)
+    w_mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        u = w = 0
+        for v in self.u_label:
+            u |= 1 << v
+        for v in self.w_label:
+            w |= 1 << v
+        object.__setattr__(self, "u_mask", u)
+        object.__setattr__(self, "w_mask", w)
 
     @property
     def is_loop(self) -> bool:
@@ -54,24 +70,20 @@ class LabeledBinocular:
             raise ValueError("not a binocular: needs more edges than vertices")
 
     @property
-    def e1(self) -> tuple[SearchEdge, ...]:
-        return tuple(e for e in self.edges if e.is_loop)
-
-    @property
-    def e2(self) -> tuple[SearchEdge, ...]:
-        return tuple(e for e in self.edges if not e.is_loop)
-
-    @property
-    def u_total(self) -> frozenset[int]:
-        out: set[int] = set()
+    def u_mask(self) -> int:
+        """U(B): every endpoint and U-label vertex, as a bitmask."""
+        m = 0
         for e in self.edges:
-            out.update(e.endpoints)
-            out.update(e.u_label)
-        return frozenset(out)
+            m |= e.u_mask | sum(1 << v for v in e.endpoints)
+        return m
 
     @property
-    def w_total(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e.w_label)
+    def w_mask(self) -> int:
+        """W(B): every W-label vertex, as a bitmask."""
+        m = 0
+        for e in self.edges:
+            m |= e.w_mask
+        return m
 
 
 def _independent_subsets(g: ConflictGraph, pool: list[int], max_size: int):
@@ -125,11 +137,10 @@ def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> Sear
 def validate_search_edge(g: ConflictGraph, A: Iterable[int], edge: SearchEdge, tau: int) -> bool:
     """Re-check the three edge-inducing conditions from scratch."""
     a_mask = g.mask(A)
-    u_mask = g.mask(edge.u_label)
-    w_mask = g.mask(edge.w_label)
+    u_mask, w_mask = edge.u_mask, edge.w_mask
     if u_mask & ~a_mask or w_mask & a_mask or not g.independent_mask(w_mask):
         return False
-    if max(len(edge.u_label), len(edge.w_label)) > tau:
+    if max(u_mask.bit_count(), w_mask.bit_count()) > tau:
         return False
     if g.weight_mask(u_mask) + 2 != g.weight_mask(w_mask):
         return False
@@ -139,35 +150,30 @@ def validate_search_edge(g: ConflictGraph, A: Iterable[int], edge: SearchEdge, t
     return tuple(sorted(g.unmask(res_mask))) == edge.endpoints
 
 
-def is_improving_binocular(b: LabeledBinocular, g: ConflictGraph, A: Iterable[int]) -> bool:
+def is_improving_binocular(b: LabeledBinocular, g: ConflictGraph) -> bool:
     """Check the three improving conditions on a labeled binocular.
 
     (i) the W-labels of two-endpoint edges are pairwise disjoint, (ii) the
     loop labels outweigh their evicted counterpart by twice the loop count,
     (iii) the union of all W-labels is independent.
     """
-    e1, e2 = b.e1, b.e2
-    seen = 0
-    for e in e2:
-        m = g.mask(e.w_label)
-        if m & seen:
+    w1_union = u1_union = w2_union = u2_union = 0
+    loops = 0
+    for e in b.edges:
+        if e.is_loop:
+            loops += 1
+            w1_union |= e.w_mask
+            u1_union |= e.u_mask
+        elif e.w_mask & w2_union:
             return False
-        seen |= m
-    w1_union = 0
-    u1_union = 0
-    for e in e1:
-        w1_union |= g.mask(e.w_label)
-        u1_union |= g.mask(e.u_label)
-    w2_union = seen
-    u2_union = 0
-    for e in e2:
-        u2_union |= g.mask(e.u_label)
+        else:
+            w2_union |= e.w_mask
+            u2_union |= e.u_mask
     lhs = g.weight_mask(w1_union & ~w2_union)
-    rhs = g.weight_mask(u1_union & ~u2_union) + 2 * len(e1)
+    rhs = g.weight_mask(u1_union & ~u2_union) + 2 * loops
     if lhs < rhs:
         return False
-    total_w = w1_union | w2_union
-    return g.independent_mask(total_w)
+    return g.independent_mask(w1_union | w2_union)
 
 
 def extract_improvement(b: LabeledBinocular, g: ConflictGraph, A: Iterable[int]) -> frozenset[int]:
@@ -176,19 +182,14 @@ def extract_improvement(b: LabeledBinocular, g: ConflictGraph, A: Iterable[int])
     Also re-derives the two facts the caller relies on: every solution
     neighbor of W(B) lies in U(B), and w(W(B)) strictly exceeds w(U(B)).
     """
-    if not is_improving_binocular(b, g, A):
+    if not is_improving_binocular(b, g):
         raise ValueError("extract_improvement needs an improving binocular")
-    a_mask = g.mask(A)
-    w_total = b.w_total
-    u_total = b.u_total
-    w_mask = g.mask(w_total)
-    n_mask = g.neighborhood_mask(w_mask, a_mask)
-    u_mask = g.mask(u_total)
-    if n_mask & ~u_mask:
+    w_mask, u_mask = b.w_mask, b.u_mask
+    if g.neighborhood_mask(w_mask, g.mask(A)) & ~u_mask:
         raise AssertionError("solution neighborhood escaped the U-side of the binocular")
     if g.weight_mask(w_mask) <= g.weight_mask(u_mask):
         raise AssertionError("binocular weight chain violated")
-    return w_total
+    return g.unmask(w_mask)
 
 
 def to_dot(sg: SearchGraph, label_limit: int = 6) -> str:

@@ -13,7 +13,7 @@ import pytest
 import setpack23
 from setpack23.cli import (AuditRow, main, rows_from_json, rows_to_csv, rows_to_json,
                            suite_instances)
-from setpack23.instance import parse_instance
+from setpack23.instance import generate_random, parse_instance, serialize_instance
 
 
 @pytest.fixture
@@ -167,6 +167,18 @@ def test_malformed_tuple_exits_two(tmp_path, capsys, doc):
     code, out, err = run_cli(capsys, "normalize", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_walk_budget_overrun_exits_four(tmp_path, capsys, monkeypatch):
+    # a walk table beyond the state budget is a reported outcome, not a traceback
+    import setpack23.color_coding as cc
+    monkeypatch.setattr(cc, "WALK_STATE_BUDGET", 1)
+    monkeypatch.delenv("SETPACK_SEED", raising=False)
+    path = tmp_path / "instance.txt"
+    path.write_text(serialize_instance(generate_random(12, 16, 0.6, seed=34)))
+    code, out, err = run_cli(capsys, "solve", str(path), "--tau", "4")
+    assert code == 4 and out == ""
+    assert err == "budget exceeded: walk table beyond 1 states\n"
 
 
 # SHA-256 of the `setpack bench --count 20 --seed 0` JSON rows with `wall_ms`

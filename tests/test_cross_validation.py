@@ -53,7 +53,7 @@ def test_improving_binoculars_always_extract_to_improvements():
                 if len(chosen) <= len(touched):
                     continue
                 b = LabeledBinocular(tuple(chosen))
-                if is_improving_binocular(b, g, a):
+                if is_improving_binocular(b, g):
                     improving_seen += 1
                     x = extract_improvement(b, g, a)
                     assert is_local_improvement(g, a, x)

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -138,6 +139,32 @@ class TestSolve:
         assert stats.final_weight == packing.weight(inst)
 
 
+# Golden outputs of the `general-tau4` benchmark ladder (instance texts read
+# from perfbench/ladders.json) at tau=4, seed 0: packing and
+# (iterations, improvements_applied, binoculars_applied, final_weight).
+GENERAL_TAU4_PINS = {
+    "random-19-22-s640904": ([6, 11, 12, 14, 15, 19], (11, 11, 0, 11)),
+    "random-20-22-s664117": ([2, 4, 7, 11, 17, 21], (11, 11, 0, 11)),
+    "random-16-26-s129897": ([3, 16, 17, 20, 21], (10, 10, 0, 9)),
+    "random-18-26-s730636": ([4, 9, 10, 19, 20, 21], (12, 12, 0, 10)),
+    "random-20-25-s553224": ([2, 6, 7, 14, 18, 23], (13, 13, 0, 11)),
+    "random-18-21-s243966": ([1, 9, 11, 12, 15, 18], (14, 14, 0, 10)),
+    "random-17-22-s73609": ([1, 6, 7, 8, 13], (7, 7, 0, 9)),
+}
+
+
+def test_general_tau4_ladder_is_pinned():
+    ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
+    texts = {d["name"]: d["text"]
+             for d in json.loads(ladders.read_text())["general-tau4"]["instances"]}
+    assert sorted(texts) == sorted(GENERAL_TAU4_PINS)
+    for name, (members, counts) in GENERAL_TAU4_PINS.items():
+        packing, stats = solve(parse_instance(texts[name]), SearchParams(tau=4, seed=0))
+        assert sorted(packing.members) == members, name
+        assert (stats.iterations, stats.improvements_applied, stats.binoculars_applied,
+                stats.final_weight) == counts, name
+
+
 @pytest.mark.parametrize("fault, message", [
     ("ConflictGraph.independent_mask = lambda self, mask: False",
      "solution lost independence"),
@@ -154,10 +181,10 @@ def test_solve_checks_survive_optimize(tmp_path, fault, message):
 
 
 def test_binocular_checks_survive_optimize(tmp_path):
-    # the seeded solve applies one binocular; with U(B) emptied, the check in
-    # extract_improvement must fire under -O too
+    # the seeded solve applies one binocular; with the U(B) mask emptied, the
+    # check in extract_improvement must fire under -O too
     text = serialize_instance(generate_random(12, 16, 0.6, seed=34))
-    fault = "LabeledBinocular.u_total = property(lambda self: frozenset())"
+    fault = "LabeledBinocular.u_mask = property(lambda self: 0)"
     proc = _solve_optimized(tmp_path, fault, text, ["--tau", "2", "--seed", "1"])
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.strip() == ("internal invariant violated: solution neighborhood "

@@ -29,6 +29,14 @@ class TestEnumerate:
         sg = enumerate_search_edges(g, {0, 1}, tau=1)
         assert SearchEdge((0,), (), (2,)) in sg.edges
 
+    def test_label_masks_stay_out_of_comparison(self):
+        e = SearchEdge((0, 1), (3,), (2, 5))
+        assert (e.u_mask, e.w_mask) == (0b1000, 0b100100)
+        twin = SearchEdge((0, 1), (3,), (2, 5))
+        assert e == twin and hash(e) == hash(twin)
+        assert repr(e) == "SearchEdge(endpoints=(0, 1), u_label=(3,), w_label=(2, 5))"
+        assert sorted([e, SearchEdge((0, 1), (), (6,))]) == [SearchEdge((0, 1), (), (6,)), e]
+
     def test_weight_balance_rules_out_small_w(self):
         # a lone 2-set cannot satisfy w(U) + 2 = w(W) with U inside N(W, A)
         g = build_conflict_graph(instance_from_sets([(1, 2, 3), (3, 9)]))
@@ -67,26 +75,26 @@ class TestImprovingPredicate:
         g = _hand_graph([2, 2, 2, 2, 2], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
         edges = tuple(SearchEdge((0, 1), (), (w,)) for w in (2, 3, 4))
         b = LabeledBinocular(edges)
-        assert is_improving_binocular(b, g, {0, 1})
+        assert is_improving_binocular(b, g)
 
     def test_dependent_w_union_fails(self):
         g = _hand_graph([2, 2, 2, 2], [(0, 1), (0, 2), (0, 3), (2, 3)])
         loops = (SearchEdge((0,), (), (1, 2)), SearchEdge((0,), (), (1, 3)))
         b = LabeledBinocular(loops)
         # 2 and 3 are adjacent, so the union of W-labels is dependent
-        assert not is_improving_binocular(b, g, {0})
+        assert not is_improving_binocular(b, g)
 
     def test_overlapping_e2_w_labels_fail(self):
         g = _hand_graph([2, 2, 2, 2, 2], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
         edges = (SearchEdge((0, 1), (), (2, 3)), SearchEdge((0, 1), (), (3,)),
                  SearchEdge((0, 1), (), (4,)))
-        assert not is_improving_binocular(LabeledBinocular(edges), g, {0, 1})
+        assert not is_improving_binocular(LabeledBinocular(edges), g)
 
     def test_loop_weight_clause(self):
         # one loop whose W-label does not outweigh its U-label by two
         g = _hand_graph([2, 1, 2, 2], [(0, 1), (0, 2), (0, 3)])
         loops = (SearchEdge((0,), (2,), (1,)), SearchEdge((0,), (3,), (1,)))
-        assert not is_improving_binocular(LabeledBinocular(loops), g, {0})
+        assert not is_improving_binocular(LabeledBinocular(loops), g)
 
     def test_binocular_inequality_enforced_at_construction(self):
         with pytest.raises(ValueError):
@@ -104,7 +112,7 @@ class TestExtract:
         assert b is not None and len(b.edges) <= 4
         x = extract_improvement(b, g, a)
         assert is_local_improvement(g, a, x)
-        assert g.weight_of(x) > g.weight_of(b.u_total)
+        assert g.weight_of(x) > g.weight_mask(b.u_mask)
 
     def test_theta_weight_margin(self):
         inst = instance_from_sets([(0, 1, 2), (3, 4, 5),
@@ -114,7 +122,7 @@ class TestExtract:
         edges = tuple(SearchEdge((0, 1), (), (w,)) for w in (2, 3, 4))
         b = LabeledBinocular(edges)
         x = extract_improvement(b, g, a)
-        assert g.weight_of(x) >= g.weight_of(b.u_total) + 2
+        assert g.weight_of(x) >= g.weight_mask(b.u_mask) + 2
 
     def test_extract_rejects_non_improving(self):
         g = _hand_graph([2, 2, 2, 2], [(0, 1), (0, 2), (0, 3), (2, 3)])
