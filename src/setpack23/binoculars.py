@@ -390,8 +390,8 @@ class BinocularBudgetExceeded(RuntimeError):
     pass
 
 
-def naive_improving_binocular(sg: SearchGraph, g: ConflictGraph, A: Iterable[int],
-                              max_size: int = 4, budget: int = 8,
+def naive_improving_binocular(sg: SearchGraph, g: ConflictGraph, max_size: int = 4,
+                              budget: int = 8,
                               max_combinations: int = 2_000_000) -> LabeledBinocular | None:
     """Exhaustive oracle: try every minimal-binocular edge subset up to max_size.
 

@@ -6,9 +6,13 @@ pairwise disjoint.  Colorful walks (loop-free walks whose per-edge W-color
 sets are pairwise disjoint) are tabulated once per start vertex by a dynamic
 program over reachable states; a state is the bitmask tuple (end vertex,
 colors, U-label mask, W-label mask, length) and stores one witness walk.
-Each choice of at most two loops projects the tables onto the loops' labels,
-and a candidate binocular is stitched together from those loops plus up to
-three stored walks.  Everything found is re-checked against the
+Each table is grouped by end vertex once; each choice of at most two loops
+projects only the (start, end) lists its walk shape reads onto the loops'
+labels, and a candidate binocular is stitched together from those loops plus
+up to three stored walks.  A walk whose colors meet a loop W-vertex it leaves
+uncovered is dropped before pairing, which is exact: the other walks are
+color-disjoint from it, so they cannot cover that vertex, and it would fail
+the loop's color condition.  Everything found is re-checked against the
 improving-binocular predicate, so random colorings only ever cost
 completeness, never soundness.
 
@@ -22,11 +26,12 @@ standard substitute for a t-perfect hash family.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping
+from itertools import chain, combinations
+from typing import Callable, Iterable, Mapping
 
 from .conflict import ConflictGraph
 from .search_graph import LabeledBinocular, SearchEdge, SearchGraph, is_improving_binocular
@@ -74,10 +79,6 @@ class ColorfulSearchGraph:
     edge_colors: tuple[int, ...]          # per edge, union color mask of its W-label
     vertex_colors: Mapping[int, int]      # conflict vertex id -> color mask
 
-    @property
-    def loops(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.edges) if e.is_loop)
-
 
 def colorful_subgraph(sg: SearchGraph, f: Coloring, g: ConflictGraph) -> ColorfulSearchGraph:
     """Filter the search graph down to its colorful edges under f."""
@@ -87,7 +88,7 @@ def colorful_subgraph(sg: SearchGraph, f: Coloring, g: ConflictGraph) -> Colorfu
     kept: list[SearchEdge] = []
     cols: list[int] = []
     for e in sg.edges:
-        acc = _disjoint_colors(e.w_mask, vcol)
+        acc = _mask_colors(e.w_mask, vcol)
         if acc < 0:
             continue
         if not acc:
@@ -97,13 +98,14 @@ def colorful_subgraph(sg: SearchGraph, f: Coloring, g: ConflictGraph) -> Colorfu
     return ColorfulSearchGraph(sg.vertices, tuple(kept), tuple(cols), vcol)
 
 
-def _disjoint_colors(mask: int, vertex_colors: Mapping[int, int]) -> int:
-    """The union color mask of the vertices in ``mask``, or -1 if two share a color."""
+def _mask_colors(mask: int, vertex_colors: Mapping[int, int], disjoint: bool = True) -> int:
+    """The union color mask of the vertices in ``mask``; with ``disjoint``,
+    -1 if two of them share a color."""
     acc = 0
     while mask:
         low = mask & -mask
         c = vertex_colors[low.bit_length() - 1]
-        if acc & c:
+        if disjoint and acc & c:
             return -1
         acc |= c
         mask ^= low
@@ -163,22 +165,22 @@ def walk_states(csg: ColorfulSearchGraph, start: int,
     return states
 
 
-def project_walks(states: dict, ctx_u_mask: int, ctx_w_mask: int) -> dict[int, list]:
-    """Project walk states onto a context, grouped by end vertex.
+def project_walks(rows: list, ctx_u_mask: int, ctx_w_mask: int,
+                  colors_of: Callable[[int], int] | None = None) -> dict:
+    """Project one end vertex's walk rows onto a loop context.
 
-    Returns v -> list of (colors, X, Y, length, witness) with X and Y the
-    walk's U- and W-masks restricted to the context; the first witness
-    stored under a projected key represents it.
+    ``rows`` are (colors, U-mask, W-mask, length, witness) in table order.
+    Returns (colors, X, Y, length) -> witness, with X and Y the masks
+    restricted to the context; the first row of each projected key
+    represents it.  Given ``colors_of`` (vertex mask -> union color mask),
+    a walk whose colors meet a context W-vertex outside Y is dropped.
     """
-    by_end: dict[int, list] = {}
-    seen = set()
-    for (v, colors, uu, ww, length), witness in states.items():
-        key = (v, colors, uu & ctx_u_mask, ww & ctx_w_mask, length)
-        if key in seen:
-            continue
-        seen.add(key)
-        by_end.setdefault(v, []).append((colors, key[2], key[3], length, witness))
-    return by_end
+    out: dict = {}
+    for colors, uu, ww, length, witness in rows:
+        key = (colors, uu & ctx_u_mask, ww & ctx_w_mask, length)
+        if key not in out and not (colors_of and colors_of(ctx_w_mask & ~key[2]) & colors):
+            out[key] = witness
+    return out
 
 
 # -- structure search --------------------------------------------------------
@@ -187,28 +189,65 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                             walk_cap: int) -> LabeledBinocular | None:
     """Assemble a colorful binocular from at most two loops and stored walks.
 
-    For every loop choice L the fixed context is the union of the loop
-    labels; a candidate (C, X, Y) must keep the surviving loop W-vertices
-    color-disjoint from C and from each other and must win the weight
-    inequality by two per loop.  The remaining edge set comes from one of
-    four walk shapes: two closed walks plus a connector, three paths between
-    two vertices, one loop plus a closed walk and a connector, or two loops
-    plus a connector.  Any hit is a binocular by construction and is
-    re-verified by the caller.  Every stored walk is at most ``walk_cap``
-    long, and a closed walk of nonzero length has at least two edges because
-    loops never enter the walk DP.
+    Each start vertex's walk table is computed and grouped by end vertex
+    once.  Loop-free shapes come first: two closed walks plus a (possibly
+    empty) connector, or three paths between two vertices.  A choice L of one
+    or two loops fixes the context to the union of their labels; a candidate
+    (C, X, Y) must keep the surviving loop W-vertices color-disjoint from C
+    and from each other and win the weight inequality by two per loop, with
+    one loop plus a closed walk and a connector, or two loops plus a
+    connector.  Each choice projects only the (start, end) lists it reads and
+    drops walks whose colors meet a loop W-vertex they leave standing, which
+    is exact: a candidate's walks are pairwise color-disjoint, so no other
+    walk covers that vertex, and it would fail the color condition.  Any hit
+    is a binocular by construction and is re-verified by the caller.  Stored
+    walks are at most ``walk_cap`` long; a nonempty closed walk has at least
+    two edges, as loops never enter the walk DP.
     """
-    tables = {v: walk_states(csg, v, walk_cap) for v in csg.vertices}
-    loops = csg.loops
+    ends: dict[int, dict[int, list]] = {}
+    for u in csg.vertices:
+        by_end = ends[u] = {}
+        for (v, colors, uu, ww, length), witness in walk_states(csg, u, walk_cap).items():
+            by_end.setdefault(v, []).append((colors, uu, ww, length, witness))
+    colors_of = functools.cache(
+        lambda mask: _mask_colors(mask, csg.vertex_colors, disjoint=False))
 
-    def loop_choices():
-        yield ()
-        for i in loops:
-            yield (i,)
-        for pair in combinations(loops, 2):
-            yield pair
+    def walks(u: int, v: int, ctx_u: int = 0, ctx_w: int = 0) -> dict:
+        return project_walks(ends[u].get(v, []), ctx_u, ctx_w, colors_of if ctx_w else None)
 
-    for L in loop_choices():
+    def closed(v: int, ctx_u: int = 0, ctx_w: int = 0) -> list:
+        return [(key, wit) for key, wit in walks(v, v, ctx_u, ctx_w).items() if key[3]]
+
+    def assemble(loop_ids: tuple[int, ...], witness: tuple[int, ...]) -> LabeledBinocular:
+        edge_ids = sorted(set(loop_ids) | set(witness))
+        return LabeledBinocular(tuple(csg.edges[i] for i in edge_ids))
+
+    cycles = {v: closed(v) for v in csg.vertices}
+    for i, u in enumerate(csg.vertices):
+        for v in csg.vertices[i:]:
+            # Two closed walks joined by a (possibly empty) connector.
+            connectors = list(walks(u, v).items())
+            for (c1, _, _, _), wit1 in cycles[u]:
+                for (c2, _, _, _), wit2 in cycles[v]:
+                    if c1 & c2:
+                        continue
+                    for (c3, _, _, _), wit3 in connectors:
+                        if not c3 & (c1 | c2):
+                            return assemble((), wit1 + wit2 + wit3)
+            # Three edge-disjoint walks between two distinct vertices.
+            if v == u:
+                continue
+            for j, ((c1, _, _, _), wit1) in enumerate(connectors):
+                for k in range(j + 1, len(connectors)):
+                    (c2, _, _, _), wit2 = connectors[k]
+                    if c1 & c2:
+                        continue  # every triple holding this pair overlaps
+                    for (c3, _, _, _), wit3 in connectors[k + 1:]:
+                        if not c3 & (c1 | c2):
+                            return assemble((), wit1 + wit2 + wit3)
+
+    loops = [i for i, e in enumerate(csg.edges) if e.is_loop]
+    for L in chain(combinations(loops, 1), combinations(loops, 2)):
         ctx_u = ctx_w = 0
         for i in L:
             ctx_u |= csg.edges[i].u_mask
@@ -216,69 +255,31 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
 
         def conditions(colors: int, x: int, y: int) -> bool:
             remaining = ctx_w & ~y
-            acc = _disjoint_colors(remaining, csg.vertex_colors)
+            acc = _mask_colors(remaining, csg.vertex_colors)
             if acc < 0 or acc & colors:
                 return False
             return g.weight_mask(remaining) >= g.weight_mask(ctx_u & ~x) + 2 * len(L)
 
-        def assemble(f_witness: tuple[int, ...]) -> LabeledBinocular:
-            edge_ids = sorted(set(L) | set(f_witness))
-            return LabeledBinocular(tuple(csg.edges[i] for i in edge_ids))
-
+        p = csg.edges[L[0]].endpoints[0]
         if len(L) == 2:
-            u = csg.edges[L[0]].endpoints[0]
-            v = csg.edges[L[1]].endpoints[0]
-            for colors, x, y, _, wit in project_walks(tables[u], ctx_u, ctx_w).get(v, []):
+            for (colors, x, y, _), wit in walks(p, csg.edges[L[1]].endpoints[0],
+                                                ctx_u, ctx_w).items():
                 if conditions(colors, x, y):
-                    return assemble(wit)
+                    return assemble(L, wit)
             continue
-
-        projected = {v: project_walks(tables[v], ctx_u, ctx_w) for v in csg.vertices}
-        closed = {v: [s for s in projected[v].get(v, []) if s[3]] for v in csg.vertices}
-        if len(L) == 1:
-            proj_u = projected[csg.edges[L[0]].endpoints[0]]
-            for v in csg.vertices:
-                if not closed[v]:
-                    continue
-                for c1, x1, y1, _, wit1 in proj_u.get(v, []):
-                    for c2, x2, y2, _, wit2 in closed[v]:
-                        if c1 & c2:
-                            continue
-                        if conditions(c1 | c2, x1 | x2, y1 | y2):
-                            return assemble(wit1 + wit2)
-            continue
-
-        for u in csg.vertices:
-            proj_u = projected[u]
-            for v in csg.vertices:
-                if v < u:
-                    continue
-                # Two closed walks joined by a (possibly empty) connector.
-                connectors = proj_u.get(v, [])
-                for c1, _, _, _, wit1 in closed[u]:
-                    for c2, _, _, _, wit2 in closed[v]:
-                        if c1 & c2:
-                            continue
-                        for c3, _, _, _, wit3 in connectors:
-                            if c3 & (c1 | c2):
-                                continue
-                            return assemble(wit1 + wit2 + wit3)
-                # Three edge-disjoint walks between two distinct vertices.
-                if v == u:
-                    continue
-                for i, (c1, _, _, _, wit1) in enumerate(connectors):
-                    for j in range(i + 1, len(connectors)):
-                        c2, _, _, _, wit2 = connectors[j]
-                        if c1 & c2:
-                            continue  # every triple holding this pair overlaps
-                        for c3, _, _, _, wit3 in connectors[j + 1:]:
-                            if not c3 & (c1 | c2):
-                                return assemble(wit1 + wit2 + wit3)
+        for v in csg.vertices:
+            loop_cycles = closed(v, ctx_u, ctx_w)
+            if not loop_cycles:
+                continue
+            for (c1, x1, y1, _), wit1 in walks(p, v, ctx_u, ctx_w).items():
+                for (c2, x2, y2, _), wit2 in loop_cycles:
+                    if not c1 & c2 and conditions(c1 | c2, x1 | x2, y1 | y2):
+                        return assemble(L, wit1 + wit2)
     return None
 
 
-def search_improving_binocular(sg: SearchGraph, g: ConflictGraph, A: Iterable[int],
-                               params, seed: int = 0) -> LabeledBinocular | None:
+def search_improving_binocular(sg: SearchGraph, g: ConflictGraph, params,
+                               seed: int = 0) -> LabeledBinocular | None:
     """Color-coding search for an improving binocular in the search graph.
 
     When the default color budget covers the universe (or

@@ -353,8 +353,7 @@ def solve(instance: Instance, params: SearchParams) -> tuple[Packing, RunStats]:
             members = g.unmask(a_mask)
             sg = enumerate_search_edges(g, members, tau)
             b = search_improving_binocular(
-                sg, g, members, params,
-                seed=params.seed * 1_000_003 + stats.iterations)
+                sg, g, params, seed=params.seed * 1_000_003 + stats.iterations)
             if b is not None:
                 x_mask = g.mask(extract_improvement(b, g, members))
                 if not _is_improvement_mask(g, a_mask, x_mask):

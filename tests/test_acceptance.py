@@ -109,9 +109,9 @@ def test_ac2_threedm_worst_ratio():
         g = build_conflict_graph(inst)
         assert find_improvement(g, packing.members, tau=8, method="naive") is None
         sg = enumerate_search_edges(g, packing.members, tau=8)
-        assert search_improving_binocular(sg, g, packing.members, params, seed=999) is None
+        assert search_improving_binocular(sg, g, params, seed=999) is None
         if len(sg.edges) <= 40:
-            assert naive_improving_binocular(sg, g, packing.members, max_size=4) is None
+            assert naive_improving_binocular(sg, g, max_size=4) is None
     _report("AC2", f"(100/100 embeddings at tau=8, worst ratio "
                    f"{worst.numerator}/{worst.denominator} <= 5/3)")
 
@@ -131,7 +131,7 @@ def test_ac3_applied_binoculars_are_sound():
                                    random.Random(77_000 + i))
         g = build_conflict_graph(inst)
         sg = enumerate_search_edges(g, a, tau=2)
-        b = search_improving_binocular(sg, g, a, SearchParams(tau=2), seed=i)
+        b = search_improving_binocular(sg, g, SearchParams(tau=2), seed=i)
         assert b is not None
         x = extract_improvement(b, g, a)
         assert is_local_improvement(g, a, x), "extracted set must be a local improvement"
@@ -195,7 +195,7 @@ def test_ac7_color_coding_completeness():
         inst, a = binocular_gadget(kinds[i % 3], random.Random(95_000 + i))
         g = build_conflict_graph(inst)
         sg = enumerate_search_edges(g, a, tau=2)
-        nb = naive_improving_binocular(sg, g, a, max_size=4)
+        nb = naive_improving_binocular(sg, g, max_size=4)
         assert nb is not None and len(nb.edges) <= 4, "instance lost its small binocular"
         # The budget covers these universes, so the solver would run one
         # injective coloring; the randomized trials force random colorings.
@@ -204,7 +204,7 @@ def test_ac7_color_coding_completeness():
         assert hits >= 99, f"instance {i}: only {hits}/100 randomized successes"
         per_instance.append(hits)
         inj = SearchParams(tau=2, injective_colorings=True)
-        assert search_improving_binocular(sg, g, a, inj, seed=0) is not None
+        assert search_improving_binocular(sg, g, inj, seed=0) is not None
     _report("AC7", f"(50 instances x 100 trials, min {min(per_instance)}/100 randomized "
                    f"successes, injective mode 50/50)")
 

@@ -140,14 +140,14 @@ class TestNaiveImproving:
     def test_empty_search_graph(self):
         g = build_conflict_graph_from_weights([2], [])
         sg = SearchGraph((0,), (), tau=2)
-        assert naive_improving_binocular(sg, g, {0}) is None
+        assert naive_improving_binocular(sg, g) is None
 
     @pytest.mark.parametrize("kind", ["double_loop", "theta", "dumbbell"])
     def test_gadgets_found(self, kind):
         inst, a = binocular_gadget(kind, random.Random(3))
         g = build_conflict_graph(inst)
         sg = enumerate_search_edges(g, a, tau=2)
-        b = naive_improving_binocular(sg, g, a, max_size=4)
+        b = naive_improving_binocular(sg, g, max_size=4)
         assert b is not None
         assert is_minimal_binocular([MultiEdge(i, frozenset(e.endpoints))
                                      for i, e in enumerate(b.edges)])
@@ -158,13 +158,13 @@ class TestNaiveImproving:
         edges = (SearchEdge((0, 1), (), (2, 3)), SearchEdge((0, 1), (), (3,)),
                  SearchEdge((0, 1), (), (3, 4)))
         sg = SearchGraph((0, 1), edges, tau=2)
-        assert naive_improving_binocular(sg, g, {0, 1}, max_size=4) is None
+        assert naive_improving_binocular(sg, g, max_size=4) is None
 
     def test_budget_refusal(self):
         g = build_conflict_graph_from_weights([2], [])
         sg = SearchGraph((0,), (), tau=2)
         with pytest.raises(BinocularBudgetExceeded):
-            naive_improving_binocular(sg, g, {0}, max_size=9, budget=8)
+            naive_improving_binocular(sg, g, max_size=9, budget=8)
 
 
 def build_conflict_graph_from_weights(weights, edges):

@@ -103,14 +103,23 @@ def _unmask(mask: int) -> frozenset:
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
+def walk_rows(csg: ColorfulSearchGraph, start: int, max_len: int) -> dict:
+    """The DP's states grouped by end vertex in table order, as the assembly reads them."""
+    by_end: dict = {}
+    for (v, colors, uu, ww, length), witness in walk_states(csg, start, max_len).items():
+        by_end.setdefault(v, []).append((colors, uu, ww, length, witness))
+    return by_end
+
+
 def walk_table(csg: ColorfulSearchGraph, start: int, ctx_u, ctx_w, max_len: int) -> dict:
     """The DP's states projected onto the context, keyed (end, colors, X, Y, length).
 
     X and Y come back as frozensets so keys compare with the references below.
     """
-    by_end = project_walks(walk_states(csg, start, max_len), _mask(ctx_u), _mask(ctx_w))
     return {(v, colors, _unmask(x), _unmask(y), length): witness
-            for v, rows in by_end.items() for colors, x, y, length, witness in rows}
+            for v, rows in walk_rows(csg, start, max_len).items()
+            for (colors, x, y, length), witness in
+            project_walks(rows, _mask(ctx_u), _mask(ctx_w)).items()}
 
 
 def replay_walk(csg: ColorfulSearchGraph, start: int, witness, ctx_u, ctx_w):
@@ -256,6 +265,53 @@ class TestFindColorful:
         assert b is not None and len(b.edges) == 3 and not any(e.is_loop for e in b.edges)
 
 
+    @pytest.mark.parametrize("covered", [False, True])
+    def test_walk_meeting_a_standing_loop_vertex_is_dropped(self, covered):
+        # One loop at 0 with W-label {100, 103} and one closed walk 0-1-0.
+        # The walk's second edge has W-vertex 102, which shares color 0b001
+        # with loop vertex 100 (and so conflicts with it), or is 100 itself.
+        from setpack23.conflict import ConflictGraph
+        from setpack23.search_graph import SearchGraph
+        second = 100 if covered else 102
+        edges = (SearchEdge((0,), (), (100, 103)), SearchEdge((0, 1), (), (101,)),
+                 SearchEdge((0, 1), (), (second,)))
+        colors = {100: 0b001, 101: 0b010, 102: 0b001, 103: 0b100}
+        csg = ColorfulSearchGraph((0, 1), edges, (0b101, 0b010, 0b001), colors)
+        g = ConflictGraph([2, 2] + [1] * 101 + [2], [] if covered else [(100, 102)])
+        ctx_w = _mask((100, 103))
+        unions = {ctx_w: 0b101, _mask((103,)): 0b100}
+        rows = walk_rows(csg, 0, 4)[0]
+        closed_walks = {k: w for k, w in project_walks(rows, 0, ctx_w).items() if k[3]}
+        kept = {k: w for k, w in project_walks(rows, 0, ctx_w, unions.__getitem__).items() if k[3]}
+        assert len(closed_walks) == 1 and kept == (closed_walks if covered else {})
+        b = find_colorful_binocular(csg, g, walk_cap=4)
+        naive = naive_improving_binocular(SearchGraph((0, 1), edges, tau=2), g, max_size=3)
+        assert b == naive
+        assert (b is not None) == covered
+        if covered:
+            assert b.edges == edges and is_improving_binocular(b, g)
+
+    def test_assembly_is_pinned_on_random_graphs(self):
+        # SHA-256 of every result (None included) on seeded synthetic colorful
+        # search graphs, recorded before the assembly read end-grouped tables
+        # and dropped loop-blocked walks: every first hit must stay the same.
+        import hashlib
+        from setpack23.conflict import ConflictGraph
+        digest, hits = hashlib.sha256(), 0
+        for i in range(3000):
+            rng = random.Random(70_000 + i)
+            csg = random_csg(rng)
+            g = ConflictGraph([rng.choice((1, 2)) for _ in range(206)], [])
+            b = find_colorful_binocular(csg, g, walk_cap=1 + i % 5)
+            hits += b is not None
+            found = None if b is None else tuple(
+                (e.endpoints, e.u_label, e.w_label) for e in b.edges)
+            digest.update(repr(found).encode())
+        assert hits == 172
+        assert digest.hexdigest() == (
+            "ae57db33d11354977c00066ab182b6db866fb536d72a453cb4a5e4305e393623")
+
+
 class TestBinocularSearch:
     @pytest.mark.parametrize("kind", ["double_loop", "theta", "dumbbell"])
     def test_injective_mode_finds_gadgets(self, kind):
@@ -263,7 +319,7 @@ class TestBinocularSearch:
         g = build_conflict_graph(inst)
         sg = enumerate_search_edges(g, a, tau=2)
         params = SearchParams(tau=2, injective_colorings=True)
-        b = search_improving_binocular(sg, g, a, params, seed=0)
+        b = search_improving_binocular(sg, g, params, seed=0)
         assert b is not None
         assert is_improving_binocular(b, g)
         assert is_local_improvement(g, a, extract_improvement(b, g, a))
@@ -311,7 +367,7 @@ class TestBinocularSearch:
         g = build_conflict_graph(inst)
         sg = enumerate_search_edges(g, a, tau=2)
         assert default_color_count(2, g.n) >= g.universe_size
-        hits = {search_improving_binocular(sg, g, a, SearchParams(tau=2), seed=s)
+        hits = {search_improving_binocular(sg, g, SearchParams(tau=2), seed=s)
                 for s in range(5)}
         assert len(hits) == 1 and None not in hits  # the seed plays no part
         assert coloring_calls == [(g.universe_size, g.universe_size, 1, True)] * 5
@@ -324,10 +380,10 @@ class TestBinocularSearch:
         sg = enumerate_search_edges(g, a, tau=1)
         t = default_color_count(1, g.n)
         assert sg.edges and g.universe_size > t
-        search_improving_binocular(sg, g, a, SearchParams(tau=1, coloring_reps=7), seed=3)
+        search_improving_binocular(sg, g, SearchParams(tau=1, coloring_reps=7), seed=3)
         assert coloring_calls == [(g.universe_size, t, 7, False)]
         coloring_calls.clear()
-        search_improving_binocular(sg, g, a, SearchParams(tau=1, injective_colorings=True), 3)
+        search_improving_binocular(sg, g, SearchParams(tau=1, injective_colorings=True), 3)
         assert coloring_calls == [(g.universe_size, g.universe_size, 1, True)]
 
     def test_auto_random_and_naive_agree_on_existence(self):
@@ -347,8 +403,8 @@ class TestBinocularSearch:
             sg = enumerate_search_edges(g, a, tau)
             if not sg.edges or len(sg.edges) > 8:
                 continue
-            naive = naive_improving_binocular(sg, g, a, max_size=max(2, len(sg.edges)))
-            auto = search_improving_binocular(sg, g, a, SearchParams(tau=tau), seed=trial)
+            naive = naive_improving_binocular(sg, g, max_size=max(2, len(sg.edges)))
+            auto = search_improving_binocular(sg, g, SearchParams(tau=tau), seed=trial)
             forced = random_coloring_search(sg, g, a, seed=trial)
             assert (naive is not None) == (auto is not None) == (forced is not None), trial
             compared += 1
@@ -361,7 +417,7 @@ class TestBinocularSearch:
         from setpack23.conflict import ConflictGraph
         g = ConflictGraph([2], [], members=(frozenset({0, 1, 2}),), universe_size=3)
         sg = SearchGraph((0,), (), tau=2)
-        assert search_improving_binocular(sg, g, {0}, SearchParams(tau=2), 0) is None
+        assert search_improving_binocular(sg, g, SearchParams(tau=2), 0) is None
 
     def test_search_agrees_with_naive_absence(self, rng):
         # when the exhaustive oracle finds nothing small, injective search
@@ -377,9 +433,9 @@ class TestBinocularSearch:
             sg = enumerate_search_edges(g, a, tau=2)
             if len(sg.edges) > 12:
                 continue
-            naive = naive_improving_binocular(sg, g, a, max_size=4)
+            naive = naive_improving_binocular(sg, g, max_size=4)
             found = search_improving_binocular(
-                sg, g, a, SearchParams(tau=2, injective_colorings=True), seed)
+                sg, g, SearchParams(tau=2, injective_colorings=True), seed)
             count_checked += 1
             if naive is None and found is not None:
                 # anything returned must still be sound, just larger than 4 edges

@@ -81,7 +81,7 @@ def test_randomized_search_is_deterministic_per_seed():
     a = frozenset({0})
     sg = enumerate_search_edges(g, a, tau=2)
     params = SearchParams(tau=2)
-    runs = {search_improving_binocular(sg, g, a, params, seed=9).edges for _ in range(5)}
+    runs = {search_improving_binocular(sg, g, params, seed=9).edges for _ in range(5)}
     assert len(runs) == 1
 
 
@@ -117,9 +117,9 @@ def test_naive_binocular_and_randomized_search_agree_on_gadget_presence():
         sg = enumerate_search_edges(g, a, tau=2)
         if len(sg.edges) > 12:
             continue
-        naive = naive_improving_binocular(sg, g, a, max_size=3)
+        naive = naive_improving_binocular(sg, g, max_size=3)
         injective = search_improving_binocular(
-            sg, g, a, SearchParams(tau=2, injective_colorings=True), seed=trial)
+            sg, g, SearchParams(tau=2, injective_colorings=True), seed=trial)
         if naive is not None:
             # exact completeness: the injective search cannot miss it
             assert injective is not None

@@ -108,7 +108,7 @@ class TestExtract:
         inst, a = binocular_gadget(kind, random.Random(7))
         g = build_conflict_graph(inst)
         sg = enumerate_search_edges(g, a, tau=2)
-        b = naive_improving_binocular(sg, g, a, max_size=4)
+        b = naive_improving_binocular(sg, g, max_size=4)
         assert b is not None and len(b.edges) <= 4
         x = extract_improvement(b, g, a)
         assert is_local_improvement(g, a, x)
