@@ -2,24 +2,28 @@
 
 Sets of cardinality three weigh 2, sets of cardinality two weigh 1, and the
 goal is a maximum-weight pairwise-disjoint sub-collection.  The package
-bundles the bounded local-improvement solver with its color-coding binocular
-phase, the hereditary tau=10 variant with an exact 4/3 guarantee, an exact
-branch-and-bound oracle, an instance normalizer, and a ratio-audit CLI.
+exports the solve path: instances and their I/O, the conflict graph, the
+bounded local-improvement solver with its color-coding binocular phase, the
+hereditary tau=10 variant with an exact 4/3 guarantee and the exact
+branch-and-bound oracle.  The ``setpack`` CLI lives in ``setpack23.cli``;
+``setpack23.normalize``, the analysis-tuple transform behind
+``setpack normalize``, loads only when imported.
 """
 
 from .instance import (FormatError, Instance, Packing, PackSet, embed_3dm,
                        generate_random, parse_instance, serialize_instance)
-from .conflict import (ConflictGraph, assert_claw_structure, build_conflict_graph,
-                       neighborhood)
+from .conflict import build_conflict_graph
 from .local_search import (Improvement, RunStats, SearchParams, apply_improvement,
                            find_improvement, is_local_improvement, solve)
-from .search_graph import (LabeledBinocular, SearchEdge, SearchGraph,
-                           enumerate_search_edges, extract_improvement,
-                           is_improving_binocular)
-from .color_coding import (Coloring, colorful_subgraph, find_colorful_binocular,
-                           make_colorings, search_improving_binocular)
-from .hereditary import (HereditaryInstance, hereditary_closure, is_hereditary,
-                         solve_hereditary)
+from .hereditary import hereditary_closure, is_hereditary, solve_hereditary
 from .oracle import OracleResult, solve_exact
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "FormatError", "Instance", "Packing", "PackSet", "embed_3dm", "generate_random",
+    "parse_instance", "serialize_instance",
+    "build_conflict_graph",
+    "Improvement", "RunStats", "SearchParams", "apply_improvement", "find_improvement",
+    "is_local_improvement", "solve",
+    "hereditary_closure", "is_hereditary", "solve_hereditary",
+    "OracleResult", "solve_exact",
+]

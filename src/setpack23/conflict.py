@@ -1,4 +1,4 @@
-"""Conflict-graph construction and the neighborhood / weight-class algebra.
+"""Conflict-graph construction, the neighborhood algebra and claw detection.
 
 Vertices are set ids of an instance; two vertices are adjacent exactly when
 the underlying sets intersect.  Such a graph is 4-claw-free, and every
@@ -14,12 +14,6 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .instance import Instance
-
-
-@dataclass(frozen=True)
-class WeightClasses:
-    prime: frozenset[int]         # weight-1 vertices
-    double_prime: frozenset[int]  # weight-2 vertices
 
 
 @dataclass(frozen=True)
@@ -107,12 +101,6 @@ class ConflictGraph:
     def weight_of(self, vertices: Iterable[int]) -> int:
         return sum(self.weights[v] for v in set(vertices))
 
-    def classes(self) -> WeightClasses:
-        return WeightClasses(
-            prime=frozenset(v for v in range(self.n) if self.weights[v] == 1),
-            double_prime=frozenset(v for v in range(self.n) if self.weights[v] == 2),
-        )
-
 
 def build_conflict_graph(instance: Instance) -> ConflictGraph:
     """Build the conflict graph of an instance via a per-element inverted index."""
@@ -179,22 +167,3 @@ def _independent_subset(candidates: list[int], adj_sets: Mapping[int, set[int]],
 
     return chosen if grow(0) else None
 
-
-def assert_claw_structure(g: ConflictGraph) -> list[ClawViolation]:
-    """Verify claw-freeness by enumeration; empty report means the graph is clean."""
-    weights = {v: g.weights[v] for v in range(g.n)}
-    adj = {v: g.adj[v] for v in range(g.n)}
-    return find_claw_violations(weights, adj)
-
-
-def to_dot(g: ConflictGraph) -> str:
-    """Debug DOT dump; vertex labels are ``id:weight``."""
-    lines = ["graph conflict {"]
-    for v in range(g.n):
-        lines.append(f'  {v} [label="{v}:{g.weights[v]}"];')
-    for u in range(g.n):
-        for v in g.adj[u]:
-            if u < v:
-                lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines)

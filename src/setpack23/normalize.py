@@ -6,7 +6,7 @@ vertices, then dissolves the remaining weight-1 path components into a
 recorded path family, bridging the outer neighbors of paths that touch both
 sides.  The output is bipartite with parts A and B whose weight-1 vertices
 form an independent set; every removal keeps the 4/3 ratio direction
-transferable back to the original tuple, which is asserted on every call.
+transferable back to the original tuple, which is checked on every call.
 
 Contractions of odd paths are represented as delete-and-record: the trimmed
 endpoint stays behind and plays the contracted vertex, keeping its own stub
@@ -101,6 +101,18 @@ def _prime(t_weights: Mapping[int, int], side: frozenset[int]) -> set[int]:
     return {v for v in side if t_weights[v] == 1}
 
 
+def _component_of(start: int, vertices: set[int], adj: Mapping[int, frozenset[int]]) -> set[int]:
+    comp: set[int] = set()
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        if v in comp:
+            continue
+        comp.add(v)
+        stack.extend(adj[v] & vertices - comp)
+    return comp
+
+
 def _components(vertices: set[int], adj: Mapping[int, frozenset[int]]) -> list[list[int]]:
     """Connected components of the induced subgraph, each ordered along its
     path when it is one (cycles come back in rotation order)."""
@@ -109,14 +121,7 @@ def _components(vertices: set[int], adj: Mapping[int, frozenset[int]]) -> list[l
     for start in sorted(vertices):
         if start in seen:
             continue
-        comp: set[int] = set()
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adj[v] & vertices - comp)
+        comp = _component_of(start, vertices, adj)
         seen |= comp
         deg = {v: len(adj[v] & comp) for v in comp}
         if any(d > 2 for d in deg.values()):
@@ -133,18 +138,6 @@ def _components(vertices: set[int], adj: Mapping[int, frozenset[int]]) -> list[l
             prev, cur = cur, nxts[0]
         comps.append(order)
     return comps
-
-
-def _component_of(start: int, vertices: set[int], adj: Mapping[int, frozenset[int]]) -> set[int]:
-    comp: set[int] = set()
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        if v in comp:
-            continue
-        comp.add(v)
-        stack.extend(adj[v] & vertices - comp)
-    return comp
 
 
 def _classify(t: AnalysisTuple):
@@ -189,7 +182,8 @@ def deletable_set(t: AnalysisTuple) -> frozenset[int]:
                 if not t.adj[v] & (t.b - cset):
                     d.add(v)
     for v in t.a & frozenset(d):
-        assert not t.adj[v] & (verts - d), "a deleted solution vertex kept an outside neighbor"
+        if t.adj[v] & (verts - d):
+            raise AssertionError("a deleted solution vertex kept an outside neighbor")
     return frozenset(d)
 
 
@@ -212,22 +206,26 @@ def normalize(t: AnalysisTuple) -> NormalizedInstance:
         cset = set(comp["vertices"])
         ca, cb = len(cset & a1), len(cset & b1)
         if comp["cycle"]:
-            assert ca == cb, "alternating cycle must balance its sides"
+            if ca != cb:
+                raise AssertionError("alternating cycle must balance its sides")
             removals.append(ComponentRemoval("cycle", tuple(comp["vertices"]), ca, cb))
             d |= cset
         elif len(cset) % 2 == 0 and comp["whole"]:
-            assert ca == cb
+            if ca != cb:
+                raise AssertionError("whole even path must balance its sides")
             removals.append(ComponentRemoval("even_whole", tuple(comp["vertices"]), ca, cb))
             d |= cset
         elif comp["inner_a1"] >= 3:
             trim = [v for v in comp["vertices"] if not t.adj[v] & (t.b - cset)]
             ta, tb = len(set(trim) & a1), len(set(trim) & b1)
             # Long trims lose at most one more weight-1 B-vertex than A-vertices.
-            assert 3 * tb <= 4 * ta, "long-path trim broke the 4/3 bookkeeping"
+            if 3 * tb > 4 * ta:
+                raise AssertionError("long-path trim broke the 4/3 bookkeeping")
             removals.append(ComponentRemoval("long_path_trim", tuple(trim), ta, tb))
             d |= set(trim)
 
-    assert d == set(deletable_set(t)), "recorded removals drifted from the deletable set"
+    if d != set(deletable_set(t)):
+        raise AssertionError("recorded removals drifted from the deletable set")
     verts2 = set(t.weights) - d
     adj2 = {v: t.adj[v] & verts2 for v in verts2}
     w2 = {v: t.weights[v] for v in verts2}
@@ -235,7 +233,8 @@ def normalize(t: AnalysisTuple) -> NormalizedInstance:
     b2 = t.b & verts2
     for u in sorted(verts2):
         for v in adj2[u]:
-            assert (u in a2) != (v in a2), "reduced graph must be bipartite on A/B"
+            if (u in a2) == (v in a2):
+                raise AssertionError("reduced graph must be bipartite on A/B")
 
     a1r = _prime(w2, frozenset(a2))
     b1r = _prime(w2, frozenset(b2))
@@ -246,15 +245,18 @@ def normalize(t: AnalysisTuple) -> NormalizedInstance:
         if len(comp) == 1:
             continue
         cset = set(comp)
-        assert all(len(adj2[v] & cset) <= 2 for v in cset)
+        if any(len(adj2[v] & cset) > 2 for v in cset):
+            raise AssertionError("family component is not a path")
         inner_a1 = sum(1 for v in comp[1:-1] if v in a1r)
-        assert inner_a1 <= 2, "long paths must be gone before the family stage"
+        if inner_a1 > 2:
+            raise AssertionError("long paths must be gone before the family stage")
         contracted_into: int | None = None
         side: str | None = None
         family = list(comp)
         if len(comp) % 2 == 1:
             side = "A" if comp[0] in a1r else "B"
-            assert (comp[-1] in a1r) == (comp[0] in a1r), "odd paths have same-side endpoints"
+            if (comp[-1] in a1r) != (comp[0] in a1r):
+                raise AssertionError("odd paths have same-side endpoints")
             contracted_into = max(comp[0], comp[-1])
             family = comp[1:] if comp[0] == contracted_into else comp[:-1]
         fset = set(family)
@@ -262,9 +264,12 @@ def normalize(t: AnalysisTuple) -> NormalizedInstance:
         out = {v for u in fset for v in adj2[u] - fset}
         out_a = sorted(out & a2)
         out_b = sorted(out & b2)
-        assert len(out_a) <= 1 and len(out_b) <= 1, "family paths have one outer neighbor per side"
-        assert out_a or out_b, "family paths always keep an outer neighbor"
-        assert len(fset & a2) == len(fset & b2), "family paths balance their sides"
+        if len(out_a) > 1 or len(out_b) > 1:
+            raise AssertionError("family paths have one outer neighbor per side")
+        if not (out_a or out_b):
+            raise AssertionError("family paths always keep an outer neighbor")
+        if len(fset & a2) != len(fset & b2):
+            raise AssertionError("family paths balance their sides")
         kind = "P3" if out_a and out_b else ("P1" if out_a else "P2")
         bridge = False
         if kind == "P3":
@@ -293,13 +298,16 @@ def normalize(t: AnalysisTuple) -> NormalizedInstance:
         return sum(weights[v] for v in vs)
 
     family_b = sum(len(set(p.vertices) & b2) for p in paths)
-    assert wsum(w2, a2) - wsum(out.weights, out.a) == family_b
-    assert wsum(w2, b2) - wsum(out.weights, out.b) == family_b
+    if wsum(w2, a2) - wsum(out.weights, out.a) != family_b:
+        raise AssertionError("family paths took A-weight other than their B-count")
+    if wsum(w2, b2) - wsum(out.weights, out.b) != family_b:
+        raise AssertionError("family paths took B-weight other than their B-count")
     report = check_normalized(out)
-    assert not report, f"normalization violated its own invariants: {report}"
+    if report:
+        raise AssertionError(f"normalization violated its own invariants: {report}")
     if 3 * wsum(out.weights, out.b) <= 4 * wsum(out.weights, out.a):
-        assert 3 * wsum(t.weights, t.b) <= 4 * wsum(t.weights, t.a), \
-            "4/3 ratio did not transfer back to the original tuple"
+        if 3 * wsum(t.weights, t.b) > 4 * wsum(t.weights, t.a):
+            raise AssertionError("4/3 ratio did not transfer back to the original tuple")
     return out
 
 

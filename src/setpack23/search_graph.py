@@ -134,22 +134,6 @@ def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> Sear
     return SearchGraph(vertices, tuple(sorted(edges)), tau)
 
 
-def validate_search_edge(g: ConflictGraph, A: Iterable[int], edge: SearchEdge, tau: int) -> bool:
-    """Re-check the three edge-inducing conditions from scratch."""
-    a_mask = g.mask(A)
-    u_mask, w_mask = edge.u_mask, edge.w_mask
-    if u_mask & ~a_mask or w_mask & a_mask or not g.independent_mask(w_mask):
-        return False
-    if max(u_mask.bit_count(), w_mask.bit_count()) > tau:
-        return False
-    if g.weight_mask(u_mask) + 2 != g.weight_mask(w_mask):
-        return False
-    res_mask = g.neighbors_mask(w_mask) & (a_mask & ~u_mask)
-    if res_mask & ~g.w2_mask or not 1 <= res_mask.bit_count() <= 2:
-        return False
-    return tuple(sorted(g.unmask(res_mask))) == edge.endpoints
-
-
 def is_improving_binocular(b: LabeledBinocular, g: ConflictGraph) -> bool:
     """Check the three improving conditions on a labeled binocular.
 
@@ -191,18 +175,3 @@ def extract_improvement(b: LabeledBinocular, g: ConflictGraph, A: Iterable[int])
         raise AssertionError("binocular weight chain violated")
     return g.unmask(w_mask)
 
-
-def to_dot(sg: SearchGraph, label_limit: int = 6) -> str:
-    """Debug DOT dump of the search graph with truncated U/W labels."""
-    def fmt(t: tuple[int, ...]) -> str:
-        inner = ",".join(str(x) for x in t[:label_limit])
-        return inner + ("..." if len(t) > label_limit else "")
-
-    lines = ["graph search {"]
-    for v in sg.vertices:
-        lines.append(f"  {v};")
-    for e in sg.edges:
-        u, v = (e.endpoints[0], e.endpoints[0]) if e.is_loop else e.endpoints
-        lines.append(f'  {u} -- {v} [label="U={fmt(e.u_label)} W={fmt(e.w_label)}"];')
-    lines.append("}")
-    return "\n".join(lines)

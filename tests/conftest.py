@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Iterable
 
 import pytest
 
@@ -84,6 +85,22 @@ def full_search_edges(g: ConflictGraph, A: frozenset[int], tau: int) -> SearchGr
             edges.add(SearchEdge(tuple(sorted(g.unmask(e_mask))), u_tuple, w_tuple))
     vertices = tuple(sorted(g.unmask(a_mask & g.w2_mask)))
     return SearchGraph(vertices, tuple(sorted(edges)), tau)
+
+
+def validate_search_edge(g: ConflictGraph, A: Iterable[int], edge: SearchEdge, tau: int) -> bool:
+    """Re-check the three edge-inducing conditions from scratch."""
+    a_mask = g.mask(A)
+    u_mask, w_mask = edge.u_mask, edge.w_mask
+    if u_mask & ~a_mask or w_mask & a_mask or not g.independent_mask(w_mask):
+        return False
+    if max(u_mask.bit_count(), w_mask.bit_count()) > tau:
+        return False
+    if g.weight_mask(u_mask) + 2 != g.weight_mask(w_mask):
+        return False
+    res_mask = g.neighbors_mask(w_mask) & (a_mask & ~u_mask)
+    if res_mask & ~g.w2_mask or not 1 <= res_mask.bit_count() <= 2:
+        return False
+    return tuple(sorted(g.unmask(res_mask))) == edge.endpoints
 
 
 def random_packing(g: ConflictGraph, rng: random.Random) -> frozenset[int]:

@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from setpack23.binoculars import naive_improving_binocular
 from setpack23.cli import random_triples
 from setpack23.color_coding import search_improving_binocular
 from setpack23.conflict import build_conflict_graph
@@ -24,12 +23,11 @@ from setpack23.oracle import solve_exact
 from setpack23.search_graph import enumerate_search_edges, extract_improvement
 
 from conftest import binocular_gadget, random_nice_tuple
-from test_binoculars import definition_minimal_binoculars, random_multigraph
+from test_binoculars import (berman_furer_witness, classify_minimal_binocular,
+                             definition_minimal_binoculars, is_binocular, multigraph,
+                             naive_improving_binocular, random_multigraph)
 from test_color_coding import (brute_force_walk_keys, random_coloring_search, random_csg,
                                 walk_table)
-
-from setpack23.binoculars import (classify_minimal_binocular, is_binocular,
-                                  berman_furer_witness, multigraph)
 
 
 def _report(tag: str, message: str) -> None:

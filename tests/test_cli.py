@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -14,6 +15,8 @@ import setpack23
 from setpack23.cli import (AuditRow, main, rows_from_json, rows_to_csv, rows_to_json,
                            suite_instances)
 from setpack23.instance import generate_random, parse_instance, serialize_instance
+
+SRC = Path(setpack23.__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -112,17 +115,37 @@ def test_audit_hereditary_guarantee_exit(tmp_path, capsys):
     assert row["guarantee_bound"] == "4/3"
 
 
+NORMALIZE_TUPLE = {"weights": {"0": 1, "1": 1, "2": 2, "3": 2},
+                   "edges": [[0, 1], [0, 2], [1, 3]],
+                   "A": [0, 3], "B": [1, 2]}
+
+
 def test_normalize_command(tmp_path, capsys):
-    doc = {"weights": {"0": 1, "1": 1, "2": 2, "3": 2},
-           "edges": [[0, 1], [0, 2], [1, 3]],
-           "A": [0, 3], "B": [1, 2]}
     path = tmp_path / "tuple.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(NORMALIZE_TUPLE))
     code, out, _ = run_cli(capsys, "normalize", str(path))
     assert code == 0
     result = json.loads(out)
     assert result["normalized"]["A"] == [3]
     assert result["normalized"]["edges"] == [[2, 3]]
+
+
+def test_normalize_checks_survive_optimize(tmp_path):
+    # with the deletable set faulted, normalize's drift check must fire under -O too
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(NORMALIZE_TUPLE))
+    script = ("import sys\n"
+              "if not sys.flags.optimize:\n"
+              "    sys.exit('not running under -O')\n"
+              "import setpack23.normalize\n"
+              "setpack23.normalize.deletable_set = lambda t: frozenset({0})\n"
+              "from setpack23.cli import main\n"
+              "sys.exit(main(['normalize', sys.argv[1]]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.strip() == ("internal invariant violated: recorded removals drifted "
+                                   "from the deletable set")
 
 
 def test_bench_random_suite(capsys):
@@ -228,16 +251,35 @@ def test_suite_instances_are_deterministic():
 
 
 def test_package_import_leaves_test_only_modules_out():
-    # the package and its CLI import the solve path only; binoculars and
-    # normalize load from their submodules when a caller asks for them
-    script = ("import sys, setpack23, setpack23.cli\n"
+    # the package and its CLI import the solve path only; normalize loads
+    # from its submodule when a caller asks for it, and the binocular theory
+    # lives in tests/test_binoculars.py
+    script = ("import sys, importlib.util, setpack23, setpack23.cli\n"
+              "print(importlib.util.find_spec('setpack23.binoculars'))\n"
               "print(' '.join(sorted(m for m in sys.modules if m.startswith('setpack23'))))")
-    src = str(Path(setpack23.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert not loaded & {"setpack23.binoculars", "setpack23.normalize"}
+    spec, loaded = proc.stdout.splitlines()
+    assert spec == "None"
     solve_path = {"instance", "conflict", "local_search", "hereditary", "search_graph",
-                  "color_coding", "oracle"}
-    assert {f"setpack23.{m}" for m in solve_path} <= loaded
+                  "color_coding", "oracle", "cli"}
+    assert set(loaded.split()) == {"setpack23"} | {f"setpack23.{m}" for m in solve_path}
+    assert setpack23.__all__ == [
+        "FormatError", "Instance", "Packing", "PackSet", "embed_3dm", "generate_random",
+        "parse_instance", "serialize_instance",
+        "build_conflict_graph",
+        "Improvement", "RunStats", "SearchParams", "apply_improvement", "find_improvement",
+        "is_local_improvement", "solve",
+        "hereditary_closure", "is_hereditary", "solve_hereditary",
+        "OracleResult", "solve_exact",
+    ]
+
+
+def test_package_has_no_bare_asserts():
+    # a bare assert vanishes under python -O; package checks raise AssertionError
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "setpack23").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

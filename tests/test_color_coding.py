@@ -11,8 +11,8 @@ from setpack23.conflict import build_conflict_graph
 from setpack23.local_search import SearchParams, is_local_improvement
 from setpack23.search_graph import (SearchEdge, enumerate_search_edges,
                                     extract_improvement, is_improving_binocular)
-from setpack23.binoculars import naive_improving_binocular
 from conftest import binocular_gadget
+from test_binoculars import naive_improving_binocular
 
 
 def random_coloring_search(sg, g, a, seed: int = 0):

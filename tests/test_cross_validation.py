@@ -3,7 +3,6 @@
 import random
 from itertools import combinations
 
-from setpack23.binoculars import naive_improving_binocular
 from setpack23.cli import suite_instances
 from setpack23.color_coding import search_improving_binocular
 from setpack23.conflict import build_conflict_graph
@@ -12,9 +11,9 @@ from setpack23.instance import generate_random
 from setpack23.local_search import (_ID_DEPTH, SearchParams, apply_improvement,
                                     find_improvement, is_local_improvement)
 from setpack23.search_graph import (LabeledBinocular, SearchEdge, enumerate_search_edges,
-                                    extract_improvement, is_improving_binocular,
-                                    validate_search_edge)
-from conftest import full_search_edges, instance_from_sets, random_packing
+                                    extract_improvement, is_improving_binocular)
+from conftest import full_search_edges, instance_from_sets, random_packing, validate_search_edge
+from test_binoculars import naive_improving_binocular
 
 
 def test_hereditary_outputs_survive_naive_tau10_certification():

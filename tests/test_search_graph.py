@@ -6,10 +6,11 @@ from setpack23.conflict import ConflictGraph, build_conflict_graph
 from setpack23.local_search import is_local_improvement
 from setpack23.search_graph import (LabeledBinocular, SearchEdge,
                                     enumerate_search_edges, extract_improvement,
-                                    is_improving_binocular, to_dot,
-                                    validate_search_edge)
+                                    is_improving_binocular)
 from setpack23.instance import generate_random
-from conftest import binocular_gadget, full_search_edges, instance_from_sets, random_packing
+from conftest import (binocular_gadget, full_search_edges, instance_from_sets, random_packing,
+                      validate_search_edge)
+from test_binoculars import naive_improving_binocular
 
 
 def two_anchor_instance(v_elements):
@@ -104,7 +105,6 @@ class TestImprovingPredicate:
 class TestExtract:
     @pytest.mark.parametrize("kind", ["double_loop", "theta", "dumbbell"])
     def test_gadget_extraction_is_an_improvement(self, kind):
-        from setpack23.binoculars import naive_improving_binocular
         inst, a = binocular_gadget(kind, random.Random(7))
         g = build_conflict_graph(inst)
         sg = enumerate_search_edges(g, a, tau=2)
@@ -129,9 +129,3 @@ class TestExtract:
         loops = (SearchEdge((0,), (), (1, 2)), SearchEdge((0,), (), (1, 3)))
         with pytest.raises(ValueError):
             extract_improvement(LabeledBinocular(loops), g, {0})
-
-
-def test_dot_dump_truncates_labels():
-    g = build_conflict_graph(two_anchor_instance((3, 4, 9)))
-    sg = enumerate_search_edges(g, {0, 1}, tau=1)
-    assert "0 -- 1" in to_dot(sg)
