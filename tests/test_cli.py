@@ -65,9 +65,9 @@ def _gen_random(capsys, path, universe: int, sets: int) -> str:
 
 def test_oracle_budget_overrun_exits_four(tmp_path, capsys):
     path = _gen_random(capsys, tmp_path / "i60.txt", 30, 60)
-    code, out, err = run_cli(capsys, "oracle", path, "--budget", "1000")
+    code, out, err = run_cli(capsys, "oracle", path, "--budget", "100")
     assert code == 4 and out == ""
-    assert err == "budget exceeded: exceeded 1000 nodes\n"
+    assert err == "budget exceeded: exceeded 100 nodes\n"
 
 
 @pytest.mark.parametrize("flag", [["--pair-mode", "full"], ["--naive-improve"],

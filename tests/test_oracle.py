@@ -1,11 +1,61 @@
+import json
 import random
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setpack23.instance import generate_random, parse_instance, validate_packing
-from setpack23.oracle import OracleBudgetExceeded, solve_exact
+from setpack23.cli import random_triples
+from setpack23.hereditary import hereditary_closure, solve_hereditary
+from setpack23.instance import (Instance, Packing, embed_3dm, generate_random, parse_instance,
+                                validate_packing)
+from setpack23.oracle import OracleBudgetExceeded, OracleResult, solve_exact
 from conftest import brute_force_optimum, chain_instance
+
+
+def reference_solve_exact(instance: Instance, budget: int = 10_000_000) -> OracleResult:
+    """Exact optimum by include/exclude branching in decreasing-weight order."""
+    ordered = sorted(instance.sets, key=lambda s: (-s.weight, s.id))
+    m = len(ordered)
+    elem_mask = [sum(1 << e for e in s.elements) for s in ordered]
+    weight = [s.weight for s in ordered]
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + weight[i]
+
+    best_w = 0
+    best_sel: tuple[int, ...] = ()
+    nodes = 0
+
+    # Iterative stack avoids recursion limits; entries are
+    # (next index, used-element mask, current weight, chosen ids).
+    stack: list[tuple[int, int, int, tuple[int, ...]]] = [(0, 0, 0, ())]
+    while stack:
+        i, used, cur_w, chosen = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            raise OracleBudgetExceeded(f"exceeded {budget} nodes")
+        if cur_w > best_w:
+            best_w, best_sel = cur_w, chosen
+        if i == m or cur_w + suffix[i] <= best_w:
+            continue
+        # A tighter bound: only sets still compatible can contribute.
+        ub = cur_w
+        for j in range(i, m):
+            if not elem_mask[j] & used:
+                ub += weight[j]
+        if ub <= best_w:
+            continue
+        # Exclude pushed first so the include branch is explored first.
+        stack.append((i + 1, used, cur_w, chosen))
+        if not elem_mask[i] & used:
+            stack.append((i + 1, used | elem_mask[i], cur_w + weight[i], chosen + (ordered[i].id,)))
+
+    witness = Packing(frozenset(best_sel))
+    if witness.weight(instance) != best_w:
+        raise AssertionError("oracle witness does not weigh the optimum")
+    return OracleResult(best_w, witness, nodes)
 
 
 def test_empty_instance():
@@ -40,3 +90,47 @@ def test_budget_error():
     inst = generate_random(30, 60, 0.5, seed=3)
     with pytest.raises(OracleBudgetExceeded):
         solve_exact(inst, budget=10)
+
+
+@st.composite
+def oracle_instances(draw) -> Instance:
+    """Random 2-3-set draws, hereditary closures and 3DM embeddings."""
+    kind = draw(st.sampled_from(["random", "closure", "threedm"]))
+    seed = draw(st.integers(0, 2 ** 31))
+    if kind == "random":
+        n = draw(st.integers(6, 24))
+        p3 = draw(st.sampled_from([0.0, 0.3, 0.6, 1.0]))
+        limit = comb(n, 3) if p3 == 1.0 else comb(n, 2) if p3 == 0.0 else comb(n, 2) + comb(n, 3)
+        return generate_random(n, draw(st.integers(1, min(40, limit))), p3, seed)
+    if kind == "closure":
+        base = generate_random(draw(st.integers(6, 15)), draw(st.integers(1, 12)), 1.0, seed)
+        return hereditary_closure(base).base
+    m = draw(st.integers(1, 24))
+    part = max(2, m // 2)
+    return embed_3dm(random_triples(part, part, part, m, seed))
+
+
+@given(oracle_instances())
+@settings(max_examples=150, deadline=None)
+def test_matches_reference_oracle(inst):
+    result = solve_exact(inst)
+    assert result.optimum_weight == reference_solve_exact(inst).optimum_weight
+    validate_packing(inst, result.witness)
+    assert result.witness.weight(inst) == result.optimum_weight
+
+
+def test_hereditary_cert_closures_match_stored_optima():
+    ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
+    instances = json.loads(ladders.read_text())["hereditary-cert"]["instances"]
+    assert len(instances) == 8
+    for d in instances:
+        closed = hereditary_closure(parse_instance(d["text"])).base
+        assert solve_exact(closed).optimum_weight == d["opt"], d["name"]
+
+
+def test_84_set_ladder_point_is_solved_within_the_default_budget():
+    closed = hereditary_closure(generate_random(30, 22, 1.0, seed=3))
+    assert len(closed.base) == 84
+    result = solve_exact(closed.base)
+    _, stats = solve_hereditary(closed)
+    assert result.optimum_weight == stats.final_weight == 16
