@@ -6,15 +6,15 @@ pairwise disjoint.  Colorful walks (loop-free walks whose per-edge W-color
 sets are pairwise disjoint) are tabulated once per start vertex by a dynamic
 program over reachable states; a state is the bitmask tuple (end vertex,
 colors, U-label mask, W-label mask, length) and stores one witness walk.
-Each table is grouped by end vertex once; each choice of at most two loops
-projects only the (start, end) lists its walk shape reads onto the loops'
-labels, and a candidate binocular is stitched together from those loops plus
-up to three stored walks.  A walk whose colors meet a loop W-vertex it leaves
-uncovered is dropped before pairing, which is exact: the other walks are
-color-disjoint from it, so they cannot cover that vertex, and it would fail
-the loop's color condition.  Everything found is re-checked against the
-improving-binocular predicate, so random colorings only ever cost
-completeness, never soundness.
+Each table is grouped by end vertex once; a choice of one loop projects only
+the (start, end) lists its walk shape reads onto the loop's labels, a choice
+of two loops streams its one list, and a candidate binocular is stitched
+together from those loops plus up to three stored walks.  A walk whose colors
+meet a loop W-vertex it leaves uncovered is dropped before pairing, which is
+exact: the other walks are color-disjoint from it, so they cannot cover that
+vertex, and it would fail the loop's color condition.  Everything found is
+re-checked against the improving-binocular predicate, so random colorings
+only ever cost completeness, never soundness.
 
 Whenever the color budget t covers the universe, the search runs one
 injective coloring, which is exact: colorful then means element-disjoint
@@ -196,13 +196,18 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
     (C, X, Y) must keep the surviving loop W-vertices color-disjoint from C
     and from each other and win the weight inequality by two per loop, with
     one loop plus a closed walk and a connector, or two loops plus a
-    connector.  Each choice projects only the (start, end) lists it reads and
-    drops walks whose colors meet a loop W-vertex they leave standing, which
-    is exact: a candidate's walks are pairwise color-disjoint, so no other
-    walk covers that vertex, and it would fail the color condition.  Any hit
-    is a binocular by construction and is re-verified by the caller.  Stored
-    walks are at most ``walk_cap`` long; a nonempty closed walk has at least
-    two edges, as loops never enter the walk DP.
+    connector.  Each choice reads only the (start, end) lists its shape needs
+    and drops walks whose colors meet a loop W-vertex they leave standing,
+    which is exact: a candidate's walks are pairwise color-disjoint, so no
+    other walk covers that vertex, and it would fail the color condition.
+    One-loop choices project their lists.  Two-loop choices stream their
+    u->v list against per-row masks of such loop W-vertices, built once per
+    list, and test the conditions once per projected (X, Y); the first row
+    that passes is the first row of the first projected key that passes, so
+    the hit is the one projecting would give.  Any hit is a binocular by
+    construction and is re-verified by the caller.  Stored walks are at most
+    ``walk_cap`` long; a nonempty closed walk has at least two edges, as
+    loops never enter the walk DP.
     """
     ends: dict[int, dict[int, list]] = {}
     for u in csg.vertices:
@@ -247,6 +252,26 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                             return assemble((), wit1 + wit2 + wit3)
 
     loops = [i for i, e in enumerate(csg.edges) if e.is_loop]
+    loop_w = 0
+    for i in loops:
+        loop_w |= csg.edges[i].w_mask
+    loop_w_colors = [(1 << v, csg.vertex_colors[v]) for v in g.unmask(loop_w)]
+    blocked_lists: dict[tuple[int, int], list[int]] = {}
+
+    def blocked(u: int, v: int) -> list[int]:
+        """Per row of the u->v list, the loop W-vertices its colors meet but
+        its W-label leaves uncovered; computed on first use."""
+        out = blocked_lists.get((u, v))
+        if out is None:
+            out = blocked_lists[u, v] = []
+            for colors, _, ww, _, _ in ends[u].get(v, []):
+                stop = 0
+                for bit, vcol in loop_w_colors:
+                    if vcol & colors and not bit & ww:
+                        stop |= bit
+                out.append(stop)
+        return out
+
     for L in chain(combinations(loops, 1), combinations(loops, 2)):
         ctx_u = ctx_w = 0
         for i in L:
@@ -262,9 +287,18 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
 
         p = csg.edges[L[0]].endpoints[0]
         if len(L) == 2:
-            for (colors, x, y, _), wit in walks(p, csg.edges[L[1]].endpoints[0],
-                                                ctx_u, ctx_w).items():
-                if conditions(colors, x, y):
+            # Stream the one u->v list: an unblocked row's colors miss every
+            # standing loop W-vertex, so only (X, Y) decides the conditions.
+            q = csg.edges[L[1]].endpoints[0]
+            passes: dict[tuple[int, int], bool] = {}
+            for (_, uu, ww, _, wit), stop in zip(ends[p].get(q, []), blocked(p, q)):
+                if stop & ctx_w:
+                    continue
+                xy = (uu & ctx_u, ww & ctx_w)
+                ok = passes.get(xy)
+                if ok is None:
+                    ok = passes[xy] = conditions(0, *xy)
+                if ok:
                     return assemble(L, wit)
             continue
         for v in csg.vertices:

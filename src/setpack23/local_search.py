@@ -23,6 +23,16 @@ remains, thus walks the search tree once instead of once per depth.  Its
 prunes only loosen as the cap grows and never cut off an improving
 descendant, so the capped DFS returns the hit that iterative deepening to
 tau would.
+
+The capped DFS also cuts by claw shares, an admissible bound from the
+claw-freeness the guarantee rests on: a solution set a has w(a)+1 elements,
+so it meets at most w(a)+1 members of an independent extension F.  Charging
+each of them w(a)/(w(a)+1) pays for a, so X together with F gains at most
+w(X) - w(N(X, A)) plus, over F, each candidate's weight less its charges
+for solution neighbors outside N(X, A).  A node whose gain plus the best
+such values its remaining depth can add stays negative has no improving
+descendant.  The iterative-deepening passes skip this cut: there the
+frequent small hits end the search before it would pay off.
 """
 
 from __future__ import annotations
@@ -40,6 +50,11 @@ from .instance import Instance, Packing
 # The grown enumerator deepens iteratively up to this size, then runs one
 # capped DFS for every larger size.
 _ID_DEPTH = 3
+
+# The capped DFS evaluates its claw-share bound only at children whose plain
+# slack w(X) - w(N) + 2 * depth_left is at most this: a larger slack is rarely
+# cut, and one evaluation costs about as much as visiting a node.
+_SHARE_GATE = 8
 
 
 @dataclass(frozen=True)
@@ -159,6 +174,18 @@ def _candidate_linkage(g: ConflictGraph, cands: list[int]) -> tuple[list[int], l
     return cadj, link
 
 
+def _claw_shares(g: ConflictGraph, a_mask: int, cands: list[int]) -> list[int]:
+    """6 g(c) for each candidate c: 6 w(c), less 3 per weight-1 and 4 per
+    weight-2 solution neighbor, the claw shares of the module docstring.
+
+    In every conflict graph built from an instance, w(F) - w(N(F, A)) is at
+    most the sum of g over any independent candidate set F.
+    """
+    w2m = g.w2_mask
+    return [6 * g.weights[v] - 3 * (g.adj_mask(v) & a_mask).bit_count()
+            - (g.adj_mask(v) & a_mask & w2m).bit_count() for v in cands]
+
+
 def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str) -> int:
     if method == "auto":
         method = "grown" if tau >= 5 else "naive"
@@ -233,7 +260,61 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     gain_rate = 2 if tight else 1
     hit = 0
     floor = cap = 0  # test sets of size floor..cap; a hit lowers cap
+    share_bound = False  # the claw-share cut runs in the capped DFS only
 
+    def share_cut(ext: int, far: int, n_mask: int, d: int, deficit: int) -> bool:
+        """True when no d candidates of ``ext | far`` make up ``deficit`` sixths.
+
+        6 g(c) counts only c's solution neighbors outside N = ``n_mask``.
+        The candidates in ``far`` are linked to no member of X, so none of
+        their solution neighbors is in N, and ``share_classes`` (the positive
+        values of 6 g with N empty, largest first) holds them.  The few in
+        ``ext`` take ``base_share`` plus what their neighbors in N gave up.
+        The largest d values are summed class by class and the sum stops
+        once it covers the deficit.
+        """
+        near = []
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            i = low.bit_length() - 1
+            m = anb[i] & n_mask
+            g6 = base_share[i] + 3 * m.bit_count() + (m & w2m).bit_count()
+            if g6 > 0:
+                near.append(g6)
+        near.sort()
+        total = 0
+        for value, lanes in share_classes:
+            t = (far & lanes).bit_count()
+            while near and near[-1] >= value:
+                total += near.pop()
+                d -= 1
+                if not d:
+                    return total < deficit
+            if t >= d:
+                return total + value * d < deficit
+            total += value * t
+            if total >= deficit:
+                return False
+            d -= t
+        while near and d:
+            total += near.pop()
+            d -= 1
+        return total < deficit
+
+    # Every child is tested, then cut when it cannot lead to an improvement
+    # within the cap:
+    # * plain slack: each further candidate gains at most 2;
+    # * element slots (above);
+    # * claw shares, in the capped DFS of a genuine conflict graph only.  A
+    #   solution set a outside N has w(a)+1 elements, so it meets at most
+    #   w(a)+1 members of an independent extension F, and X | F gains at most
+    #   w(X) - w(N) + sum over c in F of g(c) = w(c) - sum of w(a)/(w(a)+1)
+    #   over c's solution neighbors a outside N (``_claw_shares``).  A child
+    #   with depth_left >= 2 is cut when 6 (w(X) - w(N)) plus the depth_left
+    #   largest positive 6 g(c) over the candidates it may still add,
+    #   ext | (gt_root & ~closed), is negative.  Only children whose plain
+    #   slack is at most _SHARE_GATE are tried.
     def rec_grown(x_vmask: int, n_mask: int, wx: int, slots_used: int, size: int,
                   ext: int, closed: int, gt_root: int) -> None:
         nonlocal hit, cap
@@ -269,8 +350,12 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             # Candidates that conflict with j are in closed | link[j], so
             # dropping them from ext removes them from the branch for good.
             fresh = link[j] & ~closed & gt_root
-            rec_grown(x_vmask | vbit[j], n2, w2, slots2, size,
-                      (ext | fresh) & ~cadj[j], closed | link[j] | low, gt_root)
+            ext2 = (ext | fresh) & ~cadj[j]
+            closed2 = closed | link[j] | low
+            if (share_bound and depth_left >= 2 and wn > w2 and slack <= _SHARE_GATE
+                    and share_cut(ext2, gt_root & ~closed2, n2, depth_left, 6 * (wn - w2))):
+                continue
+            rec_grown(x_vmask | vbit[j], n2, w2, slots2, size, ext2, closed2, gt_root)
 
     # Root r enters as the only extension of the empty set and grows only
     # through candidates after it, so every connected set is tried from its
@@ -278,9 +363,18 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     # (floor == cap).  The last floor is the capped DFS: it starts at cap tau
     # and ends when a hit drives the cap below the floor or the roots run
     # out.  Its last hit is the least by (size, root, preorder), because it
-    # visits every node of each deepening pass in the same preorder.
+    # visits every node of each deepening pass in the same preorder, and
+    # every cut drops only subtrees without an improving set.
     for floor in range(1, min(tau, _ID_DEPTH + 1) + 1):
         cap = floor if floor <= _ID_DEPTH else tau
+        if floor > _ID_DEPTH and claw_slots:
+            base_share = _claw_shares(g, a_mask, cands)
+            by_value: dict[int, int] = {}
+            for i, g6 in enumerate(base_share):
+                if g6 > 0:
+                    by_value[g6] = by_value.get(g6, 0) | 1 << i
+            share_classes = sorted(by_value.items(), reverse=True)
+            share_bound = True
         for r in range(k):
             if cap < floor:
                 break

@@ -177,3 +177,47 @@ def test_grown_hit_has_the_least_size():
             a = apply_improvement(g, a, imp)
     assert max(sizes) > _ID_DEPTH + 1
     assert sum(size > _ID_DEPTH for size in sizes) >= 10
+
+
+def three_local(g, a: frozenset[int]) -> frozenset[int]:
+    """The packing the solver reaches from ``a`` with improvements of size <= 3."""
+    while (imp := find_improvement(g, a, 3, method="grown")) is not None:
+        a = apply_improvement(g, a, imp)
+    return a
+
+
+def test_grown_matches_naive_where_claw_shares_cut():
+    # tau 5-7, where the capped DFS cuts by claw shares.  States: seeded
+    # hereditary closures of 20-40 sets with the empty packing, a random
+    # one, the 3-local optimum the solver reaches from the empty one and the
+    # packing solve_hereditary returns; and a general draw whose 3-local
+    # optimum hides a least improvement of size 4 that is cut when a
+    # weight-2 solution neighbor costs 5 sixths instead of its share of 4.
+    rng = random.Random(1010)
+    states = []
+    while len(states) < 4 * 12:
+        base = generate_random(rng.randrange(9, 15), rng.randrange(5, 11), p3=1.0,
+                               seed=rng.randrange(10 ** 6))
+        closed = hereditary_closure(base).base
+        if not 20 <= len(closed) <= 40:
+            continue
+        g = build_conflict_graph(closed)
+        states += [(g, a) for a in (frozenset(), random_packing(g, rng),
+                                    three_local(g, frozenset()),
+                                    solve_hereditary(closed)[0].members)]
+    g = build_conflict_graph(generate_random(15, 30, 0.3, seed=75))
+    a = three_local(g, frozenset({0, 3, 4, 10, 11, 21}))
+    assert a == {1, 4, 9, 24, 29}
+    states.append((g, a))
+    sizes = []
+    for g, a in states:
+        for tau in (5, 6, 7):
+            path = a
+            while (imp := find_improvement(g, path, tau, method="grown")) is not None:
+                size = len(imp.x)
+                assert find_improvement(g, path, size, method="naive") is not None
+                assert size == 1 or find_improvement(g, path, size - 1, method="naive") is None
+                sizes.append(size)
+                path = apply_improvement(g, path, imp)
+            assert find_improvement(g, path, tau, method="naive") is None
+    assert sum(size > _ID_DEPTH for size in sizes) >= 3

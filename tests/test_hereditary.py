@@ -107,3 +107,16 @@ def test_larger_solve_is_pinned():
     assert stats.iterations == stats.improvements_applied == 10
     assert stats.binoculars_applied == 0
     assert stats.final_weight == packing.weight(closed.base) == 14
+
+
+def test_84_set_solve_is_pinned():
+    # 84 sets, the first ladder point at which the tau=10 certification takes
+    # most of the solve; packing, iterations and weight as the solver gave
+    # them before the capped DFS cut by claw shares
+    closed = hereditary_closure(generate_random(30, 22, 1.0, seed=3))
+    assert len(closed.base) == 84
+    packing, stats = solve_hereditary(closed)
+    assert sorted(packing.members) == [4, 7, 8, 14, 15, 16, 18, 55, 80]
+    assert stats.iterations == stats.improvements_applied == 13
+    assert stats.binoculars_applied == 0
+    assert stats.final_weight == packing.weight(closed.base) == 16

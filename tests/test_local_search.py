@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,9 @@ from setpack23.cli import suite_instances
 from setpack23.conflict import ConflictGraph, build_conflict_graph
 from setpack23.hereditary import hereditary_closure
 from setpack23.instance import generate_random, parse_instance, serialize_instance
-from setpack23.local_search import (SearchParams, _candidate_linkage, apply_improvement,
-                                    find_improvement, is_local_improvement, solve)
+from setpack23.local_search import (SearchParams, _candidate_linkage, _claw_shares,
+                                    apply_improvement, find_improvement,
+                                    is_local_improvement, solve)
 from setpack23.oracle import solve_exact
 from conftest import (brute_force_improvement_exists, chain_instance,
                       instance_from_sets, random_packing)
@@ -245,6 +247,39 @@ def test_candidate_linkage_matches_double_loop():
         a_mask = g.mask(a)
         cands = [v for v in range(g.n) if not (a_mask >> v) & 1]
         assert _candidate_linkage(g, cands) == reference_linkage(g, a_mask)
+
+
+def test_claw_shares_pay_for_every_independent_candidate_set():
+    # 6 g(c) = 6 (w(c) - sum of w(a)/(w(a)+1) over c's solution neighbors a);
+    # over every independent candidate set F the shares cover
+    # w(F) - w(N(F, A)), with equality when F meets each of its solution
+    # neighbors in every element, as three 2-sets meeting one 3-set do
+    rng = random.Random(6061)
+    claws = 0
+    for trial in range(100):
+        inst = generate_random(rng.randrange(6, 12), rng.randrange(6, 16), rng.random(),
+                               seed=6100 + trial)
+        g = build_conflict_graph(inst)
+        a_mask = g.mask(random_packing(g, rng))
+        cands = [v for v in range(g.n) if not (a_mask >> v) & 1]
+        shares = dict(zip(cands, _claw_shares(g, a_mask, cands)))
+        for v in cands:
+            charges = sum(Fraction(g.weights[a], g.weights[a] + 1)
+                          for a in g.unmask(g.adj_mask(v) & a_mask))
+            assert shares[v] == 6 * (g.weights[v] - charges)
+        for size in range(1, 5):
+            for f in combinations(cands, size):
+                f_mask = g.mask(f)
+                if not g.independent_mask(f_mask):
+                    continue
+                n_mask = g.neighborhood_mask(f_mask, a_mask)
+                gain6 = 6 * (g.weight_mask(f_mask) - g.weight_mask(n_mask))
+                paid = sum(shares[v] for v in f)
+                assert gain6 <= paid
+                met = [sum(1 for v in f if g.adj_mask(v) >> a & 1) for a in g.unmask(n_mask)]
+                if gain6 == paid and 3 in met:
+                    claws += 1
+    assert claws >= 10, claws
 
 
 def test_runstats_wire_keys():
