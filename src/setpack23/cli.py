@@ -18,7 +18,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -168,7 +168,7 @@ def _cmd_solve(args) -> int:
     instance = _read_instance(args.instance, args.input_format)
     packing, stats = solve(instance, _params_from_args(args))
     print(json.dumps({"packing": sorted(packing.members),
-                      "stats": json.loads(stats.to_json())}))
+                      "stats": asdict(stats)}))
     return 0
 
 
@@ -181,7 +181,7 @@ def _cmd_solve_hereditary(args) -> int:
         return 2
     packing, stats = solve_hereditary(instance, seed=args.seed, tau=args.tau)
     print(json.dumps({"packing": sorted(packing.members),
-                      "stats": json.loads(stats.to_json())}))
+                      "stats": asdict(stats)}))
     return 0
 
 

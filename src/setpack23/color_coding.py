@@ -6,11 +6,11 @@ pairwise disjoint.  Colorful walks (loop-free walks whose per-edge W-color
 sets are pairwise disjoint) are tabulated once per start vertex by a dynamic
 program over reachable states; a state is the bitmask tuple (end vertex,
 colors, U-label mask, W-label mask, length) and stores one witness walk.
-Each table is grouped by end vertex once; a choice of one loop projects only
-the (start, end) lists its walk shape reads onto the loop's labels, a choice
-of two loops streams its one list, and a candidate binocular is stitched
-together from those loops plus up to three stored walks.  A walk whose colors
-meet a loop W-vertex it leaves uncovered is dropped before pairing, which is
+Each table is grouped by end vertex once; a choice of one or two loops
+projects only the (start, end) lists its walk shape reads onto the loops'
+labels, and a candidate binocular is stitched together from those loops plus
+up to three stored walks.  The projection drops a walk whose colors meet a
+loop W-vertex it leaves uncovered, read from per-row stop masks; this is
 exact: the other walks are color-disjoint from it, so they cannot cover that
 vertex, and it would fail the loop's color condition.  Everything found is
 re-checked against the improving-binocular predicate, so random colorings
@@ -26,12 +26,11 @@ standard substitute for a t-perfect hash family.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Callable, Iterable, Mapping
+from itertools import chain, combinations, repeat
+from typing import Iterable, Mapping
 
 from .conflict import ConflictGraph
 from .search_graph import LabeledBinocular, SearchEdge, SearchGraph, is_improving_binocular
@@ -98,14 +97,14 @@ def colorful_subgraph(sg: SearchGraph, f: Coloring, g: ConflictGraph) -> Colorfu
     return ColorfulSearchGraph(sg.vertices, tuple(kept), tuple(cols), vcol)
 
 
-def _mask_colors(mask: int, vertex_colors: Mapping[int, int], disjoint: bool = True) -> int:
-    """The union color mask of the vertices in ``mask``; with ``disjoint``,
-    -1 if two of them share a color."""
+def _mask_colors(mask: int, vertex_colors: Mapping[int, int]) -> int:
+    """The union color mask of the vertices in ``mask``, or -1 if two of
+    them share a color."""
     acc = 0
     while mask:
         low = mask & -mask
         c = vertex_colors[low.bit_length() - 1]
-        if disjoint and acc & c:
+        if acc & c:
             return -1
         acc |= c
         mask ^= low
@@ -166,20 +165,20 @@ def walk_states(csg: ColorfulSearchGraph, start: int,
 
 
 def project_walks(rows: list, ctx_u_mask: int, ctx_w_mask: int,
-                  colors_of: Callable[[int], int] | None = None) -> dict:
+                  stops: list[int] | None = None) -> dict:
     """Project one end vertex's walk rows onto a loop context.
 
     ``rows`` are (colors, U-mask, W-mask, length, witness) in table order.
     Returns (colors, X, Y, length) -> witness, with X and Y the masks
     restricted to the context; the first row of each projected key
-    represents it.  Given ``colors_of`` (vertex mask -> union color mask),
-    a walk whose colors meet a context W-vertex outside Y is dropped.
+    represents it.  ``stops`` holds one mask per row: the loop W-vertices
+    whose colors the row meets but whose W-label it leaves uncovered.  A
+    row whose stop mask meets the context is dropped.
     """
     out: dict = {}
-    for colors, uu, ww, length, witness in rows:
-        key = (colors, uu & ctx_u_mask, ww & ctx_w_mask, length)
-        if key not in out and not (colors_of and colors_of(ctx_w_mask & ~key[2]) & colors):
-            out[key] = witness
+    for (colors, uu, ww, length, witness), stop in zip(rows, stops or repeat(0)):
+        if not stop & ctx_w_mask:
+            out.setdefault((colors, uu & ctx_u_mask, ww & ctx_w_mask, length), witness)
     return out
 
 
@@ -196,29 +195,36 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
     (C, X, Y) must keep the surviving loop W-vertices color-disjoint from C
     and from each other and win the weight inequality by two per loop, with
     one loop plus a closed walk and a connector, or two loops plus a
-    connector.  Each choice reads only the (start, end) lists its shape needs
-    and drops walks whose colors meet a loop W-vertex they leave standing,
-    which is exact: a candidate's walks are pairwise color-disjoint, so no
-    other walk covers that vertex, and it would fail the color condition.
-    One-loop choices project their lists.  Two-loop choices stream their
-    u->v list against per-row masks of such loop W-vertices, built once per
-    list, and test the conditions once per projected (X, Y); the first row
-    that passes is the first row of the first projected key that passes, so
-    the hit is the one projecting would give.  Any hit is a binocular by
-    construction and is re-verified by the caller.  Stored walks are at most
-    ``walk_cap`` long; a nonempty closed walk has at least two edges, as
-    loops never enter the walk DP.
+    connector.  Each choice projects only the (start, end) lists its shape
+    needs and drops walks whose colors meet a loop W-vertex they leave
+    standing, read from per-row stop masks built once per list; this is
+    exact: a candidate's walks are pairwise color-disjoint, so no other walk
+    covers that vertex, and it would fail the color condition.  Any hit is
+    a binocular by construction and is re-verified by the caller.  Stored
+    walks are at most ``walk_cap`` long; a nonempty closed walk has at least
+    two edges, as loops never enter the walk DP.
     """
     ends: dict[int, dict[int, list]] = {}
     for u in csg.vertices:
         by_end = ends[u] = {}
         for (v, colors, uu, ww, length), witness in walk_states(csg, u, walk_cap).items():
             by_end.setdefault(v, []).append((colors, uu, ww, length, witness))
-    colors_of = functools.cache(
-        lambda mask: _mask_colors(mask, csg.vertex_colors, disjoint=False))
+    loops = [i for i, e in enumerate(csg.edges) if e.is_loop]
+    loop_w_colors = {1 << v: csg.vertex_colors[v] for i in loops for v in csg.edges[i].w_label}
+    stop_lists: dict[tuple[int, int], list[int]] = {}
+
+    def stops(u: int, v: int) -> list[int]:
+        """Per row of the u->v list, the loop W-vertices its colors meet but
+        its W-label leaves uncovered; computed on first use."""
+        out = stop_lists.get((u, v))
+        if out is None:
+            out = stop_lists[u, v] = [
+                sum(bit for bit, vcol in loop_w_colors.items() if vcol & colors and not bit & ww)
+                for colors, _, ww, _, _ in ends[u].get(v, [])]
+        return out
 
     def walks(u: int, v: int, ctx_u: int = 0, ctx_w: int = 0) -> dict:
-        return project_walks(ends[u].get(v, []), ctx_u, ctx_w, colors_of if ctx_w else None)
+        return project_walks(ends[u].get(v, []), ctx_u, ctx_w, stops(u, v) if ctx_w else None)
 
     def closed(v: int, ctx_u: int = 0, ctx_w: int = 0) -> list:
         return [(key, wit) for key, wit in walks(v, v, ctx_u, ctx_w).items() if key[3]]
@@ -251,27 +257,6 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                         if not c3 & (c1 | c2):
                             return assemble((), wit1 + wit2 + wit3)
 
-    loops = [i for i, e in enumerate(csg.edges) if e.is_loop]
-    loop_w = 0
-    for i in loops:
-        loop_w |= csg.edges[i].w_mask
-    loop_w_colors = [(1 << v, csg.vertex_colors[v]) for v in g.unmask(loop_w)]
-    blocked_lists: dict[tuple[int, int], list[int]] = {}
-
-    def blocked(u: int, v: int) -> list[int]:
-        """Per row of the u->v list, the loop W-vertices its colors meet but
-        its W-label leaves uncovered; computed on first use."""
-        out = blocked_lists.get((u, v))
-        if out is None:
-            out = blocked_lists[u, v] = []
-            for colors, _, ww, _, _ in ends[u].get(v, []):
-                stop = 0
-                for bit, vcol in loop_w_colors:
-                    if vcol & colors and not bit & ww:
-                        stop |= bit
-                out.append(stop)
-        return out
-
     for L in chain(combinations(loops, 1), combinations(loops, 2)):
         ctx_u = ctx_w = 0
         for i in L:
@@ -287,18 +272,11 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
 
         p = csg.edges[L[0]].endpoints[0]
         if len(L) == 2:
-            # Stream the one u->v list: an unblocked row's colors miss every
-            # standing loop W-vertex, so only (X, Y) decides the conditions.
+            # A kept walk's colors miss every standing loop W-vertex, so
+            # only (X, Y) decides the conditions.
             q = csg.edges[L[1]].endpoints[0]
-            passes: dict[tuple[int, int], bool] = {}
-            for (_, uu, ww, _, wit), stop in zip(ends[p].get(q, []), blocked(p, q)):
-                if stop & ctx_w:
-                    continue
-                xy = (uu & ctx_u, ww & ctx_w)
-                ok = passes.get(xy)
-                if ok is None:
-                    ok = passes[xy] = conditions(0, *xy)
-                if ok:
+            for (_, x, y, _), wit in walks(p, q, ctx_u, ctx_w).items():
+                if conditions(0, x, y):
                     return assemble(L, wit)
             continue
         for v in csg.vertices:

@@ -101,30 +101,14 @@ def validate_packing(instance: Instance, packing: Packing) -> None:
         used |= elems
 
 
-class _Interner:
-    """Maps arbitrary hashable element tokens to dense ids, first appearance first."""
-
-    def __init__(self) -> None:
-        self.ids: dict[object, int] = {}
-
-    def intern(self, token: object) -> int:
-        if token not in self.ids:
-            self.ids[token] = len(self.ids)
-        return self.ids[token]
-
-    @property
-    def size(self) -> int:
-        return len(self.ids)
-
-
 def _build(raw_sets: Sequence[Sequence[object]]) -> Instance:
-    interner = _Interner()
+    ids: dict[object, int] = {}  # element token -> dense id, first appearance first
     sets = []
     for idx, tokens in enumerate(raw_sets):
         if len(tokens) != len(set(tokens)):
             raise FormatError(f"set {idx}: duplicate element within a set")
-        sets.append(PackSet(idx, tuple(interner.intern(t) for t in tokens)))
-    return Instance(tuple(sets), interner.size)
+        sets.append(PackSet(idx, tuple(ids.setdefault(t, len(ids)) for t in tokens)))
+    return Instance(tuple(sets), len(ids))
 
 
 def parse_instance(data: bytes | str, format: str = "text") -> Instance:

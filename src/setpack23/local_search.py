@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -109,13 +109,7 @@ class RunStats:
     wall_ms: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps({
-            "iterations": self.iterations,
-            "improvements_applied": self.improvements_applied,
-            "binoculars_applied": self.binoculars_applied,
-            "final_weight": self.final_weight,
-            "wall_ms": self.wall_ms,
-        })
+        return json.dumps(asdict(self))
 
 
 def _is_improvement_mask(g: ConflictGraph, a_mask: int, x_mask: int) -> bool:
@@ -256,7 +250,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         esum = [0] * k
         tight = False
 
-    w2m = g._w2_mask
+    w2m = g.w2_mask
     gain_rate = 2 if tight else 1
     hit = 0
     floor = cap = 0  # test sets of size floor..cap; a hit lowers cap

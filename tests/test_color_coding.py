@@ -279,10 +279,12 @@ class TestFindColorful:
         csg = ColorfulSearchGraph((0, 1), edges, (0b101, 0b010, 0b001), colors)
         g = ConflictGraph([2, 2] + [1] * 101 + [2], [] if covered else [(100, 102)])
         ctx_w = _mask((100, 103))
-        unions = {ctx_w: 0b101, _mask((103,)): 0b100}
         rows = walk_rows(csg, 0, 4)[0]
+        # Per row, the loop W-vertices its colors meet but its W-label misses.
+        stops = [sum(1 << v for v in (100, 103) if colors[v] & c and not ww >> v & 1)
+                 for c, _, ww, _, _ in rows]
         closed_walks = {k: w for k, w in project_walks(rows, 0, ctx_w).items() if k[3]}
-        kept = {k: w for k, w in project_walks(rows, 0, ctx_w, unions.__getitem__).items() if k[3]}
+        kept = {k: w for k, w in project_walks(rows, 0, ctx_w, stops).items() if k[3]}
         assert len(closed_walks) == 1 and kept == (closed_walks if covered else {})
         b = find_colorful_binocular(csg, g, walk_cap=4)
         naive = naive_improving_binocular(SearchGraph((0, 1), edges, tau=2), g, max_size=3)
