@@ -4,13 +4,14 @@ Vertices are set ids of an instance; two vertices are adjacent exactly when
 the underlying sets intersect.  Such a graph is 4-claw-free, and every
 induced 3-claw is centered at a weight-2 vertex: a set of size k cannot meet
 k+1 pairwise-disjoint sets in distinct elements.  Vertex sets are exposed as
-frozensets but handled internally as integer bitmasks.
+frozensets but handled internally as integer bitmasks.  The graph stores
+its adjacency only as one neighbor mask per vertex; the sorted neighbor
+tuples of ``adj`` are derived from the masks on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .instance import Instance
@@ -23,31 +24,60 @@ class ClawViolation:
     kind: str  # "3-claw at weight-1 vertex" or "4-claw"
 
 
+def bit_positions(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a non-negative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class ConflictGraph:
     """Immutable weighted graph over dense vertex ids ``0..n-1``."""
 
-    __slots__ = ("n", "weights", "adj", "members", "universe_size",
-                 "_adj_mask", "_w1_mask", "_w2_mask")
+    __slots__ = ("n", "weights", "members", "universe_size",
+                 "_adj_mask", "_adj", "_w1_mask", "_w2_mask")
 
     def __init__(self, weights: Iterable[int], edges: Iterable[tuple[int, int]],
                  members: tuple[frozenset[int], ...] | None = None,
                  universe_size: int = 0):
-        self.weights = tuple(weights)
-        self.n = len(self.weights)
-        if any(w not in (1, 2) for w in self.weights):
-            raise ValueError("vertex weights must be 1 or 2")
-        adj_sets: list[set[int]] = [set() for _ in range(self.n)]
+        weights = tuple(weights)
+        n = len(weights)
+        adj = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError("conflict graph is simple, no self-loops")
-            adj_sets[u].add(v)
-            adj_sets[v].add(u)
-        self.adj = tuple(tuple(sorted(s)) for s in adj_sets)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        self._init(weights, tuple(adj), members, universe_size)
+
+    def _init(self, weights: tuple[int, ...], adj_mask: tuple[int, ...],
+              members: tuple[frozenset[int], ...] | None, universe_size: int) -> None:
+        if any(w not in (1, 2) for w in weights):
+            raise ValueError("vertex weights must be 1 or 2")
+        self.weights = weights
+        self.n = len(weights)
         self.members = members
         self.universe_size = universe_size
-        self._adj_mask = tuple(sum(1 << v for v in nbrs) for nbrs in self.adj)
-        self._w1_mask = sum(1 << v for v, w in enumerate(self.weights) if w == 1)
-        self._w2_mask = sum(1 << v for v, w in enumerate(self.weights) if w == 2)
+        self._adj_mask = adj_mask
+        self._adj = None
+        w2 = 0
+        for v, w in enumerate(weights):
+            if w == 2:
+                w2 |= 1 << v
+        self._w2_mask = w2
+        self._w1_mask = ((1 << self.n) - 1) ^ w2
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuples, derived from the masks on first read."""
+        if self._adj is None:
+            self._adj = tuple(bit_positions(m) for m in self._adj_mask)
+        return self._adj
 
     # -- bitmask helpers -------------------------------------------------
 
@@ -55,12 +85,7 @@ class ConflictGraph:
         return sum(1 << v for v in set(vertices))
 
     def unmask(self, mask: int) -> frozenset[int]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return frozenset(out)
+        return frozenset(bit_positions(mask))
 
     def weight_mask(self, mask: int) -> int:
         return (mask & self._w1_mask).bit_count() + 2 * (mask & self._w2_mask).bit_count()
@@ -103,24 +128,29 @@ class ConflictGraph:
 
 
 def build_conflict_graph(instance: Instance) -> ConflictGraph:
-    """Build the conflict graph of an instance via a per-element inverted index."""
-    by_elem: dict[int, list[int]] = {}
+    """Build the conflict graph of an instance from one set-id mask per element.
+
+    Each element's mask holds the sets containing it; a set's neighbors are
+    the union of its elements' masks, less the set itself.
+    """
     ordered = sorted(instance.sets, key=lambda s: s.id)
     if [s.id for s in ordered] != list(range(len(ordered))):
         raise ValueError("conflict graph needs dense set ids 0..m-1")
+    by_elem = [0] * instance.universe_size
     for s in ordered:
+        bit = 1 << s.id
         for e in s.elements:
-            by_elem.setdefault(e, []).append(s.id)
-    edges = set()
-    for ids in by_elem.values():
-        for u, v in combinations(ids, 2):
-            edges.add((min(u, v), max(u, v)))
-    return ConflictGraph(
-        weights=[s.weight for s in ordered],
-        edges=sorted(edges),
-        members=tuple(s.key for s in ordered),
-        universe_size=instance.universe_size,
-    )
+            by_elem[e] |= bit
+    adj = []
+    for s in ordered:
+        m = 0
+        for e in s.elements:
+            m |= by_elem[e]
+        adj.append(m ^ (1 << s.id))
+    g = ConflictGraph.__new__(ConflictGraph)
+    g._init(tuple(s.weight for s in ordered), tuple(adj),
+            tuple(s.key for s in ordered), instance.universe_size)
+    return g
 
 
 def neighborhood(g: ConflictGraph, U: Iterable[int], W: Iterable[int]) -> frozenset[int]:

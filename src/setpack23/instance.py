@@ -60,9 +60,10 @@ class Instance:
             if s.id in seen_ids:
                 raise FormatError(f"duplicate set id {s.id}")
             seen_ids.add(s.id)
-            if s.key in seen_keys:
+            key = s.key
+            if key in seen_keys:
                 raise FormatError(f"duplicate set {sorted(s.elements)}")
-            seen_keys.add(s.key)
+            seen_keys.add(key)
             if any(e >= self.universe_size for e in s.elements):
                 raise FormatError(f"set {s.id}: element id beyond universe of size {self.universe_size}")
 

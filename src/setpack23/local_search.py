@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .conflict import ConflictGraph, build_conflict_graph
+from .conflict import ConflictGraph, bit_positions, build_conflict_graph
 from .instance import Instance, Packing
 
 # The grown enumerator deepens iteratively up to this size, then runs one
@@ -132,43 +132,24 @@ def is_local_improvement(g: ConflictGraph, A: Iterable[int], X: Iterable[int]) -
     return _is_improvement_mask(g, g.mask(A), g.mask(X))
 
 
-def _candidate_linkage(g: ConflictGraph, cands: list[int]) -> tuple[list[int], list[int]]:
-    """Candidate-index masks (cadj, link) for the candidates ``cands``.
+def _candidate_linkage(g: ConflictGraph, a_mask: int) -> tuple[list[int], list[int]]:
+    """Vertex-indexed masks (cadj, link) over the candidates outside ``a_mask``.
 
-    ``cands`` must be every vertex outside the solution, so each neighbor
-    of a candidate is a candidate or a solution vertex.  cadj[i] holds the
-    candidates conflicting with cands[i]; link[i] adds those sharing a
-    solution neighbor with it.  The cost is O(sum of degrees).
+    cadj[v] holds the candidates conflicting with candidate v; link[v] adds
+    those sharing a solution neighbor with it.  Solution vertices keep 0.
+    The cost is one mask union per candidate-solution edge.
     """
-    pos = [-1] * g.n
-    for i, v in enumerate(cands):
-        pos[v] = i
-    bucket = [0] * g.n  # solution vertex -> the candidates adjacent to it
-    cadj = []
-    sol_nbrs = []
-    for i, v in enumerate(cands):
-        bit = 1 << i
-        conflicts = 0
-        nbrs = []
-        for u in g.adj[v]:
-            j = pos[u]
-            if j < 0:
-                bucket[u] |= bit
-                nbrs.append(u)
-            else:
-                conflicts |= 1 << j
-        cadj.append(conflicts)
-        sol_nbrs.append(nbrs)
-    link = []
-    for i, nbrs in enumerate(sol_nbrs):
-        shared = 0
-        for u in nbrs:
-            shared |= bucket[u]
-        link.append((shared & ~(1 << i)) | cadj[i])
+    free = ((1 << g.n) - 1) & ~a_mask
+    cadj = [0] * g.n
+    link = [0] * g.n
+    for v in bit_positions(free):
+        nbrs = g.adj_mask(v)
+        cadj[v] = nbrs & free
+        link[v] = (nbrs | g.neighbors_mask(nbrs & a_mask)) & free & ~(1 << v)
     return cadj, link
 
 
-def _claw_shares(g: ConflictGraph, a_mask: int, cands: list[int]) -> list[int]:
+def _claw_shares(g: ConflictGraph, a_mask: int, cands: Iterable[int]) -> list[int]:
     """6 g(c) for each candidate c: 6 w(c), less 3 per weight-1 and 4 per
     weight-2 solution neighbor, the claw shares of the module docstring.
 
@@ -185,13 +166,18 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         method = "grown" if tau >= 5 else "naive"
     elif method not in ("grown", "naive"):
         raise ValueError(f"unknown improvement method {method!r}")
-    cands = [v for v in range(g.n) if not (a_mask >> v) & 1]
+    free = ((1 << g.n) - 1) & ~a_mask
+    cands = bit_positions(free)
     if not cands:
         return 0
-    k = len(cands)
-    vbit = [1 << v for v in cands]
-    anb = [g.adj_mask(v) & a_mask for v in cands]
-    w = [g.weights[v] for v in cands]
+    if method == "grown":
+        # A vertex untouched by the solution is an improvement on its own.
+        for v in cands:
+            if not g.adj_mask(v) & a_mask:
+                return 1 << v
+    # Indexed by vertex id; the grown enumerator's masks are vertex masks.
+    anb = [g.adj_mask(v) & a_mask for v in range(g.n)]
+    w = g.weights
 
     def visit(x_vmask: int, n_mask: int, wx: int) -> bool:
         wn = g.weight_mask(n_mask)
@@ -202,29 +188,27 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     if method == "naive":
         # Depth-first over index-sorted subsets: prefixes come first, so the
         # first hit is the lexicographically least improving tuple.
+        k = len(cands)
+
         def rec_naive(last: int, x_vmask: int, n_mask: int, wx: int, size: int) -> int:
-            for j in range(last + 1, k):
-                if g.adj_mask(cands[j]) & x_vmask:
+            for i in range(last + 1, k):
+                v = cands[i]
+                if g.adj_mask(v) & x_vmask:
                     continue  # never independent again along this branch
-                x2 = x_vmask | vbit[j]
-                n2 = n_mask | anb[j]
-                w2 = wx + w[j]
+                x2 = x_vmask | 1 << v
+                n2 = n_mask | anb[v]
+                w2 = wx + w[v]
                 if visit(x2, n2, w2):
                     return x2
                 if size + 1 < tau and w2 - g.weight_mask(n2) + 2 * (tau - size - 1) >= 0:
-                    hit = rec_naive(j, x2, n2, w2, size + 1)
+                    hit = rec_naive(i, x2, n2, w2, size + 1)
                     if hit:
                         return hit
             return 0
         return rec_naive(-1, 0, 0, 0, 0)
 
-    # A vertex untouched by the solution is an improvement on its own.
-    for i in range(k):
-        if anb[i] == 0:
-            return vbit[i]
-
     # Candidates are linked when they conflict or share a solution neighbor.
-    cadj, link = _candidate_linkage(g, cands)
+    cadj, link = _candidate_linkage(g, a_mask)
 
     # In genuine conflict graphs every element of a solution set hosts at
     # most one member of an independent candidate set, so the neighborhood
@@ -239,15 +223,14 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     claw_slots = g.members is not None
     if claw_slots:
         covered = set()
-        m = a_mask
-        while m:
-            low = m & -m
-            covered |= g.members[low.bit_length() - 1]
-            m ^= low
-        esum = [len(g.members[v] & covered) for v in cands]
-        tight = all(esum[i] >= w[i] for i in range(k))
+        for v in bit_positions(a_mask):
+            covered |= g.members[v]
+        esum = [0] * g.n
+        for v in cands:
+            esum[v] = len(g.members[v] & covered)
+        tight = all(esum[v] >= w[v] for v in cands)
     else:
-        esum = [0] * k
+        esum = [0] * g.n
         tight = False
 
     w2m = g.w2_mask
@@ -271,9 +254,9 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         while ext:
             low = ext & -ext
             ext ^= low
-            i = low.bit_length() - 1
-            m = anb[i] & n_mask
-            g6 = base_share[i] + 3 * m.bit_count() + (m & w2m).bit_count()
+            v = low.bit_length() - 1
+            m = anb[v] & n_mask
+            g6 = base_share[v] + 3 * m.bit_count() + (m & w2m).bit_count()
             if g6 > 0:
                 near.append(g6)
         near.sort()
@@ -324,7 +307,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             wn = n_size + n_heavy
             # X holds w2 - size weight-2 vertices, N holds n_heavy.
             if size >= floor and (w2 > wn or (w2 == wn and w2 - size > n_heavy)):
-                hit = x_vmask | vbit[j]
+                hit = x_vmask | low
                 # Below floor no improvement exists, so a hit of size floor
                 # is the least and ends the search.
                 cap = size - 1 if size > floor else 0
@@ -349,7 +332,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             if (share_bound and depth_left >= 2 and wn > w2 and slack <= _SHARE_GATE
                     and share_cut(ext2, gt_root & ~closed2, n2, depth_left, 6 * (wn - w2))):
                 continue
-            rec_grown(x_vmask | vbit[j], n2, w2, slots2, size, ext2, closed2, gt_root)
+            rec_grown(x_vmask | low, n2, w2, slots2, size, ext2, closed2, gt_root)
 
     # Root r enters as the only extension of the empty set and grows only
     # through candidates after it, so every connected set is tried from its
@@ -362,17 +345,18 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     for floor in range(1, min(tau, _ID_DEPTH + 1) + 1):
         cap = floor if floor <= _ID_DEPTH else tau
         if floor > _ID_DEPTH and claw_slots:
-            base_share = _claw_shares(g, a_mask, cands)
+            base_share = [0] * g.n
             by_value: dict[int, int] = {}
-            for i, g6 in enumerate(base_share):
+            for v, g6 in zip(cands, _claw_shares(g, a_mask, cands)):
+                base_share[v] = g6
                 if g6 > 0:
-                    by_value[g6] = by_value.get(g6, 0) | 1 << i
+                    by_value[g6] = by_value.get(g6, 0) | 1 << v
             share_classes = sorted(by_value.items(), reverse=True)
             share_bound = True
-        for r in range(k):
+        for r in cands:
             if cap < floor:
                 break
-            rec_grown(0, 0, 0, 0, 0, 1 << r, 0, ~((1 << (r + 1)) - 1))
+            rec_grown(0, 0, 0, 0, 0, 1 << r, 0, free & ~((2 << r) - 1))
         if hit:
             return hit
     return 0

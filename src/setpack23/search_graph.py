@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .conflict import ConflictGraph
+from .conflict import ConflictGraph, bit_positions
 
 
 @dataclass(frozen=True, order=True)
@@ -86,7 +86,7 @@ class LabeledBinocular:
         return m
 
 
-def _independent_subsets(g: ConflictGraph, pool: list[int], max_size: int):
+def _independent_subsets(g: ConflictGraph, pool: Sequence[int], max_size: int):
     """Yield non-empty independent subsets of pool as (tuple, mask), lex order."""
     def rec(start: int, chosen: tuple[int, ...], mask: int):
         for i in range(start, len(pool)):
@@ -112,7 +112,7 @@ def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> Sear
     a_mask = g.mask(A)
     if not g.independent_mask(a_mask):
         raise ValueError("solution must be independent")
-    outside = [v for v in range(g.n) if not (a_mask >> v) & 1]
+    outside = bit_positions(((1 << g.n) - 1) & ~a_mask)
     edges: set[SearchEdge] = set()
     for w_tuple, w_mask in _independent_subsets(g, outside, tau):
         ww = g.weight_mask(w_mask)
@@ -120,18 +120,18 @@ def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> Sear
         # U = N(W, A) minus a removed set R of weight-2 vertices; the
         # balance w(U) + 2 = w(W) forces |R| = (w(M) - w(W) + 2) / 2.
         need2, rem = divmod(g.weight_mask(m_mask) - ww + 2, 2)
-        if rem or need2 not in (1, 2):
+        if rem or need2 not in (1, 2) or m_mask.bit_count() - need2 > tau:
             continue
-        m2 = sorted(g.unmask(m_mask & g.w2_mask))
-        for r_combo in combinations(m2, need2):
-            r_mask = g.mask(r_combo)
-            u_mask = m_mask & ~r_mask
-            if u_mask.bit_count() > tau:
-                continue
-            edges.add(SearchEdge(tuple(r_combo), tuple(sorted(g.unmask(u_mask))), w_tuple))
+        for r_combo in combinations(bit_positions(m_mask & g.w2_mask), need2):
+            u_mask = m_mask
+            for v in r_combo:
+                u_mask ^= 1 << v
+            edges.add(SearchEdge(r_combo, bit_positions(u_mask), w_tuple))
 
-    vertices = tuple(sorted(g.unmask(a_mask & g.w2_mask)))
-    return SearchGraph(vertices, tuple(sorted(edges)), tau)
+    vertices = bit_positions(a_mask & g.w2_mask)
+    # The key is the dataclass order, without the generated __lt__ calls.
+    order = sorted(edges, key=lambda e: (e.endpoints, e.u_label, e.w_label))
+    return SearchGraph(vertices, tuple(order), tau)
 
 
 def is_improving_binocular(b: LabeledBinocular, g: ConflictGraph) -> bool:

@@ -1,10 +1,16 @@
 import random
+import re
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from setpack23.cli import random_triples
 from setpack23.conflict import (ConflictGraph, build_conflict_graph, find_claw_violations,
                                 neighborhood)
-from setpack23.instance import generate_random, parse_instance
+from setpack23.hereditary import hereditary_closure
+from setpack23.instance import (Instance, PackSet, embed_3dm, generate_random,
+                                parse_instance)
 from conftest import chain_instance
 
 
@@ -27,6 +33,58 @@ def test_chain_is_a_path():
     g = build_conflict_graph(chain_instance())
     assert g.adj == ((1,), (0, 2), (1, 3), (2,))
     assert g.weights == (2, 1, 2, 1)
+
+
+def test_self_loop_is_rejected():
+    with pytest.raises(ValueError, match="no self-loops"):
+        ConflictGraph([1, 2], [(0, 1), (1, 1)])
+
+
+def test_weight_outside_one_and_two_is_rejected():
+    with pytest.raises(ValueError, match="weights must be 1 or 2"):
+        ConflictGraph([1, 3], [(0, 1)])
+
+
+def test_build_needs_dense_set_ids():
+    inst = Instance((PackSet(0, (0, 1)), PackSet(2, (1, 2))), 3)
+    with pytest.raises(ValueError, match="dense set ids"):
+        build_conflict_graph(inst)
+
+
+def test_out_of_range_endpoint_is_rejected():
+    # a mask fold would take -1 as the last vertex through list indexing
+    for edge in [(0, 3), (3, 0), (0, -1), (-1, 0), (-4, 5)]:
+        message = f"edge {edge} has an endpoint outside 0..2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConflictGraph([1, 2, 1], [(0, 1), edge])
+
+
+def _drawn_instance(kind: str, rng: random.Random, seed: int) -> Instance:
+    if kind == "random":
+        return generate_random(rng.randrange(6, 14), rng.randrange(1, 16), rng.random(), seed)
+    if kind == "hereditary":
+        base = generate_random(rng.randrange(6, 14), rng.randrange(1, 10), 1.0, seed)
+        return hereditary_closure(base).base
+    m = rng.randrange(1, 14)
+    part = max(2, m // 2)
+    return embed_3dm(random_triples(part, part, part, m, seed))
+
+
+@given(st.integers(0, 2 ** 31), st.sampled_from(["random", "hereditary", "threedm"]))
+@settings(max_examples=60, deadline=None)
+def test_masks_match_the_intersection_definition(seed, kind):
+    inst = _drawn_instance(kind, random.Random(seed), seed)
+    g = build_conflict_graph(inst)
+    elems = {s.id: set(s.elements) for s in inst.sets}
+    for u in range(g.n):
+        for v in range(g.n):
+            assert bool(g.adj_mask(u) >> v & 1) == (u != v and bool(elems[u] & elems[v]))
+        assert g.adj[u] == tuple(v for v in range(g.n) if g.adj_mask(u) >> v & 1)
+    edges = [(u, v) for u, v in combinations(range(g.n), 2) if elems[u] & elems[v]]
+    hand = ConflictGraph(g.weights, edges, g.members, g.universe_size)
+    assert [hand.adj_mask(v) for v in range(g.n)] == [g.adj_mask(v) for v in range(g.n)]
+    assert (hand.adj, hand.w2_mask, hand.members) == (g.adj, g.w2_mask, g.members)
+    assert g.weight_mask((1 << g.n) - 1) == sum(s.weight for s in inst.sets)
 
 
 def test_neighborhood_identities():

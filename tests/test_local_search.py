@@ -214,20 +214,18 @@ def _solve_optimized(tmp_path, fault: str, text: str, args: list[str]):
 
 
 def reference_linkage(g: ConflictGraph, a_mask: int) -> tuple[list[int], list[int]]:
-    """Reference (cadj, link) by a double loop over every candidate pair."""
+    """Reference (cadj, link) by vertex id, by a double loop over every candidate pair."""
     cands = [v for v in range(g.n) if not (a_mask >> v) & 1]
-    k = len(cands)
-    anb = [g.adj_mask(v) & a_mask for v in cands]
-    cadj = [0] * k
-    link = [0] * k
-    for i in range(k):
-        adj_i = g.adj_mask(cands[i])
-        for j in range(k):
-            if adj_i & (1 << cands[j]):
-                cadj[i] |= 1 << j
-            elif j != i and anb[i] & anb[j]:
-                link[i] |= 1 << j
-        link[i] |= cadj[i]
+    anb = [g.adj_mask(v) & a_mask for v in range(g.n)]
+    cadj = [0] * g.n
+    link = [0] * g.n
+    for u in cands:
+        for v in cands:
+            if g.adj_mask(u) & (1 << v):
+                cadj[u] |= 1 << v
+            elif v != u and anb[u] & anb[v]:
+                link[u] |= 1 << v
+        link[u] |= cadj[u]
     return cadj, link
 
 
@@ -245,8 +243,7 @@ def test_candidate_linkage_matches_double_loop():
                    (g, solve(inst, params)[0].members)]
     for g, a in states:
         a_mask = g.mask(a)
-        cands = [v for v in range(g.n) if not (a_mask >> v) & 1]
-        assert _candidate_linkage(g, cands) == reference_linkage(g, a_mask)
+        assert _candidate_linkage(g, a_mask) == reference_linkage(g, a_mask)
 
 
 def test_claw_shares_pay_for_every_independent_candidate_set():

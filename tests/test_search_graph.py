@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from setpack23.cli import suite_instances
 from setpack23.conflict import ConflictGraph, build_conflict_graph
-from setpack23.local_search import is_local_improvement
+from setpack23.local_search import is_local_improvement, solve
 from setpack23.search_graph import (LabeledBinocular, SearchEdge,
                                     enumerate_search_edges, extract_improvement,
                                     is_improving_binocular)
@@ -64,6 +65,30 @@ class TestEnumerate:
             canonical = enumerate_search_edges(g, a, tau=2)
             full = full_search_edges(g, a, tau=2)
             assert set(canonical.edges) <= set(full.edges)
+
+
+def test_search_edges_keep_dataclass_order():
+    # the explicit sort key must agree with the generated dataclass order,
+    # and every label must come out strictly ascending
+    rng = random.Random(1212)
+    states = []
+    for _, inst, params in suite_instances("threedm-small", 12, 3):
+        g = build_conflict_graph(inst)
+        states += [(g, random_packing(g, rng), 3), (g, solve(inst, params)[0].members, 4)]
+    for seed in range(12):
+        g = build_conflict_graph(generate_random(rng.randrange(7, 12), rng.randrange(6, 14),
+                                                 rng.random(), seed + 300))
+        states.append((g, random_packing(g, rng), rng.randrange(1, 4)))
+    edges = 0
+    for g, a, tau in states:
+        sg = enumerate_search_edges(g, a, tau)
+        assert sg.edges == tuple(sorted(sg.edges))
+        assert list(sg.vertices) == sorted(set(sg.vertices))
+        for e in sg.edges:
+            for label in (e.endpoints, e.u_label, e.w_label):
+                assert all(x < y for x, y in zip(label, label[1:])), e
+        edges += len(sg.edges)
+    assert edges >= 100, edges
 
 
 def _hand_graph(weights, edges):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from setpack23.conflict import build_conflict_graph
 from setpack23.search_graph import enumerate_search_edges
-from conftest import instance_from_sets
+from conftest import chain_instance, instance_from_sets
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -36,3 +36,11 @@ def test_enumerate_counts_run_on_a_real_search_graph():
     g = build_conflict_graph(instance_from_sets([(1, 2, 3), (4, 5, 6), (3, 4, 9), (1, 7, 8)]))
     sg = enumerate_search_edges(g, {0, 1}, tau=1)
     assert count(sg, (g, {0, 1}, 1)) == {"vertices": 2, "edges": 2, "loops": 1}
+
+
+def test_conflict_build_count_runs_on_a_real_graph():
+    _, targets = load_targets()
+    (count,) = [c for _, _, name, c in targets if name == "conflict.build"]
+    # The chain is a path of four sets; the count reads the derived ``adj``.
+    inst = chain_instance()
+    assert count(build_conflict_graph(inst), (inst,)) == {"edges": 3}
