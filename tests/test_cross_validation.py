@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 
+from setpack23 import local_search
 from setpack23.cli import suite_instances
 from setpack23.color_coding import search_improving_binocular
 from setpack23.conflict import build_conflict_graph
@@ -186,13 +187,15 @@ def three_local(g, a: frozenset[int]) -> frozenset[int]:
     return a
 
 
-def test_grown_matches_naive_where_claw_shares_cut():
+def test_grown_matches_naive_where_claw_shares_cut(monkeypatch):
     # tau 5-7, where the capped DFS cuts by claw shares.  States: seeded
     # hereditary closures of 20-40 sets with the empty packing, a random
     # one, the 3-local optimum the solver reaches from the empty one and the
     # packing solve_hereditary returns; and a general draw whose 3-local
     # optimum hides a least improvement of size 4 that is cut when a
     # weight-2 solution neighbor costs 5 sixths instead of its share of 4.
+    # A spy on the clique cover checks that it merges cliques on these
+    # states, so the comparison covers the bound it tightens.
     rng = random.Random(1010)
     states = []
     while len(states) < 4 * 12:
@@ -209,6 +212,15 @@ def test_grown_matches_naive_where_claw_shares_cut():
     a = three_local(g, frozenset({0, 3, 4, 10, 11, 21}))
     assert a == {1, 4, 9, 24, 29}
     states.append((g, a))
+    clique_leaders = local_search._clique_leaders
+    merges = []
+
+    def spy(members):
+        leaders = clique_leaders(members)
+        merges.append(len(leaders) < len(members))
+        return leaders
+
+    monkeypatch.setattr(local_search, "_clique_leaders", spy)
     sizes = []
     for g, a in states:
         for tau in (5, 6, 7):
@@ -221,3 +233,4 @@ def test_grown_matches_naive_where_claw_shares_cut():
                 path = apply_improvement(g, path, imp)
             assert find_improvement(g, path, tau, method="naive") is None
     assert sum(size > _ID_DEPTH for size in sizes) >= 3
+    assert sum(merges) >= 100, sum(merges)

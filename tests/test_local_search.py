@@ -17,7 +17,7 @@ from setpack23.conflict import ConflictGraph, build_conflict_graph
 from setpack23.hereditary import hereditary_closure
 from setpack23.instance import generate_random, parse_instance, serialize_instance
 from setpack23.local_search import (SearchParams, _candidate_linkage, _claw_shares,
-                                    apply_improvement, find_improvement,
+                                    _clique_leaders, apply_improvement, find_improvement,
                                     is_local_improvement, solve)
 from setpack23.oracle import solve_exact
 from conftest import (brute_force_improvement_exists, chain_instance,
@@ -76,6 +76,13 @@ class TestFindImprovement:
         imp = find_improvement(g, {0}, tau=3, method="grown")
         assert imp == find_improvement(g, {0}, tau=3, method="naive")
         assert imp.x == {1} and imp.removed == frozenset()
+
+    @pytest.mark.parametrize("method", ["auto", "naive", "grown"])
+    @pytest.mark.parametrize("tau", [0, -1])
+    def test_nonpositive_tau_is_rejected(self, method, tau):
+        g = build_conflict_graph(chain_instance())
+        with pytest.raises(ValueError, match=f"tau must be positive, got {tau}"):
+            find_improvement(g, frozenset(), tau, method=method)
 
     def test_unknown_method_is_rejected_without_candidates(self):
         # A covers every vertex, so no candidate is left to enumerate
@@ -277,6 +284,37 @@ def test_claw_shares_pay_for_every_independent_candidate_set():
                 if gain6 == paid and 3 in met:
                     claws += 1
     assert claws >= 10, claws
+
+
+def test_clique_leaders_bound_every_independent_subset():
+    # an independent subset holds at most one member of each clique of the
+    # cover, so for every k the k largest leader values are at least the
+    # weight of any independent subset of at most k members
+    rng = random.Random(7331)
+    merged = 0
+    for trial in range(1500):
+        k = rng.randrange(11)
+        density = rng.random()
+        values = [rng.randrange(1, 40) for _ in range(k)]
+        conf = [0] * k
+        for i, j in combinations(range(k), 2):
+            if rng.random() < density:
+                conf[i] |= 1 << j
+                conf[j] |= 1 << i
+        leaders = _clique_leaders([(values[i], 1 << i, conf[i]) for i in range(k)])
+        top = sorted(leaders, reverse=True)
+        merged += len(leaders) < k
+        best = [0] * (k + 1)  # best independent weight of at most s members
+        for f in range(1 << k):
+            members = [i for i in range(k) if f >> i & 1]
+            if all(not conf[i] & f for i in members):
+                size = len(members)
+                best[size] = max(best[size], sum(values[i] for i in members))
+        for size in range(1, k + 1):
+            best[size] = max(best[size], best[size - 1])
+            assert sum(top[:size]) >= best[size]
+        assert leaders == top[::-1]  # smallest first, as share_cut pops them
+    assert merged >= 500, merged
 
 
 def test_runstats_wire_keys():
