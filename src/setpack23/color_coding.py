@@ -3,13 +3,13 @@
 Universe elements receive random colors; a search-graph edge survives into
 the colorful subgraph when the color sets of its W-label vertices are
 pairwise disjoint.  Colorful walks (loop-free walks whose per-edge W-color
-sets are pairwise disjoint) are tabulated once per start vertex by a dynamic
-program over reachable states; a state is the bitmask tuple (end vertex,
-colors, U-label mask, W-label mask, length) and stores one witness walk.
-Each table is grouped by end vertex once; a choice of one or two loops
-projects only the (start, end) lists its walk shape reads onto the loops'
-labels, and a candidate binocular is stitched together from those loops plus
-up to three stored walks.  The projection drops a walk whose colors meet a
+sets are pairwise disjoint) are tabulated from every start vertex by one
+dynamic program over reachable states, grouped by end vertex; a state is the
+bitmask tuple (end vertex, colors, U-label mask, W-label mask, length) and
+stores one witness walk.  A choice of one or two loops projects only the
+(start, end) lists its walk shape reads onto the loops' labels, and a
+candidate binocular is stitched together from those loops plus up to three
+stored walks.  The projection drops a walk whose colors meet a
 loop W-vertex it leaves uncovered, read from per-row stop masks; this is
 exact: the other walks are color-disjoint from it, so they cannot cover that
 vertex, and it would fail the loop's color condition.  Everything found is
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from typing import Iterable, Mapping
 
-from .conflict import ConflictGraph
+from .conflict import ConflictGraph, bit_positions
 from .search_graph import LabeledBinocular, SearchEdge, SearchGraph, is_improving_binocular
 
 
@@ -113,25 +113,25 @@ def _mask_colors(mask: int, vertex_colors: Mapping[int, int]) -> int:
 
 # -- walk dynamic program ---------------------------------------------------
 
-# The most states one walk table may hold before the search gives up.
+# The most states one start vertex's walk table may hold before giving up.
 WALK_STATE_BUDGET = 500_000
 
 
 class WalkBudgetExceeded(RuntimeError):
-    """The reachable state space outgrew ``WALK_STATE_BUDGET``."""
+    """A start vertex's reachable state space outgrew ``WALK_STATE_BUDGET``."""
 
 
-def walk_states(csg: ColorfulSearchGraph, start: int,
-                max_len: int) -> dict[tuple[int, int, int, int, int], tuple[int, ...]]:
-    """Every reachable colorful-walk state from ``start``, one witness walk each.
+def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, list]]:
+    """Every reachable colorful-walk state from each start vertex, one witness
+    walk each, as start -> end -> [(colors, U-mask, W-mask, length, witness)].
 
-    Keys are (end vertex, color mask, U-mask, W-mask, length), where the
-    masks carry bit v for every vertex v in the U- and W-labels of the walk's
-    edges; witnesses are tuples of edge indices.  The base state is the empty
-    walk; a transition appends a non-loop edge whose W-color set is disjoint
-    from the colors accumulated so far.  Merging on the full label unions is
-    lossless: states with equal keys admit exactly the same extensions and
-    the same projections onto any context, so one witness per key suffices.
+    The masks carry bit v for every vertex v in the U- and W-labels of the
+    walk's edges; witnesses are tuples of edge indices; rows come in table
+    order.  The base state is the empty walk; a transition appends a non-loop
+    edge whose W-color set is disjoint from the colors accumulated so far.
+    Merging on the full label unions is lossless: states with equal keys admit
+    exactly the same extensions and the same projections onto any context, so
+    one witness per key suffices.  The budget bounds each start's table.
     """
     incident: dict[int, list[tuple[int, int, int, int, int]]] = {v: [] for v in csg.vertices}
     for i, e in enumerate(csg.edges):
@@ -142,26 +142,30 @@ def walk_states(csg: ColorfulSearchGraph, start: int,
         incident[a].append((b,) + step)
         incident[b].append((a,) + step)
 
-    states: dict[tuple[int, int, int, int, int], tuple[int, ...]] = {(start, 0, 0, 0, 0): ()}
-    frontier = [((start, 0, 0, 0, 0), ())]
-    for length in range(1, max_len + 1):
-        nxt = []
-        for (v, colors, uu, ww, _), witness in frontier:
-            for other, col, u_m, w_m, ei in incident[v]:
-                if col & colors:
-                    continue
-                key = (other, colors | col, uu | u_m, ww | w_m, length)
-                if key in states:
-                    continue
-                wit = witness + (ei,)
-                states[key] = wit
-                nxt.append((key, wit))
-                if len(states) > WALK_STATE_BUDGET:
-                    raise WalkBudgetExceeded(f"walk table beyond {WALK_STATE_BUDGET} states")
-        frontier = nxt
-        if not frontier:
-            break
-    return states
+    tables: dict[int, dict[int, list]] = {}
+    for start in csg.vertices:
+        states = {(start, 0, 0, 0, 0)}
+        by_end = tables[start] = {start: [(0, 0, 0, 0, ())]}
+        frontier = [((start, 0, 0, 0, 0), ())]
+        for length in range(1, max_len + 1):
+            nxt = []
+            for (v, colors, uu, ww, _), witness in frontier:
+                for other, col, u_m, w_m, ei in incident[v]:
+                    if col & colors:
+                        continue
+                    key = (other, colors | col, uu | u_m, ww | w_m, length)
+                    if key in states:
+                        continue
+                    states.add(key)
+                    wit = witness + (ei,)
+                    by_end.setdefault(other, []).append(key[1:] + (wit,))
+                    nxt.append((key, wit))
+                    if len(states) > WALK_STATE_BUDGET:
+                        raise WalkBudgetExceeded(f"walk table beyond {WALK_STATE_BUDGET} states")
+            frontier = nxt
+            if not frontier:
+                break
+    return tables
 
 
 def project_walks(rows: list, ctx_u_mask: int, ctx_w_mask: int,
@@ -188,8 +192,8 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                             walk_cap: int) -> LabeledBinocular | None:
     """Assemble a colorful binocular from at most two loops and stored walks.
 
-    Each start vertex's walk table is computed and grouped by end vertex
-    once.  Loop-free shapes come first: two closed walks plus a (possibly
+    One ``walk_states`` call tabulates every start vertex, grouped by end
+    vertex.  Loop-free shapes come first: two closed walks plus a (possibly
     empty) connector, or three paths between two vertices.  A choice L of one
     or two loops fixes the context to the union of their labels; a candidate
     (C, X, Y) must keep the surviving loop W-vertices color-disjoint from C
@@ -204,13 +208,10 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
     walks are at most ``walk_cap`` long; a nonempty closed walk has at least
     two edges, as loops never enter the walk DP.
     """
-    ends: dict[int, dict[int, list]] = {}
-    for u in csg.vertices:
-        by_end = ends[u] = {}
-        for (v, colors, uu, ww, length), witness in walk_states(csg, u, walk_cap).items():
-            by_end.setdefault(v, []).append((colors, uu, ww, length, witness))
+    ends = walk_states(csg, walk_cap)
     loops = [i for i, e in enumerate(csg.edges) if e.is_loop]
-    loop_w_colors = {1 << v: csg.vertex_colors[v] for i in loops for v in csg.edges[i].w_label}
+    loop_w_colors = {1 << v: csg.vertex_colors[v]
+                     for i in loops for v in bit_positions(csg.edges[i].w_mask)}
     stop_lists: dict[tuple[int, int], list[int]] = {}
 
     def stops(u: int, v: int) -> list[int]:

@@ -138,7 +138,8 @@ def parse_instance(data: bytes | str, format: str = "text") -> Instance:
         if not isinstance(doc, dict) or "sets" not in doc or not isinstance(doc["sets"], list):
             raise FormatError('JSON instance must be an object with a "sets" list')
         for s in doc["sets"]:
-            if not isinstance(s, list) or not all(isinstance(t, (str, int)) for t in s):
+            # bool is an int subclass, so true would alias the token 1
+            if not isinstance(s, list) or not all(type(t) in (str, int) for t in s):
                 raise FormatError("each set must be a list of string or integer tokens")
         return _build(doc["sets"])
     raise FormatError(f"unknown format {format!r}")

@@ -210,12 +210,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     # Indexed by vertex id; the grown enumerator's masks are vertex masks.
     anb = [g.adj_mask(v) & a_mask for v in range(g.n)]
     w = g.weights
-
-    def visit(x_vmask: int, n_mask: int, wx: int) -> bool:
-        wn = g.weight_mask(n_mask)
-        if wx > wn:
-            return True
-        return wx == wn and g.w2_count_mask(x_vmask) > g.w2_count_mask(n_mask)
+    w2m = g.w2_mask
 
     if method == "naive":
         # Depth-first over index-sorted subsets: prefixes come first, so the
@@ -223,6 +218,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         k = len(cands)
 
         def rec_naive(last: int, x_vmask: int, n_mask: int, wx: int, size: int) -> int:
+            size += 1  # the size of every child
             for i in range(last + 1, k):
                 v = cands[i]
                 if g.adj_mask(v) & x_vmask:
@@ -230,10 +226,13 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
                 x2 = x_vmask | 1 << v
                 n2 = n_mask | anb[v]
                 w2 = wx + w[v]
-                if visit(x2, n2, w2):
+                n_heavy = (n2 & w2m).bit_count()
+                wn = n2.bit_count() + n_heavy
+                # X holds w2 - size weight-2 vertices, N holds n_heavy.
+                if w2 > wn or (w2 == wn and w2 - size > n_heavy):
                     return x2
-                if size + 1 < tau and w2 - g.weight_mask(n2) + 2 * (tau - size - 1) >= 0:
-                    hit = rec_naive(i, x2, n2, w2, size + 1)
+                if size < tau and w2 - wn + 2 * (tau - size) >= 0:
+                    hit = rec_naive(i, x2, n2, w2, size)
                     if hit:
                         return hit
             return 0
@@ -265,7 +264,6 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         esum = [0] * g.n
         tight = False
 
-    w2m = g.w2_mask
     gain_rate = 2 if tight else 1
     hit = 0
     floor = cap = 0  # test sets of size floor..cap; a hit lowers cap

@@ -84,7 +84,10 @@ def analysis_tuple(weights: Mapping[int, int], edges: Iterable[tuple[int, int]],
 
 
 def validate_tuple(t: AnalysisTuple) -> None:
-    """Reject tuples that are not nice or whose A/B sets are not independent."""
+    """Reject weights other than 1 and 2, non-nice graphs and dependent A/B sets."""
+    for v, w in t.weights.items():
+        if type(w) is not int or w not in (1, 2):
+            raise ValueError(f"vertex {v}: weight must be 1 or 2, got {w!r}")
     verts = set(t.weights)
     if not (t.a <= verts and t.b <= verts):
         raise ValueError("A and B must be subsets of the vertex set")
@@ -344,9 +347,9 @@ def load_tuple(data: str | bytes) -> AnalysisTuple:
     try:
         raw_w = doc["weights"]
         if isinstance(raw_w, list):
-            weights = {i: int(w) for i, w in enumerate(raw_w)}
+            weights = dict(enumerate(raw_w))
         else:
-            weights = {int(k): int(v) for k, v in raw_w.items()}
+            weights = {int(k): v for k, v in raw_w.items()}
         edges = [(int(u), int(v)) for u, v in doc.get("edges", [])]
         return analysis_tuple(weights, edges, [int(x) for x in doc["A"]],
                               [int(x) for x in doc["B"]])

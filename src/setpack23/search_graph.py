@@ -4,43 +4,28 @@ A pair (U, W) with U inside the solution A and W an independent set outside
 A induces a labeled edge when w(U) + 2 = w(W), both parts have at most tau
 vertices, and the residual neighborhood N(W, A \\ U) consists of one or two
 weight-2 solution vertices.  Those residual vertices are the edge's
-endpoints (one endpoint makes a loop).  A sub-multigraph with more edges
-than vertices is a binocular; an improving binocular satisfies three label
-conditions that force its combined W-sets to be a local improvement.
+endpoints (one endpoint makes a loop); the labels are vertex bitmasks, and
+edges sort by endpoints, then by each label's ascending vertex tuple.  A
+sub-multigraph with more edges than vertices is a binocular; an improving
+binocular satisfies three label conditions that force its combined W-sets
+to be a local improvement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .conflict import ConflictGraph, bit_positions
 
 
-@dataclass(frozen=True, order=True)
-class SearchEdge:
-    """A labeled edge: sorted endpoint tuple plus the inducing (U, W) labels.
-
-    ``u_mask`` and ``w_mask`` carry bit v for every vertex v of the U- and
-    W-label.  They are computed once at construction and take no part in
-    order, equality or hashing, which stay keyed on the tuples.
-    """
+class SearchEdge(NamedTuple):
+    """A labeled edge: sorted endpoints plus the U- and W-label vertex bitmasks."""
 
     endpoints: tuple[int, ...]
-    u_label: tuple[int, ...]
-    w_label: tuple[int, ...]
-    u_mask: int = field(init=False, repr=False, compare=False)
-    w_mask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        u = w = 0
-        for v in self.u_label:
-            u |= 1 << v
-        for v in self.w_label:
-            w |= 1 << v
-        object.__setattr__(self, "u_mask", u)
-        object.__setattr__(self, "w_mask", w)
+    u_mask: int
+    w_mask: int
 
     @property
     def is_loop(self) -> bool:
@@ -87,18 +72,17 @@ class LabeledBinocular:
 
 
 def _independent_subsets(g: ConflictGraph, pool: Sequence[int], max_size: int):
-    """Yield non-empty independent subsets of pool as (tuple, mask), lex order."""
-    def rec(start: int, chosen: tuple[int, ...], mask: int):
+    """Yield the masks of the non-empty independent subsets of pool, lex order."""
+    def rec(start: int, mask: int, size: int):
         for i in range(start, len(pool)):
             v = pool[i]
             if g.adj_mask(v) & mask:
                 continue
-            chosen2 = chosen + (v,)
             mask2 = mask | (1 << v)
-            yield chosen2, mask2
-            if len(chosen2) < max_size:
-                yield from rec(i + 1, chosen2, mask2)
-    yield from rec(0, (), 0)
+            yield mask2
+            if size < max_size:
+                yield from rec(i + 1, mask2, size + 1)
+    yield from rec(0, 0, 1)
 
 
 def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> SearchGraph:
@@ -114,7 +98,7 @@ def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> Sear
         raise ValueError("solution must be independent")
     outside = bit_positions(((1 << g.n) - 1) & ~a_mask)
     edges: set[SearchEdge] = set()
-    for w_tuple, w_mask in _independent_subsets(g, outside, tau):
+    for w_mask in _independent_subsets(g, outside, tau):
         ww = g.weight_mask(w_mask)
         m_mask = g.neighbors_mask(w_mask) & a_mask
         # U = N(W, A) minus a removed set R of weight-2 vertices; the
@@ -126,11 +110,12 @@ def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> Sear
             u_mask = m_mask
             for v in r_combo:
                 u_mask ^= 1 << v
-            edges.add(SearchEdge(r_combo, bit_positions(u_mask), w_tuple))
+            edges.add(SearchEdge(r_combo, u_mask, w_mask))
 
     vertices = bit_positions(a_mask & g.w2_mask)
-    # The key is the dataclass order, without the generated __lt__ calls.
-    order = sorted(edges, key=lambda e: (e.endpoints, e.u_label, e.w_label))
+    # Labels compare as ascending vertex tuples, not as masks.
+    order = sorted(edges, key=lambda e: (e.endpoints, bit_positions(e.u_mask),
+                                         bit_positions(e.w_mask)))
     return SearchGraph(vertices, tuple(order), tau)
 
 

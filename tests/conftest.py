@@ -9,7 +9,7 @@ from typing import Iterable
 import pytest
 
 from setpack23 import build_conflict_graph, is_local_improvement, parse_instance
-from setpack23.conflict import ConflictGraph
+from setpack23.conflict import ConflictGraph, bit_positions
 from setpack23.instance import Instance, PackSet, generate_random
 from setpack23.normalize import AnalysisTuple, analysis_tuple
 from setpack23.search_graph import SearchEdge, SearchGraph, _independent_subsets
@@ -55,6 +55,18 @@ def brute_force_improvement_exists(g: ConflictGraph, A: frozenset[int], tau: int
     return False
 
 
+def search_edge(endpoints: Iterable[int], u_label: Iterable[int],
+                w_label: Iterable[int]) -> SearchEdge:
+    """A search edge from its endpoint and label vertices."""
+    return SearchEdge(tuple(sorted(endpoints)), sum(1 << v for v in set(u_label)),
+                      sum(1 << v for v in set(w_label)))
+
+
+def label_key(e: SearchEdge) -> tuple:
+    """The search graph's edge order: endpoints, then each label's ascending vertices."""
+    return e.endpoints, bit_positions(e.u_mask), bit_positions(e.w_mask)
+
+
 def full_search_edges(g: ConflictGraph, A: frozenset[int], tau: int) -> SearchGraph:
     """Reference search graph: U ranges over every subset of A of size <= tau.
 
@@ -65,15 +77,15 @@ def full_search_edges(g: ConflictGraph, A: frozenset[int], tau: int) -> SearchGr
     a_mask = g.mask(A)
     outside = [v for v in range(g.n) if not (a_mask >> v) & 1]
     a_list = sorted(g.unmask(a_mask))
-    u_choices: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    u_choices = [0]
     for size in range(1, tau + 1):
         for combo in combinations(a_list, size):
-            u_choices.append((combo, g.mask(combo)))
+            u_choices.append(g.mask(combo))
     edges: set[SearchEdge] = set()
-    for w_tuple, w_mask in _independent_subsets(g, outside, tau):
+    for w_mask in _independent_subsets(g, outside, tau):
         ww = g.weight_mask(w_mask)
         m_mask = g.neighbors_mask(w_mask) & a_mask
-        for u_tuple, u_mask in u_choices:
+        for u_mask in u_choices:
             if g.weight_mask(u_mask) + 2 != ww:
                 continue
             e_mask = m_mask & ~u_mask
@@ -82,9 +94,9 @@ def full_search_edges(g: ConflictGraph, A: frozenset[int], tau: int) -> SearchGr
             cnt = e_mask.bit_count()
             if cnt < 1 or cnt > 2:
                 continue
-            edges.add(SearchEdge(tuple(sorted(g.unmask(e_mask))), u_tuple, w_tuple))
-    vertices = tuple(sorted(g.unmask(a_mask & g.w2_mask)))
-    return SearchGraph(vertices, tuple(sorted(edges)), tau)
+            edges.add(SearchEdge(bit_positions(e_mask), u_mask, w_mask))
+    vertices = bit_positions(a_mask & g.w2_mask)
+    return SearchGraph(vertices, tuple(sorted(edges, key=label_key)), tau)
 
 
 def validate_search_edge(g: ConflictGraph, A: Iterable[int], edge: SearchEdge, tau: int) -> bool:
@@ -100,7 +112,7 @@ def validate_search_edge(g: ConflictGraph, A: Iterable[int], edge: SearchEdge, t
     res_mask = g.neighbors_mask(w_mask) & (a_mask & ~u_mask)
     if res_mask & ~g.w2_mask or not 1 <= res_mask.bit_count() <= 2:
         return False
-    return tuple(sorted(g.unmask(res_mask))) == edge.endpoints
+    return bit_positions(res_mask) == edge.endpoints
 
 
 def random_packing(g: ConflictGraph, rng: random.Random) -> frozenset[int]:

@@ -25,9 +25,9 @@ from typing import Iterable, Sequence
 import pytest
 
 from setpack23.conflict import ConflictGraph, build_conflict_graph
-from setpack23.search_graph import (LabeledBinocular, SearchEdge, SearchGraph,
-                                    enumerate_search_edges, is_improving_binocular)
-from conftest import binocular_gadget
+from setpack23.search_graph import (LabeledBinocular, SearchGraph, enumerate_search_edges,
+                                    is_improving_binocular)
+from conftest import binocular_gadget, search_edge
 
 
 @dataclass(frozen=True)
@@ -536,8 +536,8 @@ class TestNaiveImproving:
     def test_overlapping_w_labels_block_every_candidate(self):
         g = build_conflict_graph_from_weights(
             [2, 2, 2, 2, 2], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
-        edges = (SearchEdge((0, 1), (), (2, 3)), SearchEdge((0, 1), (), (3,)),
-                 SearchEdge((0, 1), (), (3, 4)))
+        edges = (search_edge((0, 1), (), (2, 3)), search_edge((0, 1), (), (3,)),
+                 search_edge((0, 1), (), (3, 4)))
         sg = SearchGraph((0, 1), edges, tau=2)
         assert naive_improving_binocular(sg, g, max_size=4) is None
 

@@ -192,6 +192,23 @@ def test_malformed_tuple_exits_two(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("weights", [[3, 1], [0, 1], [1.7, 1], {"0": 2, "1": 1.5}])
+def test_normalize_rejects_weights_other_than_one_and_two(tmp_path, capsys, weights):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"weights": weights, "edges": [[0, 1]], "A": [0], "B": [1]}))
+    code, out, err = run_cli(capsys, "normalize", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "weight must be 1 or 2" in err
+
+
+def test_solve_rejects_bool_json_tokens(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text('{"sets": [[true, 2], [1, 3]]}')
+    code, out, err = run_cli(capsys, "solve", str(path), "--tau", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "tokens" in err
+
+
 def test_walk_budget_overrun_exits_four(tmp_path, capsys, monkeypatch):
     # a walk table beyond the state budget is a reported outcome, not a traceback
     import setpack23.color_coding as cc

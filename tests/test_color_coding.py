@@ -7,11 +7,11 @@ from setpack23.color_coding import (Coloring, ColorfulSearchGraph, colorful_subg
                                     default_color_count, find_colorful_binocular,
                                     make_colorings, project_walks,
                                     search_improving_binocular, walk_states)
-from setpack23.conflict import build_conflict_graph
+from setpack23.conflict import bit_positions, build_conflict_graph
 from setpack23.local_search import SearchParams, is_local_improvement
-from setpack23.search_graph import (SearchEdge, enumerate_search_edges,
-                                    extract_improvement, is_improving_binocular)
-from conftest import binocular_gadget
+from setpack23.search_graph import (enumerate_search_edges, extract_improvement,
+                                    is_improving_binocular)
+from conftest import binocular_gadget, search_edge
 from test_binoculars import naive_improving_binocular
 
 
@@ -66,7 +66,7 @@ def random_csg(rng: random.Random, max_vertices: int = 8, max_edges: int = 14,
         if not ok:
             continue  # mimic the colorful filter
         u_label = tuple(sorted(rng.sample(u_pool, rng.randrange(0, 3))))
-        edges.append(SearchEdge(ends, u_label, w_label))
+        edges.append(search_edge(ends, u_label, w_label))
         colors.append(acc)
     return ColorfulSearchGraph(tuple(range(k)), tuple(edges), tuple(colors), vertex_colors)
 
@@ -88,8 +88,8 @@ def brute_force_walk_keys(csg: ColorfulSearchGraph, start: int,
                 continue
             other = e.endpoints[0] if v == e.endpoints[1] else e.endpoints[1]
             rec(other, colors | col,
-                x | (frozenset(e.u_label) & ctx_u),
-                y | (frozenset(e.w_label) & ctx_w), length + 1)
+                x | (_unmask(e.u_mask) & ctx_u),
+                y | (_unmask(e.w_mask) & ctx_w), length + 1)
 
     rec(start, 0, frozenset(), frozenset(), 0)
     return keys
@@ -103,21 +103,13 @@ def _unmask(mask: int) -> frozenset:
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def walk_rows(csg: ColorfulSearchGraph, start: int, max_len: int) -> dict:
-    """The DP's states grouped by end vertex in table order, as the assembly reads them."""
-    by_end: dict = {}
-    for (v, colors, uu, ww, length), witness in walk_states(csg, start, max_len).items():
-        by_end.setdefault(v, []).append((colors, uu, ww, length, witness))
-    return by_end
-
-
 def walk_table(csg: ColorfulSearchGraph, start: int, ctx_u, ctx_w, max_len: int) -> dict:
     """The DP's states projected onto the context, keyed (end, colors, X, Y, length).
 
     X and Y come back as frozensets so keys compare with the references below.
     """
     return {(v, colors, _unmask(x), _unmask(y), length): witness
-            for v, rows in walk_rows(csg, start, max_len).items()
+            for v, rows in walk_states(csg, max_len)[start].items()
             for (colors, x, y, length), witness in
             project_walks(rows, _mask(ctx_u), _mask(ctx_w)).items()}
 
@@ -139,8 +131,8 @@ def replay_walk(csg: ColorfulSearchGraph, start: int, witness, ctx_u, ctx_w):
         if col & colors:
             raise ValueError("witness is not colorful")
         colors |= col
-        x |= frozenset(e.u_label) & ctx_u
-        y |= frozenset(e.w_label) & ctx_w
+        x |= _unmask(e.u_mask) & ctx_u
+        y |= _unmask(e.w_mask) & ctx_w
         v = e.endpoints[0] if v == e.endpoints[1] else e.endpoints[1]
         length += 1
     return v, colors, x, y, length
@@ -189,11 +181,11 @@ class TestColorfulSubgraph:
         from setpack23.instance import parse_instance
         g = build_conflict_graph(parse_instance(self.inst_sets))
         sg = enumerate_search_edges(g, self.solution, tau=2)
-        assert any(len(e.w_label) == 2 for e in sg.edges)
+        assert any(e.w_mask.bit_count() == 2 for e in sg.edges)
         f = Coloring(1, tuple(0 for _ in range(g.universe_size)))
         csg = colorful_subgraph(sg, f, g)
         # single-W edges are vacuously colorful and always survive
-        assert set(csg.edges) == {e for e in sg.edges if len(e.w_label) == 1}
+        assert set(csg.edges) == {e for e in sg.edges if e.w_mask.bit_count() == 1}
 
 
 class TestWalkTable:
@@ -204,13 +196,13 @@ class TestWalkTable:
         assert not any(k[4] == 0 and k[0] != 0 for k in table)
 
     def test_single_edge_step(self):
-        e = SearchEdge((0, 1), (200,), (100,))
+        e = search_edge((0, 1), (200,), (100,))
         csg = ColorfulSearchGraph((0, 1), (e,), (0b11,), {100: 0b11})
         table = walk_table(csg, 0, (200,), (100,), max_len=2)
         assert (1, 0b11, frozenset({200}), frozenset({100}), 1) in table
 
     def test_identical_parallel_colors_block_closing(self):
-        edges = (SearchEdge((0, 1), (), (100,)), SearchEdge((0, 1), (), (101,)))
+        edges = (search_edge((0, 1), (), (100,)), search_edge((0, 1), (), (101,)))
         csg = ColorfulSearchGraph((0, 1), edges, (0b1, 0b1), {100: 0b1, 101: 0b1})
         table = walk_table(csg, 0, (), (), max_len=4)
         assert not any(k[0] == 0 and k[4] == 2 for k in table)
@@ -234,11 +226,28 @@ class TestWalkTable:
             for key, witness in table.items():
                 assert replay_walk(csg, start, witness, ctx_u, ctx_w) == key
 
+    def test_budget_counts_per_start_vertex(self, monkeypatch):
+        # A 4-cycle of distinct colors: each start reaches the same number of
+        # states, so a budget of one table's size holds every table, although
+        # together they hold four times as many states.
+        import setpack23.color_coding as cc
+        edges = tuple(search_edge((a, b), (), (100 + a,))
+                      for a, b in ((0, 1), (1, 2), (2, 3), (0, 3)))
+        csg = ColorfulSearchGraph((0, 1, 2, 3), edges, (1, 2, 4, 8),
+                                  {100 + a: 1 << a for a in range(4)})
+        sizes = [sum(map(len, by_end.values())) for by_end in walk_states(csg, 4).values()]
+        assert len(set(sizes)) == 1 and sizes[0] > 1
+        monkeypatch.setattr(cc, "WALK_STATE_BUDGET", sizes[0])
+        assert sum(map(len, walk_states(csg, 4)[0].values())) == sizes[0]
+        monkeypatch.setattr(cc, "WALK_STATE_BUDGET", sizes[0] - 1)
+        with pytest.raises(cc.WalkBudgetExceeded):
+            walk_states(csg, 4)
+
 
 class TestFindColorful:
     def test_no_binocular_means_none(self):
         # a single non-loop edge cannot close anything
-        e = SearchEdge((0, 1), (), (100,))
+        e = search_edge((0, 1), (), (100,))
         csg = ColorfulSearchGraph((0, 1), (e,), (0b1,), {100: 0b1})
         from setpack23.conflict import ConflictGraph
         g = ConflictGraph([2, 2], [])
@@ -273,13 +282,13 @@ class TestFindColorful:
         from setpack23.conflict import ConflictGraph
         from setpack23.search_graph import SearchGraph
         second = 100 if covered else 102
-        edges = (SearchEdge((0,), (), (100, 103)), SearchEdge((0, 1), (), (101,)),
-                 SearchEdge((0, 1), (), (second,)))
+        edges = (search_edge((0,), (), (100, 103)), search_edge((0, 1), (), (101,)),
+                 search_edge((0, 1), (), (second,)))
         colors = {100: 0b001, 101: 0b010, 102: 0b001, 103: 0b100}
         csg = ColorfulSearchGraph((0, 1), edges, (0b101, 0b010, 0b001), colors)
         g = ConflictGraph([2, 2] + [1] * 101 + [2], [] if covered else [(100, 102)])
         ctx_w = _mask((100, 103))
-        rows = walk_rows(csg, 0, 4)[0]
+        rows = walk_states(csg, 4)[0][0]
         # Per row, the loop W-vertices its colors meet but its W-label misses.
         stops = [sum(1 << v for v in (100, 103) if colors[v] & c and not ww >> v & 1)
                  for c, _, ww, _, _ in rows]
@@ -307,7 +316,7 @@ class TestFindColorful:
             b = find_colorful_binocular(csg, g, walk_cap=1 + i % 5)
             hits += b is not None
             found = None if b is None else tuple(
-                (e.endpoints, e.u_label, e.w_label) for e in b.edges)
+                (e.endpoints, bit_positions(e.u_mask), bit_positions(e.w_mask)) for e in b.edges)
             digest.update(repr(found).encode())
         assert hits == 172
         assert digest.hexdigest() == (

@@ -11,9 +11,10 @@ from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import generate_random
 from setpack23.local_search import (_ID_DEPTH, SearchParams, apply_improvement,
                                     find_improvement, is_local_improvement)
-from setpack23.search_graph import (LabeledBinocular, SearchEdge, enumerate_search_edges,
+from setpack23.search_graph import (LabeledBinocular, enumerate_search_edges,
                                     extract_improvement, is_improving_binocular)
-from conftest import full_search_edges, instance_from_sets, random_packing, validate_search_edge
+from conftest import (full_search_edges, instance_from_sets, random_packing, search_edge,
+                      validate_search_edge)
 from test_binoculars import naive_improving_binocular
 
 
@@ -69,7 +70,7 @@ def test_full_mode_reaches_pairs_canonical_cannot():
     a = frozenset({0, 1, 2})
     canonical = enumerate_search_edges(g, a, tau=2)
     full = full_search_edges(g, a, tau=2)
-    extra = SearchEdge((0, 1), (2,), (3, 4))
+    extra = search_edge((0, 1), (2,), (3, 4))
     assert extra not in canonical.edges
     assert extra in full.edges
     assert validate_search_edge(g, a, extra, tau=2)

@@ -45,6 +45,13 @@ def test_parse_rejects_malformed_json():
         parse_instance(json.dumps({"no_sets": []}), format="json")
 
 
+def test_parse_json_rejects_bool_tokens():
+    # true would otherwise alias the integer token 1
+    for doc in ('{"sets": [[true, 2], [1, 3]]}', '{"sets": [[false, 2, 3]]}'):
+        with pytest.raises(FormatError, match="string or integer tokens"):
+            parse_instance(doc, format="json")
+
+
 @given(st.integers(0, 2 ** 31), st.integers(5, 12), st.integers(1, 10),
        st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)

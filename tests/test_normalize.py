@@ -24,6 +24,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="independent"):
             validate_tuple(t)
 
+    @pytest.mark.parametrize("weight", [3, 0, -1, 1.7, 2.0, True, "2"])
+    def test_rejects_weights_other_than_one_and_two(self, weight):
+        t = path_tuple([weight, 1], [(0, 1)], {0}, {1})
+        with pytest.raises(ValueError, match="weight must be 1 or 2"):
+            validate_tuple(t)
+        with pytest.raises(ValueError, match="weight must be 1 or 2"):
+            normalize(t)
+
+    def test_load_tuple_keeps_fractional_weights(self):
+        t = load_tuple(json.dumps({"weights": [1.7, 1], "edges": [[0, 1]], "A": [0], "B": [1]}))
+        assert t.weights == {0: 1.7, 1: 1}
+        with pytest.raises(ValueError, match="weight must be 1 or 2"):
+            validate_tuple(t)
+
 
 class TestDeletable:
     def test_vertex_outside_both_sides(self):

@@ -9,8 +9,8 @@ from setpack23.search_graph import (LabeledBinocular, SearchEdge,
                                     enumerate_search_edges, extract_improvement,
                                     is_improving_binocular)
 from setpack23.instance import generate_random
-from conftest import (binocular_gadget, full_search_edges, instance_from_sets, random_packing,
-                      validate_search_edge)
+from conftest import (binocular_gadget, full_search_edges, instance_from_sets, label_key,
+                      random_packing, search_edge, validate_search_edge)
 from test_binoculars import naive_improving_binocular
 
 
@@ -24,20 +24,24 @@ class TestEnumerate:
         g = build_conflict_graph(two_anchor_instance((3, 4, 9)))
         sg = enumerate_search_edges(g, {0, 1}, tau=1)
         assert sg.vertices == (0, 1)
-        assert SearchEdge((0, 1), (), (2,)) in sg.edges
+        assert search_edge((0, 1), (), (2,)) in sg.edges
 
     def test_outside_set_meeting_one_anchor_is_a_loop(self):
         g = build_conflict_graph(two_anchor_instance((3, 9, 10)))
         sg = enumerate_search_edges(g, {0, 1}, tau=1)
-        assert SearchEdge((0,), (), (2,)) in sg.edges
+        assert search_edge((0,), (), (2,)) in sg.edges
 
-    def test_label_masks_stay_out_of_comparison(self):
-        e = SearchEdge((0, 1), (3,), (2, 5))
-        assert (e.u_mask, e.w_mask) == (0b1000, 0b100100)
-        twin = SearchEdge((0, 1), (3,), (2, 5))
+    def test_edges_compare_on_endpoints_and_masks(self):
+        e = SearchEdge((0, 1), 0b1000, 0b100100)
+        assert e == search_edge((0, 1), (3,), (2, 5))
+        twin = SearchEdge((0, 1), 0b1000, 0b100100)
         assert e == twin and hash(e) == hash(twin)
-        assert repr(e) == "SearchEdge(endpoints=(0, 1), u_label=(3,), w_label=(2, 5))"
-        assert sorted([e, SearchEdge((0, 1), (), (6,))]) == [SearchEdge((0, 1), (), (6,)), e]
+        assert e == ((0, 1), 0b1000, 0b100100) and hash(e) == hash(((0, 1), 0b1000, 0b100100))
+        for other in (SearchEdge((0,), 0b1000, 0b100100), SearchEdge((0, 1), 0, 0b100100),
+                      SearchEdge((0, 1), 0b1000, 0b100)):
+            assert e != other
+        assert len({e, twin, SearchEdge((0, 1), 0b1000, 0b100)}) == 2
+        assert not e.is_loop and SearchEdge((0,), 0, 0b100).is_loop
 
     def test_weight_balance_rules_out_small_w(self):
         # a lone 2-set cannot satisfy w(U) + 2 = w(W) with U inside N(W, A)
@@ -67,9 +71,9 @@ class TestEnumerate:
             assert set(canonical.edges) <= set(full.edges)
 
 
-def test_search_edges_keep_dataclass_order():
-    # the explicit sort key must agree with the generated dataclass order,
-    # and every label must come out strictly ascending
+def test_search_edges_keep_label_order():
+    # edges are sorted by endpoints, then by each label's ascending vertex
+    # tuple; on these states that order differs from the masks' own order
     rng = random.Random(1212)
     states = []
     for _, inst, params in suite_instances("threedm-small", 12, 3):
@@ -79,16 +83,18 @@ def test_search_edges_keep_dataclass_order():
         g = build_conflict_graph(generate_random(rng.randrange(7, 12), rng.randrange(6, 14),
                                                  rng.random(), seed + 300))
         states.append((g, random_packing(g, rng), rng.randrange(1, 4)))
-    edges = 0
+    edges = mask_order_differs = 0
     for g, a, tau in states:
         sg = enumerate_search_edges(g, a, tau)
-        assert sg.edges == tuple(sorted(sg.edges))
+        assert sg.edges == tuple(sorted(sg.edges, key=label_key))
+        assert len(set(sg.edges)) == len(sg.edges)
         assert list(sg.vertices) == sorted(set(sg.vertices))
         for e in sg.edges:
-            for label in (e.endpoints, e.u_label, e.w_label):
-                assert all(x < y for x, y in zip(label, label[1:])), e
+            assert all(x < y for x, y in zip(e.endpoints, e.endpoints[1:])), e
         edges += len(sg.edges)
+        mask_order_differs += sg.edges != tuple(sorted(sg.edges))
     assert edges >= 100, edges
+    assert mask_order_differs >= 1
 
 
 def _hand_graph(weights, edges):
@@ -99,32 +105,32 @@ class TestImprovingPredicate:
     def test_disjoint_independent_e2_only_is_improving(self):
         # vertices 0,1 solution anchors; 2,3,4 outside, pairwise non-adjacent
         g = _hand_graph([2, 2, 2, 2, 2], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
-        edges = tuple(SearchEdge((0, 1), (), (w,)) for w in (2, 3, 4))
+        edges = tuple(search_edge((0, 1), (), (w,)) for w in (2, 3, 4))
         b = LabeledBinocular(edges)
         assert is_improving_binocular(b, g)
 
     def test_dependent_w_union_fails(self):
         g = _hand_graph([2, 2, 2, 2], [(0, 1), (0, 2), (0, 3), (2, 3)])
-        loops = (SearchEdge((0,), (), (1, 2)), SearchEdge((0,), (), (1, 3)))
+        loops = (search_edge((0,), (), (1, 2)), search_edge((0,), (), (1, 3)))
         b = LabeledBinocular(loops)
         # 2 and 3 are adjacent, so the union of W-labels is dependent
         assert not is_improving_binocular(b, g)
 
     def test_overlapping_e2_w_labels_fail(self):
         g = _hand_graph([2, 2, 2, 2, 2], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
-        edges = (SearchEdge((0, 1), (), (2, 3)), SearchEdge((0, 1), (), (3,)),
-                 SearchEdge((0, 1), (), (4,)))
+        edges = (search_edge((0, 1), (), (2, 3)), search_edge((0, 1), (), (3,)),
+                 search_edge((0, 1), (), (4,)))
         assert not is_improving_binocular(LabeledBinocular(edges), g)
 
     def test_loop_weight_clause(self):
         # one loop whose W-label does not outweigh its U-label by two
         g = _hand_graph([2, 1, 2, 2], [(0, 1), (0, 2), (0, 3)])
-        loops = (SearchEdge((0,), (2,), (1,)), SearchEdge((0,), (3,), (1,)))
+        loops = (search_edge((0,), (2,), (1,)), search_edge((0,), (3,), (1,)))
         assert not is_improving_binocular(LabeledBinocular(loops), g)
 
     def test_binocular_inequality_enforced_at_construction(self):
         with pytest.raises(ValueError):
-            LabeledBinocular((SearchEdge((0, 1), (), (2,)),))
+            LabeledBinocular((search_edge((0, 1), (), (2,)),))
 
 
 class TestExtract:
@@ -144,13 +150,13 @@ class TestExtract:
                                    (0, 3, 6), (1, 4, 7), (2, 5, 8)])
         g = build_conflict_graph(inst)
         a = frozenset({0, 1})
-        edges = tuple(SearchEdge((0, 1), (), (w,)) for w in (2, 3, 4))
+        edges = tuple(search_edge((0, 1), (), (w,)) for w in (2, 3, 4))
         b = LabeledBinocular(edges)
         x = extract_improvement(b, g, a)
         assert g.weight_of(x) >= g.weight_mask(b.u_mask) + 2
 
     def test_extract_rejects_non_improving(self):
         g = _hand_graph([2, 2, 2, 2], [(0, 1), (0, 2), (0, 3), (2, 3)])
-        loops = (SearchEdge((0,), (), (1, 2)), SearchEdge((0,), (), (1, 3)))
+        loops = (search_edge((0,), (), (1, 2)), search_edge((0,), (), (1, 3)))
         with pytest.raises(ValueError):
             extract_improvement(LabeledBinocular(loops), g, {0})
