@@ -6,7 +6,10 @@ pairwise disjoint.  Colorful walks (loop-free walks whose per-edge W-color
 sets are pairwise disjoint) are tabulated from every start vertex by one
 dynamic program over reachable states, grouped by end vertex; a state is the
 bitmask tuple (end vertex, colors, U-label mask, W-label mask, length) and
-stores one witness walk.  A choice of one or two loops projects only the
+stores one witness walk.  The DP indexes edges by color: per color bit, a
+clash mask of the edges holding it, so a state expands only along the
+incident edges outside the clash masks of its colors, never touching one
+that its colors would reject.  A choice of one or two loops projects only the
 (start, end) lists its walk shape reads onto the loops' labels, and a
 candidate binocular is stitched together from those loops plus up to three
 stored walks.  The projection drops a walk whose colors meet a
@@ -132,16 +135,34 @@ def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, l
     Merging on the full label unions is lossless: states with equal keys admit
     exactly the same extensions and the same projections onto any context, so
     one witness per key suffices.  The budget bounds each start's table.
+
+    Non-loop edges get bit positions in index order.  ``incident[v]`` holds
+    the positions of v's edges and ``clash[c]`` those of the edges whose
+    colors hold bit c.  A state's ``blocked`` mask, the union of the clash
+    masks of its colors, is built once per color mask from its parent's.
+    A state expands exactly along ``incident[v] & ~blocked``, in ascending
+    position: the order of an incident-list scan that skips every edge
+    meeting its colors, so the rows, their order and the state at which the
+    budget trips are the scan's.
     """
-    incident: dict[int, list[tuple[int, int, int, int, int]]] = {v: [] for v in csg.vertices}
+    steps: list[tuple[int, int, int, int, int, tuple[int, ...]]] = []
+    incident = dict.fromkeys(csg.vertices, 0)
+    clash = [0] * max(csg.edge_colors, default=0).bit_length()
     for i, e in enumerate(csg.edges):
         if e.is_loop:
             continue
         a, b = e.endpoints
-        step = (csg.edge_colors[i], e.u_mask, e.w_mask, i)
-        incident[a].append((b,) + step)
-        incident[b].append((a,) + step)
+        bit = 1 << len(steps)
+        incident[a] |= bit
+        incident[b] |= bit
+        col = csg.edge_colors[i]
+        col_bits = bit_positions(col)
+        for c in col_bits:
+            clash[c] |= bit
+        # a ^ b ^ v is the endpoint other than v
+        steps.append((a ^ b, col, e.u_mask, e.w_mask, i, col_bits))
 
+    blocked_of = {0: 0}
     tables: dict[int, dict[int, list]] = {}
     for start in csg.vertices:
         states = {(start, 0, 0, 0, 0)}
@@ -150,15 +171,23 @@ def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, l
         for length in range(1, max_len + 1):
             nxt = []
             for (v, colors, uu, ww, _), witness in frontier:
-                for other, col, u_m, w_m, ei in incident[v]:
-                    if col & colors:
-                        continue
-                    key = (other, colors | col, uu | u_m, ww | w_m, length)
+                blocked = blocked_of[colors]
+                free = incident[v] & ~blocked
+                while free:
+                    low = free & -free
+                    free ^= low
+                    ab, col, u_m, w_m, ei, col_bits = steps[low.bit_length() - 1]
+                    key = (ab ^ v, colors | col, uu | u_m, ww | w_m, length)
                     if key in states:
                         continue
                     states.add(key)
+                    if key[1] not in blocked_of:
+                        grown = blocked
+                        for c in col_bits:
+                            grown |= clash[c]
+                        blocked_of[key[1]] = grown
                     wit = witness + (ei,)
-                    by_end.setdefault(other, []).append(key[1:] + (wit,))
+                    by_end.setdefault(key[0], []).append(key[1:] + (wit,))
                     nxt.append((key, wit))
                     if len(states) > WALK_STATE_BUDGET:
                         raise WalkBudgetExceeded(f"walk table beyond {WALK_STATE_BUDGET} states")

@@ -350,11 +350,19 @@ def load_tuple(data: str | bytes) -> AnalysisTuple:
             weights = dict(enumerate(raw_w))
         else:
             weights = {int(k): v for k, v in raw_w.items()}
-        edges = [(int(u), int(v)) for u, v in doc.get("edges", [])]
-        return analysis_tuple(weights, edges, [int(x) for x in doc["A"]],
-                              [int(x) for x in doc["B"]])
+        edges = [(_vertex_id(u), _vertex_id(v)) for u, v in doc.get("edges", [])]
+        return analysis_tuple(weights, edges, [_vertex_id(x) for x in doc["A"]],
+                              [_vertex_id(x) for x in doc["B"]])
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed tuple file: {type(exc).__name__}: {exc}") from None
+
+
+def _vertex_id(x) -> int:
+    """A vertex id from ``edges``, ``A`` or ``B``: a JSON integer, never a
+    float or a boolean that ``int()`` would truncate or alias."""
+    if type(x) is not int:
+        raise ValueError(f"vertex ids must be integers, got {json.dumps(x)}")
+    return x
 
 
 def dump_normalized(n: NormalizedInstance) -> str:

@@ -192,6 +192,19 @@ def test_malformed_tuple_exits_two(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc, bad", [
+    ('{"weights":[1,1],"edges":[[0,1.9]],"A":[0.2],"B":[true]}', "1.9"),
+    ('{"weights":[1,1],"edges":[[0,1]],"A":[0.2],"B":[]}', "0.2"),
+    ('{"weights":[1,1],"edges":[[0,1]],"A":[],"B":[true]}', "true")])
+def test_normalize_rejects_float_and_bool_vertex_ids(tmp_path, capsys, doc, bad):
+    # int() would read the first document as edge [0, 1], A = [0] and B = [1]
+    path = tmp_path / "t.json"
+    path.write_text(doc)
+    code, out, err = run_cli(capsys, "normalize", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: vertex ids must be integers, got {bad}\n"
+
+
 @pytest.mark.parametrize("weights", [[3, 1], [0, 1], [1.7, 1], {"0": 2, "1": 1.5}])
 def test_normalize_rejects_weights_other_than_one_and_two(tmp_path, capsys, weights):
     path = tmp_path / "t.json"

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -138,6 +139,46 @@ def replay_walk(csg: ColorfulSearchGraph, start: int, witness, ctx_u, ctx_w):
     return v, colors, x, y, length
 
 
+def reference_walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict:
+    """The walk DP as an incident-list scan: each state tries every non-loop
+    edge at its end vertex, in edge order, and skips the edges whose colors
+    meet its own.  ``walk_states`` must return the same tables, row for row,
+    and exceed the budget at the same state."""
+    import setpack23.color_coding as cc
+    incident = {v: [] for v in csg.vertices}
+    for i, e in enumerate(csg.edges):
+        if e.is_loop:
+            continue
+        a, b = e.endpoints
+        step = (csg.edge_colors[i], e.u_mask, e.w_mask, i)
+        incident[a].append((b,) + step)
+        incident[b].append((a,) + step)
+    tables = {}
+    for start in csg.vertices:
+        states = {(start, 0, 0, 0, 0)}
+        by_end = tables[start] = {start: [(0, 0, 0, 0, ())]}
+        frontier = [((start, 0, 0, 0, 0), ())]
+        for length in range(1, max_len + 1):
+            nxt = []
+            for (v, colors, uu, ww, _), witness in frontier:
+                for other, col, u_m, w_m, ei in incident[v]:
+                    if col & colors:
+                        continue
+                    key = (other, colors | col, uu | u_m, ww | w_m, length)
+                    if key in states:
+                        continue
+                    states.add(key)
+                    wit = witness + (ei,)
+                    by_end.setdefault(other, []).append(key[1:] + (wit,))
+                    nxt.append((key, wit))
+                    if len(states) > cc.WALK_STATE_BUDGET:
+                        raise cc.WalkBudgetExceeded("reference walk table over budget")
+            frontier = nxt
+            if not frontier:
+                break
+    return tables
+
+
 class TestColorings:
     def test_deterministic(self):
         assert make_colorings(8, 5, 3, seed=42) == make_colorings(8, 5, 3, seed=42)
@@ -242,6 +283,65 @@ class TestWalkTable:
         monkeypatch.setattr(cc, "WALK_STATE_BUDGET", sizes[0] - 1)
         with pytest.raises(cc.WalkBudgetExceeded):
             walk_states(csg, 4)
+
+
+class TestClashIndexedWalkStates:
+    """``walk_states`` against the incident-list scan it replaces."""
+
+    @staticmethod
+    def graphs():
+        """Seeded colorful graphs: synthetic ones with random vertex colors,
+        and search graphs of random instances under the injective coloring
+        and under random colorings with few colors, so that edges share
+        colors and most edges hold several color bits."""
+        from setpack23.instance import generate_random
+        from conftest import random_packing
+        rng = random.Random(31_337)
+        for _ in range(60):
+            yield random_csg(rng, max_vertices=6, max_edges=24), rng.randrange(1, 6)
+        for trial in range(40):
+            inst = generate_random(rng.randrange(10, 17), rng.randrange(10, 21),
+                                   rng.choice((0.4, 0.7, 1.0)), seed=5_000 + trial)
+            g = build_conflict_graph(inst)
+            sg = enumerate_search_edges(g, random_packing(g, rng), rng.choice((2, 3)))
+            if not sg.edges:
+                continue
+            colorings = make_colorings(g.universe_size, g.universe_size, 1, 0, injective=True)
+            colorings += make_colorings(g.universe_size, rng.choice((3, 5, 8)), 2, trial)
+            for f in colorings:
+                yield colorful_subgraph(sg, f, g), rng.randrange(2, 6)
+
+    def test_tables_equal_the_scan(self):
+        shared = multi_bit = 0
+        for csg, max_len in self.graphs():
+            assert walk_states(csg, max_len) == reference_walk_states(csg, max_len)
+            cols = [c for c, e in zip(csg.edge_colors, csg.edges) if not e.is_loop]
+            shared += any(a & b for a, b in combinations(cols, 2))
+            multi_bit += any(c.bit_count() > 1 for c in cols)
+        assert shared >= 60 and multi_bit >= 80
+
+    def test_budget_trips_at_the_same_state(self, monkeypatch):
+        import setpack23.color_coding as cc
+
+        def outcome(dp, csg, max_len):
+            try:
+                return dp(csg, max_len)
+            except cc.WalkBudgetExceeded:
+                return "over budget"
+
+        full, tripped = cc.WALK_STATE_BUDGET, 0
+        for n, (csg, max_len) in enumerate(self.graphs()):
+            if n % 4:
+                continue
+            monkeypatch.setattr(cc, "WALK_STATE_BUDGET", full)
+            sizes = [sum(map(len, by_end.values()))
+                     for by_end in reference_walk_states(csg, max_len).values()]
+            for budget in {max(sizes), max(sizes) - 1, sizes[0] // 2, 1}:
+                monkeypatch.setattr(cc, "WALK_STATE_BUDGET", budget)
+                expected = outcome(reference_walk_states, csg, max_len)
+                assert outcome(walk_states, csg, max_len) == expected
+                tripped += expected == "over budget"
+        assert tripped >= 20
 
 
 class TestFindColorful:
