@@ -66,16 +66,6 @@ def rows_to_json(rows: list[AuditRow]) -> str:
     return json.dumps([r.to_dict() for r in ordered], indent=2)
 
 
-def rows_from_json(text: str) -> list[AuditRow]:
-    out = []
-    for d in json.loads(text):
-        out.append(AuditRow(d["instance"], d["alg_weight"], d["opt_weight"],
-                            Fraction(d["ratio_num"], d["ratio_den"]),
-                            d["iterations"], d["binoculars"], d["wall_ms"],
-                            d.get("guarantee_bound")))
-    return out
-
-
 def rows_to_csv(rows: list[AuditRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -202,16 +202,18 @@ def project_walks(rows: list, ctx_u_mask: int, ctx_w_mask: int,
     """Project one end vertex's walk rows onto a loop context.
 
     ``rows`` are (colors, U-mask, W-mask, length, witness) in table order.
-    Returns (colors, X, Y, length) -> witness, with X and Y the masks
-    restricted to the context; the first row of each projected key
-    represents it.  ``stops`` holds one mask per row: the loop W-vertices
-    whose colors the row meets but whose W-label it leaves uncovered.  A
-    row whose stop mask meets the context is dropped.
+    Returns (colors, X, Y) -> witness, with X and Y the masks restricted to
+    the context; the first row of each projected key represents it.  The
+    assembly reads only colors, X and Y, and a first hit never needs a later
+    row of the same key, so the length drops out.  ``stops`` holds one mask
+    per row: the loop W-vertices whose colors the row meets but whose
+    W-label it leaves uncovered.  A row whose stop mask meets the context is
+    dropped.
     """
     out: dict = {}
-    for (colors, uu, ww, length, witness), stop in zip(rows, stops or repeat(0)):
+    for (colors, uu, ww, _, witness), stop in zip(rows, stops or repeat(0)):
         if not stop & ctx_w_mask:
-            out.setdefault((colors, uu & ctx_u_mask, ww & ctx_w_mask, length), witness)
+            out.setdefault((colors, uu & ctx_u_mask, ww & ctx_w_mask), witness)
     return out
 
 
@@ -257,7 +259,8 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
         return project_walks(ends[u].get(v, []), ctx_u, ctx_w, stops(u, v) if ctx_w else None)
 
     def closed(v: int, ctx_u: int = 0, ctx_w: int = 0) -> list:
-        return [(key, wit) for key, wit in walks(v, v, ctx_u, ctx_w).items() if key[3]]
+        # Every edge carries colors, so only the empty walk has none.
+        return [(key, wit) for key, wit in walks(v, v, ctx_u, ctx_w).items() if key[0]]
 
     def assemble(loop_ids: tuple[int, ...], witness: tuple[int, ...]) -> LabeledBinocular:
         edge_ids = sorted(set(loop_ids) | set(witness))
@@ -268,22 +271,22 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
         for v in csg.vertices[i:]:
             # Two closed walks joined by a (possibly empty) connector.
             connectors = list(walks(u, v).items())
-            for (c1, _, _, _), wit1 in cycles[u]:
-                for (c2, _, _, _), wit2 in cycles[v]:
+            for (c1, _, _), wit1 in cycles[u]:
+                for (c2, _, _), wit2 in cycles[v]:
                     if c1 & c2:
                         continue
-                    for (c3, _, _, _), wit3 in connectors:
+                    for (c3, _, _), wit3 in connectors:
                         if not c3 & (c1 | c2):
                             return assemble((), wit1 + wit2 + wit3)
             # Three edge-disjoint walks between two distinct vertices.
             if v == u:
                 continue
-            for j, ((c1, _, _, _), wit1) in enumerate(connectors):
+            for j, ((c1, _, _), wit1) in enumerate(connectors):
                 for k in range(j + 1, len(connectors)):
-                    (c2, _, _, _), wit2 = connectors[k]
+                    (c2, _, _), wit2 = connectors[k]
                     if c1 & c2:
                         continue  # every triple holding this pair overlaps
-                    for (c3, _, _, _), wit3 in connectors[k + 1:]:
+                    for (c3, _, _), wit3 in connectors[k + 1:]:
                         if not c3 & (c1 | c2):
                             return assemble((), wit1 + wit2 + wit3)
 
@@ -293,29 +296,29 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
             ctx_u |= csg.edges[i].u_mask
             ctx_w |= csg.edges[i].w_mask
 
-        def conditions(colors: int, x: int, y: int) -> bool:
+        # A kept walk's colors meet only loop W-vertices inside its own Y, so
+        # the walks are color-disjoint from the standing ones and only
+        # (X, Y) decides the conditions.
+        def conditions(x: int, y: int) -> bool:
             remaining = ctx_w & ~y
-            acc = _mask_colors(remaining, csg.vertex_colors)
-            if acc < 0 or acc & colors:
+            if _mask_colors(remaining, csg.vertex_colors) < 0:
                 return False
             return g.weight_mask(remaining) >= g.weight_mask(ctx_u & ~x) + 2 * len(L)
 
         p = csg.edges[L[0]].endpoints[0]
         if len(L) == 2:
-            # A kept walk's colors miss every standing loop W-vertex, so
-            # only (X, Y) decides the conditions.
             q = csg.edges[L[1]].endpoints[0]
-            for (_, x, y, _), wit in walks(p, q, ctx_u, ctx_w).items():
-                if conditions(0, x, y):
+            for (_, x, y), wit in walks(p, q, ctx_u, ctx_w).items():
+                if conditions(x, y):
                     return assemble(L, wit)
             continue
         for v in csg.vertices:
             loop_cycles = closed(v, ctx_u, ctx_w)
             if not loop_cycles:
                 continue
-            for (c1, x1, y1, _), wit1 in walks(p, v, ctx_u, ctx_w).items():
-                for (c2, x2, y2, _), wit2 in loop_cycles:
-                    if not c1 & c2 and conditions(c1 | c2, x1 | x2, y1 | y2):
+            for (c1, x1, y1), wit1 in walks(p, v, ctx_u, ctx_w).items():
+                for (c2, x2, y2), wit2 in loop_cycles:
+                    if not c1 & c2 and conditions(x1 | x2, y1 | y2):
                         return assemble(L, wit1 + wit2)
     return None
 

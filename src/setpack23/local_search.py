@@ -241,30 +241,9 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     # Candidates are linked when they conflict or share a solution neighbor.
     cadj, link = _candidate_linkage(g, a_mask)
 
-    # In genuine conflict graphs every element of a solution set hosts at
-    # most one member of an independent candidate set, so the neighborhood
-    # offers exactly w(N)+|N| element slots.  Tracking the covered elements
-    # the candidates consume makes exhausted slots visible: gains beyond the
-    # free slots force fresh neighborhood weight at two slots per unit.
-    # When additionally every candidate covers at least as many solution
-    # elements as its own weight (true after the no-neighbor pre-scan for
-    # 2-sets, and for 3-sets whenever their 2-subsets are present), each
-    # unit of future gain costs a slot outright, doubling the penalty.
-    # Hand-built graphs carry no such promises and use the plain slack.
-    claw_slots = g.members is not None
-    if claw_slots:
-        covered = set()
-        for v in bit_positions(a_mask):
-            covered |= g.members[v]
-        esum = [0] * g.n
-        for v in cands:
-            esum[v] = len(g.members[v] & covered)
-        tight = all(esum[v] >= w[v] for v in cands)
-    else:
-        esum = [0] * g.n
-        tight = False
-
-    gain_rate = 2 if tight else 1
+    # Only genuine conflict graphs promise the element bound the claw-share
+    # cut rests on; hand-built graphs carry no element sets.
+    genuine = g.members is not None
     hit = 0
     floor = cap = 0  # test sets of size floor..cap; a hit lowers cap
     share_bound = False  # the claw-share cut runs in the capped DFS only
@@ -313,7 +292,6 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     # Every child is tested, then cut when it cannot lead to an improvement
     # within the cap:
     # * plain slack: each further candidate gains at most 2;
-    # * element slots (above);
     # * claw shares, in the capped DFS of a genuine conflict graph only.  A
     #   solution set a outside N has w(a)+1 elements, so it meets at most
     #   w(a)+1 members of an independent extension F, and X | F gains at most
@@ -324,7 +302,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     #   ext | (gt_root & ~closed), is negative, counting one value per
     #   clique of ext (``_clique_leaders``).  Only children whose plain
     #   slack is at most _SHARE_GATE are tried.
-    def rec_grown(x_vmask: int, n_mask: int, wx: int, slots_used: int, size: int,
+    def rec_grown(x_vmask: int, n_mask: int, wx: int, size: int,
                   ext: int, closed: int, gt_root: int) -> None:
         nonlocal hit, cap
         size += 1  # the size of every child
@@ -335,8 +313,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             n2 = n_mask | anb[j]
             w2 = wx + w[j]
             n_heavy = (n2 & w2m).bit_count()
-            n_size = n2.bit_count()
-            wn = n_size + n_heavy
+            wn = n2.bit_count() + n_heavy
             # X holds w2 - size weight-2 vertices, N holds n_heavy.
             if size >= floor and (w2 > wn or (w2 == wn and w2 - size > n_heavy)):
                 hit = x_vmask | low
@@ -350,12 +327,6 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             slack = w2 - wn + 2 * depth_left
             if slack < 0:
                 continue
-            slots2 = slots_used + esum[j]
-            if claw_slots:
-                need = gain_rate * depth_left
-                free = wn + n_size - slots2
-                if need > free and slack - ((need - free + 1) // 2) < 0:
-                    continue
             # Candidates that conflict with j are in closed | link[j], so
             # dropping them from ext removes them from the branch for good.
             fresh = link[j] & ~closed & gt_root
@@ -366,7 +337,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             if (share_bound and depth_left >= 2 and wn > w2 and slack <= _SHARE_GATE
                     and share_cut(ext2, gt_root & ~closed2, n2, depth_left, 6 * (wn - w2))):
                 continue
-            rec_grown(x_vmask | low, n2, w2, slots2, size, ext2, closed2, gt_root)
+            rec_grown(x_vmask | low, n2, w2, size, ext2, closed2, gt_root)
 
     # Root r enters as the only extension of the empty set and grows only
     # through candidates after it, so every connected set is tried from its
@@ -378,7 +349,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     # every cut drops only subtrees without an improving set.
     for floor in range(1, min(tau, _ID_DEPTH + 1) + 1):
         cap = floor if floor <= _ID_DEPTH else tau
-        if floor > _ID_DEPTH and claw_slots:
+        if floor > _ID_DEPTH and genuine:
             base_share = [0] * g.n
             by_value: dict[int, int] = {}
             for v, g6 in zip(cands, _claw_shares(g, a_mask, cands)):
@@ -390,7 +361,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         for r in cands:
             if cap < floor:
                 break
-            rec_grown(0, 0, 0, 0, 0, 1 << r, 0, free & ~((2 << r) - 1))
+            rec_grown(0, 0, 0, 0, 1 << r, 0, free & ~((2 << r) - 1))
         if hit:
             return hit
     return 0

@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 import setpack23
-from setpack23.cli import (AuditRow, main, rows_from_json, rows_to_csv, rows_to_json,
-                           suite_instances)
+from setpack23.cli import AuditRow, main, rows_to_csv, rows_to_json, suite_instances
 from setpack23.instance import generate_random, parse_instance, serialize_instance
 
 SRC = Path(setpack23.__file__).resolve().parents[1]
@@ -254,6 +253,15 @@ def test_bench_output_is_pinned(capsys, monkeypatch, suite):
         del r["wall_ms"]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == BENCH_DIGESTS[suite]
+
+
+def rows_from_json(text: str) -> list[AuditRow]:
+    """Parse the JSON that ``rows_to_json`` writes back into rows."""
+    return [AuditRow(d["instance"], d["alg_weight"], d["opt_weight"],
+                     Fraction(d["ratio_num"], d["ratio_den"]),
+                     d["iterations"], d["binoculars"], d["wall_ms"],
+                     d.get("guarantee_bound"))
+            for d in json.loads(text)]
 
 
 def test_rows_roundtrip_and_ordering():

@@ -107,12 +107,16 @@ def _unmask(mask: int) -> frozenset:
 def walk_table(csg: ColorfulSearchGraph, start: int, ctx_u, ctx_w, max_len: int) -> dict:
     """The DP's states projected onto the context, keyed (end, colors, X, Y, length).
 
-    X and Y come back as frozensets so keys compare with the references below.
+    Keys are built from the ``walk_states`` rows themselves, first row per
+    key, so the lengths stay checked; X and Y come back as frozensets so keys
+    compare with the references below.
     """
-    return {(v, colors, _unmask(x), _unmask(y), length): witness
-            for v, rows in walk_states(csg, max_len)[start].items()
-            for (colors, x, y, length), witness in
-            project_walks(rows, _mask(ctx_u), _mask(ctx_w)).items()}
+    u, w = _mask(ctx_u), _mask(ctx_w)
+    table: dict = {}
+    for v, rows in walk_states(csg, max_len)[start].items():
+        for colors, uu, ww, length, witness in rows:
+            table.setdefault((v, colors, _unmask(uu & u), _unmask(ww & w), length), witness)
+    return table
 
 
 def replay_walk(csg: ColorfulSearchGraph, start: int, witness, ctx_u, ctx_w):
@@ -285,6 +289,20 @@ class TestWalkTable:
             walk_states(csg, 4)
 
 
+class TestProjectWalks:
+    def test_rows_differing_in_length_collapse_and_stopped_rows_drop(self):
+        # (colors, U-mask, W-mask, length, witness) rows of one end vertex
+        rows = [(0b01, 0b110, 0b01, 2, (0, 1)), (0b01, 0b110, 0b01, 3, (2, 3, 4)),
+                (0b10, 0b100, 0b10, 1, (5,))]
+        assert project_walks(rows, 0b010, 0b11) == {
+            (0b01, 0b010, 0b01): (0, 1), (0b10, 0b000, 0b10): (5,)}
+        # the last row's stop mask meets the first context, not the second
+        stops = [0, 0, 0b01]
+        assert project_walks(rows, 0b010, 0b11, stops) == {(0b01, 0b010, 0b01): (0, 1)}
+        assert project_walks(rows, 0b010, 0b10, stops) == {
+            (0b01, 0b010, 0b00): (0, 1), (0b10, 0b000, 0b10): (5,)}
+
+
 class TestClashIndexedWalkStates:
     """``walk_states`` against the incident-list scan it replaces."""
 
@@ -392,8 +410,8 @@ class TestFindColorful:
         # Per row, the loop W-vertices its colors meet but its W-label misses.
         stops = [sum(1 << v for v in (100, 103) if colors[v] & c and not ww >> v & 1)
                  for c, _, ww, _, _ in rows]
-        closed_walks = {k: w for k, w in project_walks(rows, 0, ctx_w).items() if k[3]}
-        kept = {k: w for k, w in project_walks(rows, 0, ctx_w, stops).items() if k[3]}
+        closed_walks = {k: w for k, w in project_walks(rows, 0, ctx_w).items() if k[0]}
+        kept = {k: w for k, w in project_walks(rows, 0, ctx_w, stops).items() if k[0]}
         assert len(closed_walks) == 1 and kept == (closed_walks if covered else {})
         b = find_colorful_binocular(csg, g, walk_cap=4)
         naive = naive_improving_binocular(SearchGraph((0, 1), edges, tau=2), g, max_size=3)

@@ -87,8 +87,8 @@ def test_randomized_search_is_deterministic_per_seed():
 
 
 def test_grown_matches_naive_on_hand_built_graphs():
-    # graphs without element sets disable the slot prune; the grown search
-    # must still agree with the naive reference on plain slack alone
+    # graphs without element sets disable the claw-share cut; the grown
+    # search must still agree with the naive reference on plain slack alone
     from setpack23.conflict import ConflictGraph
     rng = random.Random(4242)
     for trial in range(80):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 import setpack23
 from setpack23.cli import suite_instances
 from setpack23.conflict import ConflictGraph, build_conflict_graph
-from setpack23.hereditary import hereditary_closure
+from setpack23 import local_search
+from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import generate_random, parse_instance, serialize_instance
 from setpack23.local_search import (SearchParams, _candidate_linkage, _claw_shares,
                                     _clique_leaders, apply_improvement, find_improvement,
@@ -172,6 +174,51 @@ def test_general_tau4_ladder_is_pinned():
         assert sorted(packing.members) == members, name
         assert (stats.iterations, stats.improvements_applied, stats.binoculars_applied,
                 stats.final_weight) == counts, name
+
+
+# Golden outputs of the `hereditary-cert` benchmark ladder (closures of the
+# instance texts in perfbench/ladders.json) at tau=10, seed 0: packing,
+# (iterations, final_weight) and the SHA-256 of every _find_improvement_mask
+# result in call order, written as space-separated decimals.
+HEREDITARY_CERT_PINS = {
+    "random-30-18-s0": ([1, 4, 6, 8, 9, 10, 13], (10, 14),
+                        "c101677b444ac8f03188fe8f48f74af93c966de9c86c2bd9002ab112f7e08120"),
+    "random-30-18-s1": ([2, 3, 4, 5, 11, 13, 15], (11, 14),
+                        "9765cc49c7f94be706b091e2343d84f7e10e21dde14c8482cf8a299d06536ed7"),
+    "random-30-18-s2": ([1, 2, 3, 8, 11, 13, 49, 54, 65], (12, 15),
+                        "2ed08941534c5c1f9e2de26e884c491a620c572b08b581355190cd07207546d7"),
+    "random-30-18-s3": ([4, 7, 8, 13, 14, 15, 16], (11, 14),
+                        "4530f11ad7dce753fbc222986a52cfd69da31f16fd8c526262a40118c45e2d3d"),
+    "random-30-18-s4": ([0, 3, 5, 6, 7, 9, 10, 13, 17], (11, 18),
+                        "b1a664b27f720c1f757372eb0eec2fbb689cd7305e58a4bf57fe459956f4b487"),
+    "random-30-18-s5": ([3, 5, 9, 10, 15, 16, 21, 31, 43], (10, 15),
+                        "cfa154a701f25c0c1ad961bf26aacd5b1776023135d2dfd9d3e30103959b48ec"),
+    "random-30-18-s6": ([0, 3, 4, 5, 12, 13, 17, 50], (10, 15),
+                        "078b1e9682b715edd0d63e241657e32110e9c913c0036021310bd0d99d27ed3a"),
+    "random-30-18-s7": ([0, 3, 9, 12, 14, 17, 50, 61], (10, 14),
+                        "c65fea527c377f350d8e7e6d1e9c0bb94ac56a85659f8795036734501f4131c9"),
+}
+
+
+def test_hereditary_cert_ladder_is_pinned(monkeypatch):
+    ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
+    texts = {d["name"]: d["text"]
+             for d in json.loads(ladders.read_text())["hereditary-cert"]["instances"]}
+    assert sorted(texts) == sorted(HEREDITARY_CERT_PINS)
+    find = local_search._find_improvement_mask
+    hits: list[int] = []
+
+    def recording_find(*args):
+        hits.append(find(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(local_search, "_find_improvement_mask", recording_find)
+    for name, (members, counts, digest) in HEREDITARY_CERT_PINS.items():
+        hits.clear()
+        packing, stats = solve_hereditary(hereditary_closure(parse_instance(texts[name])))
+        assert sorted(packing.members) == members, name
+        assert (stats.iterations, stats.final_weight) == counts, name
+        assert hashlib.sha256(" ".join(map(str, hits)).encode()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("fault, message", [
