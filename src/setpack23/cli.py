@@ -135,11 +135,14 @@ def suite_instances(suite: str, count: int, seed: int):
 
 # -- command handlers ---------------------------------------------------------
 
+def _read_text(path: str) -> str:
+    return sys.stdin.read() if path == "-" else Path(path).read_text()
+
+
 def _read_instance(path: str, wire: str) -> inst.Instance:
-    data = sys.stdin.read() if path == "-" else Path(path).read_text()
     if wire == "auto":
         wire = "json" if path.endswith(".json") else "text"
-    return inst.parse_instance(data, format=wire)
+    return inst.parse_instance(_read_text(path), format=wire)
 
 
 def _params_from_args(args, mode: str = "general") -> SearchParams:
@@ -203,7 +206,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_normalize(args) -> int:
     from .normalize import dump_normalized, load_tuple, normalize
-    t = load_tuple(Path(args.tuple).read_text())
+    t = load_tuple(_read_text(args.tuple))
     out = dump_normalized(normalize(t))
     if args.output == "-":
         print(out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .instance import Instance, PackSet, Packing
 from .local_search import RunStats, SearchParams, solve
@@ -21,28 +22,26 @@ class HereditaryInstance:
     base: Instance
 
 
-def is_hereditary(instance: Instance) -> bool:
+def _missing_pairs(instance: Instance) -> Iterator[tuple[int, ...]]:
+    """The 2-subsets of 3-sets that the instance lacks, in closure order: by
+    set id, then sorted pairs, each pair once."""
     keys = {s.key for s in instance.sets}
-    for s in instance.sets:
-        if s.weight != 2:
-            continue
-        for pair in combinations(sorted(s.elements), 2):
-            if frozenset(pair) not in keys:
-                return False
-    return True
-
-
-def hereditary_closure(instance: Instance) -> HereditaryInstance:
-    """Add the missing 2-subsets of every 3-set; idempotent and minimal."""
-    keys = {s.key for s in instance.sets}
-    extra: list[tuple[int, int]] = []
     for s in sorted(instance.sets, key=lambda s: s.id):
         if s.weight != 2:
             continue
         for pair in combinations(sorted(s.elements), 2):
             if frozenset(pair) not in keys:
                 keys.add(frozenset(pair))
-                extra.append(pair)
+                yield pair
+
+
+def is_hereditary(instance: Instance) -> bool:
+    return next(_missing_pairs(instance), None) is None
+
+
+def hereditary_closure(instance: Instance) -> HereditaryInstance:
+    """Add the missing 2-subsets of every 3-set; idempotent and minimal."""
+    extra = list(_missing_pairs(instance))
     next_id = max((s.id for s in instance.sets), default=-1) + 1
     new_sets = instance.sets + tuple(
         PackSet(next_id + i, pair) for i, pair in enumerate(extra))

@@ -104,18 +104,6 @@ def _prime(t_weights: Mapping[int, int], side: frozenset[int]) -> set[int]:
     return {v for v in side if t_weights[v] == 1}
 
 
-def _component_of(start: int, vertices: set[int], adj: Mapping[int, frozenset[int]]) -> set[int]:
-    comp: set[int] = set()
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        if v in comp:
-            continue
-        comp.add(v)
-        stack.extend(adj[v] & vertices - comp)
-    return comp
-
-
 def _components(vertices: set[int], adj: Mapping[int, frozenset[int]]) -> list[list[int]]:
     """Connected components of the induced subgraph, each ordered along its
     path when it is one (cycles come back in rotation order)."""
@@ -124,7 +112,13 @@ def _components(vertices: set[int], adj: Mapping[int, frozenset[int]]) -> list[l
     for start in sorted(vertices):
         if start in seen:
             continue
-        comp = _component_of(start, vertices, adj)
+        comp: set[int] = set()
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v not in comp:
+                comp.add(v)
+                stack.extend(adj[v] & vertices - comp)
         seen |= comp
         deg = {v: len(adj[v] & comp) for v in comp}
         if any(d > 2 for d in deg.values()):
@@ -143,92 +137,56 @@ def _components(vertices: set[int], adj: Mapping[int, frozenset[int]]) -> list[l
     return comps
 
 
-def _classify(t: AnalysisTuple):
-    """Split G[A' union B'] into ordered components tagged cycle/path with
-    their inner weight-1 A-count and whole-component flag."""
-    a1 = _prime(t.weights, t.a - t.b)
-    b1 = _prime(t.weights, t.b - t.a)
-    ground = a1 | b1
-    ab = (t.a | t.b) - (t.a & t.b)
-    out = []
-    for comp in _components(ground, t.adj):
-        cset = set(comp)
-        is_cycle = len(comp) >= 3 and all(len(t.adj[v] & cset) == 2 for v in comp)
-        inner = comp[1:-1] if not is_cycle else []
-        whole = _component_of(comp[0], ab, t.adj) == cset
-        out.append({
-            "vertices": comp,
-            "cycle": is_cycle,
-            "inner_a1": sum(1 for v in inner if v in a1),
-            "whole": whole,
-        })
-    return out, a1, b1
-
-
-def deletable_set(t: AnalysisTuple) -> frozenset[int]:
-    """Vertices whose removal keeps improvements and ratio bounds transferable.
-
-    Four cases: vertices outside both sets, vertices in both, whole cycle or
-    whole even-path components of the weight-1 subgraph, and all long-path
-    vertices without outside B-neighbors.
-    """
-    validate_tuple(t)
-    verts = set(t.weights)
-    d: set[int] = set(verts - (t.a | t.b)) | (t.a & t.b)
-    comps, _, _ = _classify(t)
-    for comp in comps:
-        cset = set(comp["vertices"])
-        if comp["cycle"] or (len(cset) % 2 == 0 and comp["whole"]):
-            d |= cset
-        elif not comp["cycle"] and comp["inner_a1"] >= 3:
-            for v in comp["vertices"]:
-                if not t.adj[v] & (t.b - cset):
-                    d.add(v)
-    for v in t.a & frozenset(d):
-        if t.adj[v] & (verts - d):
-            raise AssertionError("a deleted solution vertex kept an outside neighbor")
-    return frozenset(d)
-
-
-def normalize(t: AnalysisTuple) -> NormalizedInstance:
-    """Produce the bipartite normalized tuple plus a certificate of every step."""
+def _removals(t: AnalysisTuple) -> tuple[list[ComponentRemoval], frozenset[int]]:
+    """Validate the tuple once and record its deletion stage, one removal per
+    case: vertices outside both sets, vertices in both, whole cycle or whole
+    even-path components of the weight-1 subgraph G[A' union B'], and the
+    vertices without outside B-neighbors of a path with at least three inner
+    weight-1 A-vertices.  The deletable set is the union of the removals."""
     validate_tuple(t)
     removals: list[ComponentRemoval] = []
-    comps, a1, b1 = _classify(t)
-
-    d: set[int] = set()
     outside = sorted(set(t.weights) - (t.a | t.b))
     if outside:
         removals.append(ComponentRemoval("outside", tuple(outside), 0, 0))
-        d |= set(outside)
     overlap = sorted(t.a & t.b)
     if overlap:
         removals.append(ComponentRemoval("overlap", tuple(overlap), 0, 0))
-        d |= set(overlap)
-    for comp in comps:
-        cset = set(comp["vertices"])
+    a1, b1 = _prime(t.weights, t.a - t.b), _prime(t.weights, t.b - t.a)
+    ab = (t.a | t.b) - (t.a & t.b)
+    for comp in _components(a1 | b1, t.adj):
+        cset = set(comp)
         ca, cb = len(cset & a1), len(cset & b1)
-        if comp["cycle"]:
+        if len(comp) >= 3 and all(len(t.adj[v] & cset) == 2 for v in comp):
             if ca != cb:
                 raise AssertionError("alternating cycle must balance its sides")
-            removals.append(ComponentRemoval("cycle", tuple(comp["vertices"]), ca, cb))
-            d |= cset
-        elif len(cset) % 2 == 0 and comp["whole"]:
+            removals.append(ComponentRemoval("cycle", tuple(comp), ca, cb))
+        elif len(comp) % 2 == 0 and not any(t.adj[v] & (ab - cset) for v in comp):
             if ca != cb:
                 raise AssertionError("whole even path must balance its sides")
-            removals.append(ComponentRemoval("even_whole", tuple(comp["vertices"]), ca, cb))
-            d |= cset
-        elif comp["inner_a1"] >= 3:
-            trim = [v for v in comp["vertices"] if not t.adj[v] & (t.b - cset)]
+            removals.append(ComponentRemoval("even_whole", tuple(comp), ca, cb))
+        elif sum(1 for v in comp[1:-1] if v in a1) >= 3:
+            trim = [v for v in comp if not t.adj[v] & (t.b - cset)]
             ta, tb = len(set(trim) & a1), len(set(trim) & b1)
             # Long trims lose at most one more weight-1 B-vertex than A-vertices.
             if 3 * tb > 4 * ta:
                 raise AssertionError("long-path trim broke the 4/3 bookkeeping")
             removals.append(ComponentRemoval("long_path_trim", tuple(trim), ta, tb))
-            d |= set(trim)
+    d = frozenset(v for r in removals for v in r.vertices)
+    for v in t.a & d:
+        if t.adj[v] - d:
+            raise AssertionError("a deleted solution vertex kept an outside neighbor")
+    return removals, d
 
-    if d != set(deletable_set(t)):
-        raise AssertionError("recorded removals drifted from the deletable set")
+
+def deletable_set(t: AnalysisTuple) -> frozenset[int]:
+    """Vertices whose removal keeps improvements and ratio bounds transferable:
+    the union of the removals ``normalize`` records."""
+    return _removals(t)[1]
+
+
+def normalize(t: AnalysisTuple) -> NormalizedInstance:
+    """Produce the bipartite normalized tuple plus a certificate of every step."""
+    removals, d = _removals(t)
     verts2 = set(t.weights) - d
     adj2 = {v: t.adj[v] & verts2 for v in verts2}
     w2 = {v: t.weights[v] for v in verts2}
@@ -349,12 +307,20 @@ def load_tuple(data: str | bytes) -> AnalysisTuple:
         if isinstance(raw_w, list):
             weights = dict(enumerate(raw_w))
         else:
-            weights = {int(k): v for k, v in raw_w.items()}
+            weights = {_weight_key(k): v for k, v in raw_w.items()}
         edges = [(_vertex_id(u), _vertex_id(v)) for u, v in doc.get("edges", [])]
         return analysis_tuple(weights, edges, [_vertex_id(x) for x in doc["A"]],
                               [_vertex_id(x) for x in doc["B"]])
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed tuple file: {type(exc).__name__}: {exc}") from None
+
+
+def _weight_key(k: str) -> int:
+    """A vertex id from a ``weights`` key, in canonical decimal only: ``int()``
+    would merge "01" into vertex 1 and read "1_0" as 10 and " 3 " as 3."""
+    if str(int(k)) != k:
+        raise ValueError(f"weight keys must be vertex ids in decimal, got {json.dumps(k)}")
+    return int(k)
 
 
 def _vertex_id(x) -> int:

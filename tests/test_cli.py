@@ -14,6 +14,7 @@ import pytest
 import setpack23
 from setpack23.cli import AuditRow, main, rows_to_csv, rows_to_json, suite_instances
 from setpack23.instance import generate_random, parse_instance, serialize_instance
+from test_normalize import BRIDGED_CERTIFICATE, BRIDGED_TUPLE
 
 SRC = Path(setpack23.__file__).resolve().parents[1]
 
@@ -130,21 +131,50 @@ def test_normalize_command(tmp_path, capsys):
 
 
 def test_normalize_checks_survive_optimize(tmp_path):
-    # with the deletable set faulted, normalize's drift check must fire under -O too
+    # with the invariant report faulted, normalize's self-check must fire under -O too
     path = tmp_path / "tuple.json"
     path.write_text(json.dumps(NORMALIZE_TUPLE))
     script = ("import sys\n"
               "if not sys.flags.optimize:\n"
               "    sys.exit('not running under -O')\n"
               "import setpack23.normalize\n"
-              "setpack23.normalize.deletable_set = lambda t: frozenset({0})\n"
+              "setpack23.normalize.check_normalized = lambda n: ['fault']\n"
               "from setpack23.cli import main\n"
               "sys.exit(main(['normalize', sys.argv[1]]))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", script, str(path)], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.strip() == ("internal invariant violated: recorded removals drifted "
-                                   "from the deletable set")
+    assert proc.stderr.strip() == ("internal invariant violated: normalization violated its "
+                                   "own invariants: ['fault']")
+
+
+def test_normalize_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(BRIDGED_TUPLE)))
+    code, out, _ = run_cli(capsys, "normalize", "-")
+    assert code == 0
+    assert json.loads(out)["certificate"] == BRIDGED_CERTIFICATE
+
+
+@pytest.mark.parametrize("key", ["01", "1_0", " 3 "])
+def test_normalize_rejects_non_canonical_weight_keys(tmp_path, capsys, key):
+    # int() would merge "01" into vertex 1 (weight 2), read "1_0" as 10 and " 3 " as 3
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"weights": {"1": 1, key: 2, "2": 1}, "edges": [[1, 2]],
+                                "A": [1], "B": [2]}))
+    code, out, err = run_cli(capsys, "normalize", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: weight keys must be vertex ids in decimal, got {json.dumps(key)}\n"
+
+
+def test_normalize_accepts_canonical_weight_keys(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"weights": {"1": 1, "2": 1, "10": 2}, "edges": [[1, 2]],
+                                "A": [1], "B": [2]}))
+    code, out, _ = run_cli(capsys, "normalize", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["normalized"]["weights"] == {}
+    assert [r["vertices"] for r in doc["certificate"]["removals"]] == [[10], [1, 2]]
 
 
 def test_bench_random_suite(capsys):

@@ -1,11 +1,12 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from setpack23.normalize import (NormalizedInstance, analysis_tuple, check_normalized,
-                                 deletable_set, dump_normalized, load_tuple, normalize,
-                                 validate_tuple)
+from setpack23.normalize import (AnalysisTuple, NormalizedInstance, _components, _prime,
+                                 analysis_tuple, check_normalized, deletable_set,
+                                 dump_normalized, load_tuple, normalize, validate_tuple)
 from conftest import instance_from_sets, random_nice_tuple, tuple_from_instance
 
 
@@ -157,3 +158,133 @@ def test_wire_roundtrip():
     # a normalized tuple is a fixpoint of normalization
     fix = normalize(again)
     assert fix.weights == out.weights and not fix.certificate.paths
+
+
+# -- the deletion stage against a standalone reference -------------------------
+#
+# ``reference_deletable_set`` classifies the weight-1 components first and
+# applies the four cases afterwards; ``normalize`` records one removal per case
+# in a single pass, and their union must be exactly the reference set.
+
+def _component_of(start, vertices, adj):
+    comp = set()
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        if v in comp:
+            continue
+        comp.add(v)
+        stack.extend(adj[v] & vertices - comp)
+    return comp
+
+
+def _classify(t: AnalysisTuple):
+    """Split G[A' union B'] into ordered components tagged cycle/path with
+    their inner weight-1 A-count and whole-component flag."""
+    a1 = _prime(t.weights, t.a - t.b)
+    b1 = _prime(t.weights, t.b - t.a)
+    ground = a1 | b1
+    ab = (t.a | t.b) - (t.a & t.b)
+    out = []
+    for comp in _components(ground, t.adj):
+        cset = set(comp)
+        is_cycle = len(comp) >= 3 and all(len(t.adj[v] & cset) == 2 for v in comp)
+        inner = comp[1:-1] if not is_cycle else []
+        whole = _component_of(comp[0], ab, t.adj) == cset
+        out.append({
+            "vertices": comp,
+            "cycle": is_cycle,
+            "inner_a1": sum(1 for v in inner if v in a1),
+            "whole": whole,
+        })
+    return out, a1, b1
+
+
+def reference_deletable_set(t: AnalysisTuple) -> frozenset[int]:
+    """Vertices whose removal keeps improvements and ratio bounds transferable.
+
+    Four cases: vertices outside both sets, vertices in both, whole cycle or
+    whole even-path components of the weight-1 subgraph, and all long-path
+    vertices without outside B-neighbors.
+    """
+    validate_tuple(t)
+    verts = set(t.weights)
+    d: set[int] = set(verts - (t.a | t.b)) | (t.a & t.b)
+    comps, _, _ = _classify(t)
+    for comp in comps:
+        cset = set(comp["vertices"])
+        if comp["cycle"] or (len(cset) % 2 == 0 and comp["whole"]):
+            d |= cset
+        elif not comp["cycle"] and comp["inner_a1"] >= 3:
+            for v in comp["vertices"]:
+                if not t.adj[v] & (t.b - cset):
+                    d.add(v)
+    for v in t.a & frozenset(d):
+        if t.adj[v] & (verts - d):
+            raise AssertionError("a deleted solution vertex kept an outside neighbor")
+    return frozenset(d)
+
+
+# One removal of an outside vertex, one whole even path and one bridged P3
+# family path; the CI workflow pipes this tuple through `setpack normalize -`.
+BRIDGED_TUPLE = {"weights": {"0": 1, "1": 1, "2": 2, "3": 2, "4": 2, "5": 1, "6": 1},
+                 "edges": [[0, 1], [0, 2], [1, 3], [3, 4], [5, 6]],
+                 "A": [0, 3, 5], "B": [1, 2, 6]}
+BRIDGED_CERTIFICATE = {
+    "removals": [{"kind": "outside", "vertices": [4], "removed_a1": 0, "removed_b1": 0},
+                 {"kind": "even_whole", "vertices": [5, 6], "removed_a1": 1, "removed_b1": 1}],
+    "paths": [{"component_index": 0, "vertices": [0, 1], "kind": "P3", "outside_a": 3,
+               "outside_b": 2, "bridge_added": True, "contracted_into": None, "side": None,
+               "stubs": [2, 3]}],
+    "bridges": [[3, 2]],
+}
+
+
+def hand_tuples() -> list[AnalysisTuple]:
+    path9 = [(i, i + 1) for i in range(8)]
+    return [
+        path_tuple([1, 1, 2], [(0, 1)], {0}, {1}),
+        path_tuple([2, 2], [], {0, 1}, {0}),
+        path_tuple([1, 1, 1, 1], [(0, 1), (1, 2), (2, 3), (3, 0)], {0, 2}, {1, 3}),
+        path_tuple([1, 1], [(0, 1)], {0}, {1}),
+        path_tuple([1, 1, 2], [(0, 1), (1, 2)], {0, 2}, {1}),
+        path_tuple([1] * 9, path9, {0, 2, 4, 6, 8}, {1, 3, 5, 7}),
+        path_tuple([1] * 9 + [2], path9 + [(0, 9)], {0, 2, 4, 6, 8}, {1, 3, 5, 7, 9}),
+        path_tuple([2, 2], [(0, 1)], {0}, {1}),
+        odd_path_gadget(),
+        even_path_gadget(),
+        load_tuple(json.dumps(BRIDGED_TUPLE)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def seeded_tuples() -> list[AnalysisTuple]:
+    rng = random.Random(20260)
+    return [random_nice_tuple(rng) for _ in range(1000)]
+
+
+def test_deletable_set_is_the_union_of_recorded_removals(seeded_tuples):
+    kinds = set()
+    for t in hand_tuples() + seeded_tuples:
+        removals = normalize(t).certificate.removals
+        kinds |= {r.kind for r in removals}
+        d = deletable_set(t)
+        assert d == reference_deletable_set(t)
+        assert d == {v for r in removals for v in r.vertices}
+    assert kinds == {"outside", "overlap", "cycle", "even_whole", "long_path_trim"}
+
+
+SEEDED_DIGEST = "6688ecaad832ff25de1f72dd60d6e32c7efa95b4ac8d7a0f78a39fe6bd6b81b6"
+HAND_DIGEST = "8ed08f60a5552cf28c70c0144c99ba6589bb774ee493454fab7b372b98e16031"
+
+
+def test_normalized_output_is_pinned(seeded_tuples):
+    # recorded before the deletion stage ran once; the output must not move
+    def digest(tuples):
+        h = hashlib.sha256()
+        for t in tuples:
+            h.update(dump_normalized(normalize(t)).encode())
+        return h.hexdigest()
+    assert digest(seeded_tuples) == SEEDED_DIGEST
+    assert digest(hand_tuples()) == HAND_DIGEST
+
