@@ -4,9 +4,9 @@ Audit ratios are reported as exact integer fractions (opt/alg), never
 floats.  Hereditary rows additionally carry the 4/3 guarantee; any violation
 of 3*opt <= 4*alg flips the exit code, since it would falsify the
 implementation rather than the bound.  SETPACK_SEED in the environment
-overrides ``--seed`` everywhere.  Exit codes: 0 success, 1 hereditary
-guarantee violated, 2 bad input, 3 internal invariant violated, 4 a search
-or oracle budget exceeded.
+overrides ``--seed`` wherever the command takes one.  Exit codes: 0
+success, 1 hereditary guarantee violated, 2 bad input, 3 internal
+invariant violated, 4 a search or oracle budget exceeded.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import instance as inst
 from .color_coding import WalkBudgetExceeded
 from .hereditary import hereditary_closure, is_hereditary, solve_hereditary
 from .local_search import SearchParams, solve
-from .oracle import OracleBudgetExceeded, solve_exact
+from .oracle import ORACLE_NODE_BUDGET, OracleBudgetExceeded, solve_exact
 
 CSV_COLUMNS = ["instance", "alg_weight", "opt_weight", "ratio_num", "ratio_den",
                "iterations", "binoculars", "wall_ms"]
@@ -77,7 +77,7 @@ def rows_to_csv(rows: list[AuditRow]) -> str:
 
 
 def audit_instance(name: str, instance: inst.Instance, params: SearchParams,
-                   oracle_budget: int = 10_000_000) -> AuditRow:
+                   oracle_budget: int) -> AuditRow:
     """Solve and compare against the exact oracle on one instance."""
     if params.mode == "hereditary":
         packing, stats = solve_hereditary(instance, seed=params.seed,
@@ -146,15 +146,9 @@ def _read_instance(path: str, wire: str) -> inst.Instance:
 
 
 def _params_from_args(args, mode: str = "general") -> SearchParams:
-    epsilon = Fraction(args.epsilon) if getattr(args, "epsilon", None) else None
-    return SearchParams(
-        tau=getattr(args, "tau", None),
-        epsilon=epsilon,
-        mode=mode,
-        seed=args.seed,
-        coloring_reps=getattr(args, "colorings", 64),
-        injective_colorings=getattr(args, "injective_colorings", False),
-    )
+    return SearchParams(tau=args.tau, epsilon=Fraction(args.epsilon) if args.epsilon else None,
+                        mode=mode, seed=args.seed, coloring_reps=args.colorings,
+                        injective_colorings=args.injective_colorings)
 
 
 def _cmd_solve(args) -> int:
@@ -172,7 +166,7 @@ def _cmd_solve_hereditary(args) -> int:
     elif not is_hereditary(instance):
         print("instance is not hereditary (use --close to complete it)", file=sys.stderr)
         return 2
-    packing, stats = solve_hereditary(instance, seed=args.seed, tau=args.tau)
+    packing, stats = solve_hereditary(instance, tau=args.tau)
     print(json.dumps({"packing": sorted(packing.members),
                       "stats": asdict(stats)}))
     return 0
@@ -229,9 +223,9 @@ def _cmd_audit(args) -> int:
     rows = []
     for path in args.instances:
         instance = _read_instance(path, args.input_format)
-        if len(instance) > args.max_oracle_sets and not args.force_oracle:
+        if len(instance) > args.max_oracle_sets:
             print(f"{path}: {len(instance)} sets exceeds the oracle comfort zone "
-                  f"(--force-oracle to override)", file=sys.stderr)
+                  f"(raise --max-oracle-sets to override)", file=sys.stderr)
             return 2
         if mode == "hereditary" and not is_hereditary(instance):
             print(f"{path}: not hereditary", file=sys.stderr)
@@ -253,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, solver=False):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--input-format", choices=["auto", "text", "json"], default="auto")
         if solver:
+            p.add_argument("--seed", type=int, default=0)
             group = p.add_mutually_exclusive_group()
             group.add_argument("--tau", type=int)
             group.add_argument("--epsilon", type=str,
@@ -277,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact optimum by branch and bound")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=ORACLE_NODE_BUDGET)
     add_common(p)
     p.set_defaults(func=_cmd_oracle)
 
@@ -299,9 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="solver vs oracle on instance files")
     p.add_argument("instances", nargs="+")
     p.add_argument("--hereditary", action="store_true")
-    p.add_argument("--oracle-budget", type=int, default=10_000_000)
+    p.add_argument("--oracle-budget", type=int, default=ORACLE_NODE_BUDGET)
     p.add_argument("--max-oracle-sets", type=int, default=40)
-    p.add_argument("--force-oracle", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     add_common(p, solver=True)
     p.set_defaults(func=_cmd_audit)
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-budget", type=int, default=10_000_000)
+    p.add_argument("--oracle-budget", type=int, default=ORACLE_NODE_BUDGET)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_bench)
 

@@ -5,8 +5,8 @@ the colorful subgraph when the color sets of its W-label vertices are
 pairwise disjoint.  Colorful walks (loop-free walks whose per-edge W-color
 sets are pairwise disjoint) are tabulated from every start vertex by one
 dynamic program over reachable states, grouped by end vertex; a state is the
-bitmask tuple (end vertex, colors, U-label mask, W-label mask, length) and
-stores one witness walk.  The DP indexes edges by color: per color bit, a
+bitmask tuple (end vertex, colors, U-label mask, W-label mask) and stores one
+witness, its shortest walk.  The DP indexes edges by color: per color bit, a
 clash mask of the edges holding it, so a state expands only along the
 incident edges outside the clash masks of its colors, never touching one
 that its colors would reject.  A choice of one or two loops projects only the
@@ -32,25 +32,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations, repeat
-from typing import Iterable, Mapping
+from operator import or_
+from typing import Mapping
 
 from .conflict import ConflictGraph, bit_positions
 from .search_graph import LabeledBinocular, SearchEdge, SearchGraph, is_improving_binocular
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """A total assignment of universe elements to colors 0..t-1."""
-
-    t: int
-    assignment: tuple[int, ...]
-
-    def mask_of(self, elements: Iterable[int]) -> int:
-        m = 0
-        for e in elements:
-            m |= 1 << self.assignment[e]
-        return m
 
 
 def default_color_count(tau: int, n_vertices: int) -> int:
@@ -59,17 +47,17 @@ def default_color_count(tau: int, n_vertices: int) -> int:
 
 
 def make_colorings(universe_n: int, t: int, reps: int, seed: int,
-                   injective: bool = False) -> list[Coloring]:
-    """Seeded uniform colorings, or the one injective coloring (needs t >= universe)."""
+                   injective: bool = False) -> list[tuple[int, ...]]:
+    """Seeded uniform colorings, or the one injective coloring (needs t >= universe),
+    each a tuple of one color in 0..t-1 per universe element."""
     if t < 1 or reps < 1:
         raise ValueError("need t >= 1 and reps >= 1")
     if injective:
         if t < universe_n:
             raise ValueError("injective coloring needs t >= universe size")
-        return [Coloring(t, tuple(range(universe_n)))]
+        return [tuple(range(universe_n))]
     rng = random.Random(seed)
-    return [Coloring(t, tuple(rng.randrange(t) for _ in range(universe_n)))
-            for _ in range(reps)]
+    return [tuple(rng.randrange(t) for _ in range(universe_n)) for _ in range(reps)]
 
 
 @dataclass(frozen=True)
@@ -82,11 +70,12 @@ class ColorfulSearchGraph:
     vertex_colors: Mapping[int, int]      # conflict vertex id -> color mask
 
 
-def colorful_subgraph(sg: SearchGraph, f: Coloring, g: ConflictGraph) -> ColorfulSearchGraph:
-    """Filter the search graph down to its colorful edges under f."""
+def colorful_subgraph(sg: SearchGraph, f: tuple[int, ...],
+                      g: ConflictGraph) -> ColorfulSearchGraph:
+    """Filter the search graph down to its colorful edges under the coloring f."""
     if g.members is None:
         raise ValueError("color coding needs the element sets behind each vertex")
-    vcol = {v: f.mask_of(g.members[v]) for v in range(g.n)}
+    vcol = {v: reduce(or_, (1 << f[e] for e in g.members[v]), 0) for v in range(g.n)}
     kept: list[SearchEdge] = []
     cols: list[int] = []
     for e in sg.edges:
@@ -125,8 +114,9 @@ class WalkBudgetExceeded(RuntimeError):
 
 
 def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, list]]:
-    """Every reachable colorful-walk state from each start vertex, one witness
-    walk each, as start -> end -> [(colors, U-mask, W-mask, length, witness)].
+    """Every colorful-walk state reachable from each start vertex within
+    ``max_len`` edges, one witness walk each, as
+    start -> end -> [(colors, U-mask, W-mask, witness)].
 
     The masks carry bit v for every vertex v in the U- and W-labels of the
     walk's edges; witnesses are tuples of edge indices; rows come in table
@@ -134,7 +124,8 @@ def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, l
     edge whose W-color set is disjoint from the colors accumulated so far.
     Merging on the full label unions is lossless: states with equal keys admit
     exactly the same extensions and the same projections onto any context, so
-    one witness per key suffices.  The budget bounds each start's table.
+    one witness per key suffices: the first, a shortest walk, as the DP runs
+    breadth first.  The budget bounds each start's table.
 
     Non-loop edges get bit positions in index order.  ``incident[v]`` holds
     the positions of v's edges and ``clash[c]`` those of the edges whose
@@ -165,19 +156,19 @@ def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, l
     blocked_of = {0: 0}
     tables: dict[int, dict[int, list]] = {}
     for start in csg.vertices:
-        states = {(start, 0, 0, 0, 0)}
-        by_end = tables[start] = {start: [(0, 0, 0, 0, ())]}
-        frontier = [((start, 0, 0, 0, 0), ())]
-        for length in range(1, max_len + 1):
+        states = {(start, 0, 0, 0)}
+        by_end = tables[start] = {start: [(0, 0, 0, ())]}
+        frontier = [((start, 0, 0, 0), ())]
+        for _ in range(max_len):
             nxt = []
-            for (v, colors, uu, ww, _), witness in frontier:
+            for (v, colors, uu, ww), witness in frontier:
                 blocked = blocked_of[colors]
                 free = incident[v] & ~blocked
                 while free:
                     low = free & -free
                     free ^= low
                     ab, col, u_m, w_m, ei, col_bits = steps[low.bit_length() - 1]
-                    key = (ab ^ v, colors | col, uu | u_m, ww | w_m, length)
+                    key = (ab ^ v, colors | col, uu | u_m, ww | w_m)
                     if key in states:
                         continue
                     states.add(key)
@@ -192,8 +183,6 @@ def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, l
                     if len(states) > WALK_STATE_BUDGET:
                         raise WalkBudgetExceeded(f"walk table beyond {WALK_STATE_BUDGET} states")
             frontier = nxt
-            if not frontier:
-                break
     return tables
 
 
@@ -201,17 +190,16 @@ def project_walks(rows: list, ctx_u_mask: int, ctx_w_mask: int,
                   stops: list[int] | None = None) -> dict:
     """Project one end vertex's walk rows onto a loop context.
 
-    ``rows`` are (colors, U-mask, W-mask, length, witness) in table order.
-    Returns (colors, X, Y) -> witness, with X and Y the masks restricted to
-    the context; the first row of each projected key represents it.  The
-    assembly reads only colors, X and Y, and a first hit never needs a later
-    row of the same key, so the length drops out.  ``stops`` holds one mask
+    ``rows`` are (colors, U-mask, W-mask, witness) in table order.  Returns
+    (colors, X, Y) -> witness, with X and Y the masks restricted to the
+    context; the first row of each projected key represents it, as a first
+    hit never needs a later row of the same key.  ``stops`` holds one mask
     per row: the loop W-vertices whose colors the row meets but whose
     W-label it leaves uncovered.  A row whose stop mask meets the context is
     dropped.
     """
     out: dict = {}
-    for (colors, uu, ww, _, witness), stop in zip(rows, stops or repeat(0)):
+    for (colors, uu, ww, witness), stop in zip(rows, stops or repeat(0)):
         if not stop & ctx_w_mask:
             out.setdefault((colors, uu & ctx_u_mask, ww & ctx_w_mask), witness)
     return out
@@ -252,7 +240,7 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
         if out is None:
             out = stop_lists[u, v] = [
                 sum(bit for bit, vcol in loop_w_colors.items() if vcol & colors and not bit & ww)
-                for colors, _, ww, _, _ in ends[u].get(v, [])]
+                for colors, _, ww, _ in ends[u].get(v, [])]
         return out
 
     def walks(u: int, v: int, ctx_u: int = 0, ctx_w: int = 0) -> dict:

@@ -14,15 +14,16 @@ improvement that split into linkage-disconnected parts would contain a
 smaller improvement, so the restriction loses nothing.  The naive
 full-subset enumerator serves small tau (below 5) and cross-validation.
 
-The grown enumerator returns the least improving set by (size, root,
-preorder).  It deepens iteratively up to size ``_ID_DEPTH``, where the
-frequent small improvements are cheap, then runs one DFS capped at tau that
-tests every larger node and lowers the cap to s - 1 on a hit of size s.
-The final call, which certifies that no improvement of size up to tau
-remains, thus walks the search tree once instead of once per depth.  Its
-prunes only loosen as the cap grows and never cut off an improving
-descendant, so the capped DFS returns the hit that iterative deepening to
-tau would.
+The grown enumerator returns the least candidate with no solution
+neighbor, if any, and otherwise the least improving set by (size, root,
+preorder); an earlier root that improves alone loses to the former.  It
+deepens iteratively up to size ``_ID_DEPTH``, where the frequent small
+improvements are cheap, then runs one DFS capped at tau that tests every
+larger node and lowers the cap to s - 1 on a hit of size s.  The final
+call, which certifies that no improvement of size up to tau remains, thus
+walks the search tree once instead of once per depth.  Its prunes only
+loosen as the cap grows and never cut off an improving descendant, so the
+capped DFS returns the hit that iterative deepening to tau would.
 
 The capped DFS also cuts by claw shares, an admissible bound from the
 claw-freeness the guarantee rests on: a solution set a has w(a)+1 elements,

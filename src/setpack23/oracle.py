@@ -16,6 +16,9 @@ from operator import or_
 from .instance import Instance, Packing
 
 
+ORACLE_NODE_BUDGET = 10_000_000  # the most nodes one solve may pop
+
+
 class OracleBudgetExceeded(RuntimeError):
     """Node budget exhausted; the instance is too large for the oracle."""
 
@@ -27,7 +30,7 @@ class OracleResult:
     nodes_explored: int
 
 
-def solve_exact(instance: Instance, budget: int = 10_000_000) -> OracleResult:
+def solve_exact(instance: Instance, budget: int = ORACLE_NODE_BUDGET) -> OracleResult:
     """Exact optimum; ``OracleBudgetExceeded`` once popped nodes exceed ``budget``.
 
     Sets that miss every chosen and uncovered element are available.  A node

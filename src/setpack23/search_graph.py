@@ -35,7 +35,7 @@ class SearchEdge(NamedTuple):
 @dataclass(frozen=True)
 class SearchGraph:
     vertices: tuple[int, ...]       # weight-2 members of the solution, sorted
-    edges: tuple[SearchEdge, ...]   # deduplicated, sorted
+    edges: tuple[SearchEdge, ...]   # sorted
     tau: int
 
     @property
@@ -97,7 +97,9 @@ def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> Sear
     if not g.independent_mask(a_mask):
         raise ValueError("solution must be independent")
     outside = bit_positions(((1 << g.n) - 1) & ~a_mask)
-    edges: set[SearchEdge] = set()
+    # Each (W, R) pair gives its own edge and sort key, in which labels
+    # compare as ascending vertex tuples, not as masks.
+    keyed: list[tuple[tuple, SearchEdge]] = []
     for w_mask in _independent_subsets(g, outside, tau):
         ww = g.weight_mask(w_mask)
         m_mask = g.neighbors_mask(w_mask) & a_mask
@@ -106,17 +108,16 @@ def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> Sear
         need2, rem = divmod(g.weight_mask(m_mask) - ww + 2, 2)
         if rem or need2 not in (1, 2) or m_mask.bit_count() - need2 > tau:
             continue
+        w_key = bit_positions(w_mask)
         for r_combo in combinations(bit_positions(m_mask & g.w2_mask), need2):
             u_mask = m_mask
             for v in r_combo:
                 u_mask ^= 1 << v
-            edges.add(SearchEdge(r_combo, u_mask, w_mask))
-
+            keyed.append(((r_combo, bit_positions(u_mask), w_key),
+                          SearchEdge(r_combo, u_mask, w_mask)))
+    keyed.sort()
     vertices = bit_positions(a_mask & g.w2_mask)
-    # Labels compare as ascending vertex tuples, not as masks.
-    order = sorted(edges, key=lambda e: (e.endpoints, bit_positions(e.u_mask),
-                                         bit_positions(e.w_mask)))
-    return SearchGraph(vertices, tuple(order), tau)
+    return SearchGraph(vertices, tuple(e for _, e in keyed), tau)
 
 
 def is_improving_binocular(b: LabeledBinocular, g: ConflictGraph) -> bool:

@@ -148,10 +148,10 @@ def test_ac4_walk_dp_equals_brute_force():
         ctx_w = frozenset(rng.sample(range(100, 106), rng.randrange(4)))
         table = walk_table(csg, start, ctx_u, ctx_w, max_len=6)
         expected = brute_force_walk_keys(csg, start, ctx_u, ctx_w, 6)
-        assert set(table) == expected
+        assert {key: len(witness) for key, witness in table.items()} == expected
         agreements += 1
     _report("AC4", f"({agreements}/100 random tables agree with exhaustive "
-                   f"walk enumeration on every reachable key)")
+                   f"walk enumeration on every reachable key and its shortest walk)")
 
 
 def test_ac5_minimal_binocular_structure():

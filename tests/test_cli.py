@@ -211,6 +211,27 @@ def test_bad_seed_env_exits_two(capsys, monkeypatch, chain_file):
     assert err == "error: SETPACK_SEED must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("argv", [["oracle", "--seed", "1"],
+                                  ["solve-hereditary", "--seed", "1"],
+                                  ["audit", "--force-oracle"]])
+def test_options_that_change_no_output_are_rejected(capsys, chain_file, argv):
+    # The oracle is deterministic and hereditary mode never colors, so
+    # neither takes a seed; --max-oracle-sets lifts the audit's size guard.
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + [chain_file] + argv[1:])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_audit_size_guard_names_its_override(capsys, chain_file):
+    code, out, err = run_cli(capsys, "audit", chain_file, "--tau", "2", "--max-oracle-sets", "3")
+    assert code == 2 and out == ""
+    assert err.endswith("4 sets exceeds the oracle comfort zone (raise --max-oracle-sets "
+                        "to override)\n")
+    code, _, _ = run_cli(capsys, "audit", chain_file, "--tau", "2", "--max-oracle-sets", "4")
+    assert code == 0
+
+
 @pytest.mark.parametrize("doc", [{"weights": {"0": 1}, "B": []}, [1, 2],
                                  {"weights": 5, "A": [], "B": []}])
 def test_malformed_tuple_exits_two(tmp_path, capsys, doc):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from setpack23.color_coding import (Coloring, ColorfulSearchGraph, colorful_subgraph,
+from setpack23.color_coding import (ColorfulSearchGraph, colorful_subgraph,
                                     default_color_count, find_colorful_binocular,
                                     make_colorings, project_walks,
                                     search_improving_binocular, walk_states)
@@ -73,12 +73,15 @@ def random_csg(rng: random.Random, max_vertices: int = 8, max_edges: int = 14,
 
 
 def brute_force_walk_keys(csg: ColorfulSearchGraph, start: int,
-                          ctx_u: frozenset, ctx_w: frozenset, max_len: int) -> set:
-    """Every reachable (end, colors, X, Y, length) by explicit walk enumeration."""
-    keys = set()
+                          ctx_u: frozenset, ctx_w: frozenset, max_len: int) -> dict:
+    """Every (end, colors, X, Y) that a walk of at most ``max_len`` edges
+    reaches, by explicit walk enumeration, mapped to its shortest such walk's
+    length."""
+    keys: dict = {}
 
     def rec(v, colors, x, y, length):
-        keys.add((v, colors, x, y, length))
+        key = (v, colors, x, y)
+        keys[key] = min(keys.get(key, length), length)
         if length == max_len:
             return
         for i, e in enumerate(csg.edges):
@@ -105,29 +108,28 @@ def _unmask(mask: int) -> frozenset:
 
 
 def walk_table(csg: ColorfulSearchGraph, start: int, ctx_u, ctx_w, max_len: int) -> dict:
-    """The DP's states projected onto the context, keyed (end, colors, X, Y, length).
+    """The DP's states projected onto the context, keyed (end, colors, X, Y).
 
     Keys are built from the ``walk_states`` rows themselves, first row per
-    key, so the lengths stay checked; X and Y come back as frozensets so keys
+    key, as the assembly reads them; X and Y come back as frozensets so keys
     compare with the references below.
     """
     u, w = _mask(ctx_u), _mask(ctx_w)
     table: dict = {}
     for v, rows in walk_states(csg, max_len)[start].items():
-        for colors, uu, ww, length, witness in rows:
-            table.setdefault((v, colors, _unmask(uu & u), _unmask(ww & w), length), witness)
+        for colors, uu, ww, witness in rows:
+            table.setdefault((v, colors, _unmask(uu & u), _unmask(ww & w)), witness)
     return table
 
 
 def replay_walk(csg: ColorfulSearchGraph, start: int, witness, ctx_u, ctx_w):
-    """Re-walk a stored witness and return its (end, colors, X, Y, length)."""
+    """Re-walk a stored witness and return its (end, colors, X, Y)."""
     ctx_u = frozenset(ctx_u)
     ctx_w = frozenset(ctx_w)
     v = start
     colors = 0
     x: frozenset = frozenset()
     y: frozenset = frozenset()
-    length = 0
     for ei in witness:
         e = csg.edges[ei]
         if e.is_loop or v not in e.endpoints:
@@ -139,8 +141,7 @@ def replay_walk(csg: ColorfulSearchGraph, start: int, witness, ctx_u, ctx_w):
         x |= _unmask(e.u_mask) & ctx_u
         y |= _unmask(e.w_mask) & ctx_w
         v = e.endpoints[0] if v == e.endpoints[1] else e.endpoints[1]
-        length += 1
-    return v, colors, x, y, length
+    return v, colors, x, y
 
 
 def reference_walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict:
@@ -159,16 +160,16 @@ def reference_walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict:
         incident[b].append((a,) + step)
     tables = {}
     for start in csg.vertices:
-        states = {(start, 0, 0, 0, 0)}
-        by_end = tables[start] = {start: [(0, 0, 0, 0, ())]}
-        frontier = [((start, 0, 0, 0, 0), ())]
-        for length in range(1, max_len + 1):
+        states = {(start, 0, 0, 0)}
+        by_end = tables[start] = {start: [(0, 0, 0, ())]}
+        frontier = [((start, 0, 0, 0), ())]
+        for _ in range(max_len):
             nxt = []
-            for (v, colors, uu, ww, _), witness in frontier:
+            for (v, colors, uu, ww), witness in frontier:
                 for other, col, u_m, w_m, ei in incident[v]:
                     if col & colors:
                         continue
-                    key = (other, colors | col, uu | u_m, ww | w_m, length)
+                    key = (other, colors | col, uu | u_m, ww | w_m)
                     if key in states:
                         continue
                     states.add(key)
@@ -189,8 +190,7 @@ class TestColorings:
         assert make_colorings(8, 5, 3, seed=42) != make_colorings(8, 5, 3, seed=43)
 
     def test_injective_is_identity(self):
-        (c,) = make_colorings(6, 6, reps=5, seed=0, injective=True)
-        assert c.assignment == tuple(range(6))
+        assert make_colorings(6, 6, reps=5, seed=0, injective=True) == [tuple(range(6))]
         with pytest.raises(ValueError):
             make_colorings(6, 5, 1, 0, injective=True)
 
@@ -227,7 +227,7 @@ class TestColorfulSubgraph:
         g = build_conflict_graph(parse_instance(self.inst_sets))
         sg = enumerate_search_edges(g, self.solution, tau=2)
         assert any(e.w_mask.bit_count() == 2 for e in sg.edges)
-        f = Coloring(1, tuple(0 for _ in range(g.universe_size)))
+        f = (0,) * g.universe_size
         csg = colorful_subgraph(sg, f, g)
         # single-W edges are vacuously colorful and always survive
         assert set(csg.edges) == {e for e in sg.edges if e.w_mask.bit_count() == 1}
@@ -237,20 +237,21 @@ class TestWalkTable:
     def test_base_case(self, rng):
         csg = random_csg(rng)
         table = walk_table(csg, 0, (), (), max_len=3)
-        assert (0, 0, frozenset(), frozenset(), 0) in table
-        assert not any(k[4] == 0 and k[0] != 0 for k in table)
+        assert table[0, 0, frozenset(), frozenset()] == ()
+        # every edge carries colors, so only the empty walk has none
+        assert not any(k[1] == 0 and k[0] != 0 for k in table)
 
     def test_single_edge_step(self):
         e = search_edge((0, 1), (200,), (100,))
         csg = ColorfulSearchGraph((0, 1), (e,), (0b11,), {100: 0b11})
         table = walk_table(csg, 0, (200,), (100,), max_len=2)
-        assert (1, 0b11, frozenset({200}), frozenset({100}), 1) in table
+        assert table[1, 0b11, frozenset({200}), frozenset({100})] == (0,)
 
     def test_identical_parallel_colors_block_closing(self):
         edges = (search_edge((0, 1), (), (100,)), search_edge((0, 1), (), (101,)))
         csg = ColorfulSearchGraph((0, 1), edges, (0b1, 0b1), {100: 0b1, 101: 0b1})
         table = walk_table(csg, 0, (), (), max_len=4)
-        assert not any(k[0] == 0 and k[4] == 2 for k in table)
+        assert not any(k[0] == 0 and k[1] for k in table)
 
     def test_matches_brute_force(self, rng):
         for _ in range(25):
@@ -259,7 +260,8 @@ class TestWalkTable:
             ctx_u = frozenset(rng.sample(range(200, 206), rng.randrange(3)))
             ctx_w = frozenset(rng.sample(range(100, 106), rng.randrange(3)))
             table = walk_table(csg, start, ctx_u, ctx_w, max_len=5)
-            assert set(table) == brute_force_walk_keys(csg, start, ctx_u, ctx_w, 5)
+            shortest = {key: len(witness) for key, witness in table.items()}
+            assert shortest == brute_force_walk_keys(csg, start, ctx_u, ctx_w, 5)
 
     def test_witness_replay(self, rng):
         for _ in range(15):
@@ -270,6 +272,19 @@ class TestWalkTable:
             table = walk_table(csg, start, ctx_u, ctx_w, max_len=5)
             for key, witness in table.items():
                 assert replay_walk(csg, start, witness, ctx_u, ctx_w) == key
+
+    def test_one_row_per_state_holding_its_shortest_walk(self, rng):
+        # End 2 is reached from 0 by edge 2 alone, or through 1 by edges 0
+        # and 1, with the same colors and W-vertices: one state, one row.
+        edges = (search_edge((0, 1), (), (100,)), search_edge((1, 2), (), (101,)),
+                 search_edge((0, 2), (), (100, 101)))
+        csg = ColorfulSearchGraph((0, 1, 2), edges, (0b01, 0b10, 0b11), {100: 0b01, 101: 0b10})
+        assert walk_states(csg, 3)[0][2] == [(0b11, 0, _mask((100, 101)), (2,))]
+        for _ in range(25):
+            csg = random_csg(rng)
+            for by_end in walk_states(csg, 5).values():
+                for rows in by_end.values():
+                    assert len({row[:3] for row in rows}) == len(rows)
 
     def test_budget_counts_per_start_vertex(self, monkeypatch):
         # A 4-cycle of distinct colors: each start reaches the same number of
@@ -290,10 +305,11 @@ class TestWalkTable:
 
 
 class TestProjectWalks:
-    def test_rows_differing_in_length_collapse_and_stopped_rows_drop(self):
-        # (colors, U-mask, W-mask, length, witness) rows of one end vertex
-        rows = [(0b01, 0b110, 0b01, 2, (0, 1)), (0b01, 0b110, 0b01, 3, (2, 3, 4)),
-                (0b10, 0b100, 0b10, 1, (5,))]
+    def test_rows_alike_in_context_collapse_and_stopped_rows_drop(self):
+        # (colors, U-mask, W-mask, witness) rows of one end vertex; the first
+        # two differ only in U-vertex 0b100, outside every context below
+        rows = [(0b01, 0b110, 0b01, (0, 1)), (0b01, 0b010, 0b01, (2, 3, 4)),
+                (0b10, 0b100, 0b10, (5,))]
         assert project_walks(rows, 0b010, 0b11) == {
             (0b01, 0b010, 0b01): (0, 1), (0b10, 0b000, 0b10): (5,)}
         # the last row's stop mask meets the first context, not the second
@@ -409,7 +425,7 @@ class TestFindColorful:
         rows = walk_states(csg, 4)[0][0]
         # Per row, the loop W-vertices its colors meet but its W-label misses.
         stops = [sum(1 << v for v in (100, 103) if colors[v] & c and not ww >> v & 1)
-                 for c, _, ww, _, _ in rows]
+                 for c, _, ww, _ in rows]
         closed_walks = {k: w for k, w in project_walks(rows, 0, ctx_w).items() if k[0]}
         kept = {k: w for k, w in project_walks(rows, 0, ctx_w, stops).items() if k[0]}
         assert len(closed_walks) == 1 and kept == (closed_walks if covered else {})

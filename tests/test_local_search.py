@@ -79,6 +79,15 @@ class TestFindImprovement:
         assert imp == find_improvement(g, {0}, tau=3, method="naive")
         assert imp.x == {1} and imp.removed == frozenset()
 
+    def test_untouched_vertex_wins_over_an_earlier_improving_root(self):
+        # Candidate 1 evicts solution vertex 0 and improves on its own, but
+        # the grown enumerator's pre-scan returns the later, untouched 2;
+        # the naive enumerator returns the least improving set, {1}.
+        g = build_conflict_graph(instance_from_sets([(1, 2), (1, 3, 4), (9, 10, 11)]))
+        assert find_improvement(g, {0}, tau=5, method="grown").x == {2}
+        naive = find_improvement(g, {0}, tau=5, method="naive")
+        assert naive.x == {1} and naive.removed == {0}
+
     @pytest.mark.parametrize("method", ["auto", "naive", "grown"])
     @pytest.mark.parametrize("tau", [0, -1])
     def test_nonpositive_tau_is_rejected(self, method, tau):
