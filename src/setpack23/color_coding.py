@@ -9,13 +9,13 @@ bitmask tuple (end vertex, colors, U-label mask, W-label mask) and stores one
 witness, its shortest walk.  The DP indexes edges by color: per color bit, a
 clash mask of the edges holding it, so a state expands only along the
 incident edges outside the clash masks of its colors, never touching one
-that its colors would reject.  A choice of one or two loops projects only the
-(start, end) lists its walk shape reads onto the loops' labels, and a
-candidate binocular is stitched together from those loops plus up to three
-stored walks.  The projection drops a walk whose colors meet a
-loop W-vertex it leaves uncovered, read from per-row stop masks; this is
-exact: the other walks are color-disjoint from it, so they cannot cover that
-vertex, and it would fail the loop's color condition.  Everything found is
+that its colors would reject.  A candidate binocular is stitched together
+from up to two loops and up to three stored walks.  A loop choice reads
+only the (start, end) lists its shape needs and drops a walk whose colors
+meet a loop W-vertex it leaves uncovered, read from per-row stop masks;
+this is exact, as the other walks are color-disjoint from it and cannot
+cover that vertex.  So loops whose W-labels clash in color are never
+paired, and one weight test per walk decides the rest.  Everything found is
 re-checked against the improving-binocular predicate, so random colorings
 only ever cost completeness, never soundness.
 
@@ -214,15 +214,17 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
     One ``walk_states`` call tabulates every start vertex, grouped by end
     vertex.  Loop-free shapes come first: two closed walks plus a (possibly
     empty) connector, or three paths between two vertices.  A choice L of one
-    or two loops fixes the context to the union of their labels; a candidate
-    (C, X, Y) must keep the surviving loop W-vertices color-disjoint from C
-    and from each other and win the weight inequality by two per loop, with
-    one loop plus a closed walk and a connector, or two loops plus a
-    connector.  Each choice projects only the (start, end) lists its shape
-    needs and drops walks whose colors meet a loop W-vertex they leave
+    or two loops adds a closed walk and a connector, or a connector.  Its
+    walks drop out when their colors meet a loop W-vertex they leave
     standing, read from per-row stop masks built once per list; this is
     exact: a candidate's walks are pairwise color-disjoint, so no other walk
-    covers that vertex, and it would fail the color condition.  Any hit is
+    covers that vertex, and the walk would fail the color condition.  So L is
+    skipped when its loop W-labels hold two distinct vertices of overlapping
+    colors, as a walk covers at most one and the other stops it.  Otherwise
+    walks with masks X and Y within the labels U_L and W_L of L pass exactly
+    when w(X) - w(Y) >= w(U_L) + 2|L| - w(W_L).  One-loop choices pair the
+    projected lists; two-loop choices scan one list's rows in table order,
+    so the first passing row is the first of its projected key.  Any hit is
     a binocular by construction and is re-verified by the caller.  Stored
     walks are at most ``walk_cap`` long; a nonempty closed walk has at least
     two edges, as loops never enter the walk DP.
@@ -283,21 +285,16 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
         for i in L:
             ctx_u |= csg.edges[i].u_mask
             ctx_w |= csg.edges[i].w_mask
-
-        # A kept walk's colors meet only loop W-vertices inside its own Y, so
-        # the walks are color-disjoint from the standing ones and only
-        # (X, Y) decides the conditions.
-        def conditions(x: int, y: int) -> bool:
-            remaining = ctx_w & ~y
-            if _mask_colors(remaining, csg.vertex_colors) < 0:
-                return False
-            return g.weight_mask(remaining) >= g.weight_mask(ctx_u & ~x) + 2 * len(L)
-
+        if _mask_colors(ctx_w, csg.vertex_colors) < 0:
+            continue  # two loop W-vertices share a color
+        # w(ctx_w - Y) >= w(ctx_u - X) + 2|L|, as X and Y lie in the context
+        need = g.weight_mask(ctx_u) + 2 * len(L) - g.weight_mask(ctx_w)
         p = csg.edges[L[0]].endpoints[0]
         if len(L) == 2:
             q = csg.edges[L[1]].endpoints[0]
-            for (_, x, y), wit in walks(p, q, ctx_u, ctx_w).items():
-                if conditions(x, y):
+            for (_, uu, ww, wit), stop in zip(ends[p].get(q, []), stops(p, q)):
+                if not stop & ctx_w and (g.weight_mask(uu & ctx_u)
+                                         - g.weight_mask(ww & ctx_w) >= need):
                     return assemble(L, wit)
             continue
         for v in csg.vertices:
@@ -306,7 +303,7 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                 continue
             for (c1, x1, y1), wit1 in walks(p, v, ctx_u, ctx_w).items():
                 for (c2, x2, y2), wit2 in loop_cycles:
-                    if not c1 & c2 and conditions(x1 | x2, y1 | y2):
+                    if not c1 & c2 and g.weight_mask(x1 | x2) - g.weight_mask(y1 | y2) >= need:
                         return assemble(L, wit1 + wit2)
     return None
 

@@ -1,19 +1,28 @@
+import functools
+import hashlib
 import math
 import random
-from itertools import combinations
+from itertools import chain, combinations
+from unittest import mock
 
 import pytest
 
-from setpack23.color_coding import (ColorfulSearchGraph, colorful_subgraph,
+import setpack23.color_coding as cc
+from setpack23.color_coding import (ColorfulSearchGraph, _mask_colors, colorful_subgraph,
                                     default_color_count, find_colorful_binocular,
                                     make_colorings, project_walks,
                                     search_improving_binocular, walk_states)
-from setpack23.conflict import bit_positions, build_conflict_graph
+from setpack23.conflict import ConflictGraph, bit_positions, build_conflict_graph
 from setpack23.local_search import SearchParams, is_local_improvement
-from setpack23.search_graph import (enumerate_search_edges, extract_improvement,
-                                    is_improving_binocular)
-from conftest import binocular_gadget, search_edge
+from setpack23.search_graph import (LabeledBinocular, enumerate_search_edges,
+                                    extract_improvement, is_improving_binocular)
+from conftest import binocular_gadget, label_key, search_edge
 from test_binoculars import naive_improving_binocular
+
+
+def search_walk_cap(sg, g) -> int:
+    """The walk length cap that ``search_improving_binocular`` passes on."""
+    return min(math.ceil(sg.tau * math.log2(max(2, g.n))), len(sg.vertices) + 1)
 
 
 def random_coloring_search(sg, g, a, seed: int = 0):
@@ -24,7 +33,7 @@ def random_coloring_search(sg, g, a, seed: int = 0):
     the color budget; the statistical completeness tests call it directly.
     """
     t = default_color_count(sg.tau, g.n)
-    cap = min(math.ceil(sg.tau * math.log2(max(2, g.n))), len(sg.vertices) + 1)
+    cap = search_walk_cap(sg, g)
     for f in make_colorings(g.universe_size, t, SearchParams.coloring_reps, seed):
         hit = find_colorful_binocular(colorful_subgraph(sg, f, g), g, cap)
         if hit is not None:
@@ -36,7 +45,7 @@ def random_coloring_search(sg, g, a, seed: int = 0):
 # -- synthetic colorful search graphs -----------------------------------------
 
 def random_csg(rng: random.Random, max_vertices: int = 8, max_edges: int = 14,
-               max_len_colors: int = 12) -> ColorfulSearchGraph:
+               max_len_colors: int = 12, loop_rate: float = 0.2) -> ColorfulSearchGraph:
     k = rng.randrange(2, max_vertices + 1)
     t = rng.randrange(4, max_len_colors + 1)
     w_pool = list(range(100, 100 + rng.randrange(3, 9)))
@@ -49,7 +58,7 @@ def random_csg(rng: random.Random, max_vertices: int = 8, max_edges: int = 14,
         vertex_colors[w] = mask
     edges, colors = [], []
     for _ in range(rng.randrange(1, max_edges + 1)):
-        if rng.random() < 0.2:
+        if rng.random() < loop_rate:
             ends = (rng.randrange(k),)
         else:
             a, b = rng.randrange(k), rng.randrange(k)
@@ -182,6 +191,95 @@ def reference_walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict:
             if not frontier:
                 break
     return tables
+
+
+def reference_loop_stage(csg: ColorfulSearchGraph, g: ConflictGraph,
+                         walk_cap: int):
+    """The loop stage of ``find_colorful_binocular`` without the color-clash
+    skip or the weight-only test: its first hit, or None (loop-free shapes
+    aside).
+
+    Every choice of one or two loops projects the (start, end) lists its
+    shape reads onto the loops' labels, dropping the rows that meet a loop
+    W-vertex they leave uncovered, and tests each projected (X, Y) with the
+    full conditions: the standing loop W-vertices are pairwise
+    color-disjoint and outweigh the standing U-vertices by two per loop.
+    """
+    ends = walk_states(csg, walk_cap)
+    loops = [i for i, e in enumerate(csg.edges) if e.is_loop]
+
+    def walks(u, v, ctx_u, ctx_w):
+        rows = ends[u].get(v, [])
+        stops = [sum(1 << w for w in bit_positions(ctx_w & ~ww) if csg.vertex_colors[w] & colors)
+                 for colors, _, ww, _ in rows]
+        return project_walks(rows, ctx_u, ctx_w, stops)
+
+    def assemble(loop_ids, witness):
+        return LabeledBinocular(tuple(csg.edges[i] for i in sorted(set(loop_ids) | set(witness))))
+
+    for L in chain(combinations(loops, 1), combinations(loops, 2)):
+        ctx_u = ctx_w = 0
+        for i in L:
+            ctx_u |= csg.edges[i].u_mask
+            ctx_w |= csg.edges[i].w_mask
+
+        def conditions(x: int, y: int) -> bool:
+            remaining = ctx_w & ~y
+            if _mask_colors(remaining, csg.vertex_colors) < 0:
+                return False
+            return g.weight_mask(remaining) >= g.weight_mask(ctx_u & ~x) + 2 * len(L)
+
+        p = csg.edges[L[0]].endpoints[0]
+        if len(L) == 2:
+            q = csg.edges[L[1]].endpoints[0]
+            for (_, x, y), wit in walks(p, q, ctx_u, ctx_w).items():
+                if conditions(x, y):
+                    return assemble(L, wit)
+            continue
+        for v in csg.vertices:
+            loop_cycles = [(key, wit) for key, wit in walks(v, v, ctx_u, ctx_w).items() if key[0]]
+            if not loop_cycles:
+                continue
+            for (c1, x1, y1), wit1 in walks(p, v, ctx_u, ctx_w).items():
+                for (c2, x2, y2), wit2 in loop_cycles:
+                    if not c1 & c2 and conditions(x1 | x2, y1 | y2):
+                        return assemble(L, wit1 + wit2)
+    return None
+
+
+def reference_find(csg: ColorfulSearchGraph, g: ConflictGraph, walk_cap: int):
+    """``find_colorful_binocular`` with the reference loop stage.  Loop-free
+    shapes come first, and the graph without its loops finds exactly those,
+    as loops never enter the walk DP."""
+    keep = [i for i, e in enumerate(csg.edges) if not e.is_loop]
+    loop_free = ColorfulSearchGraph(csg.vertices, tuple(csg.edges[i] for i in keep),
+                                    tuple(csg.edge_colors[i] for i in keep), csg.vertex_colors)
+    hit = find_colorful_binocular(loop_free, g, walk_cap)
+    return hit if hit is not None else reference_loop_stage(csg, g, walk_cap)
+
+
+@functools.cache
+def seeded_searches() -> tuple:
+    """(search graph, conflict graph) of every binocular search that ``solve``
+    runs on ``generate_random(12, 16, 0.6, seed=s)``, s = 0..399, at tau 2
+    and 3, in order.  All of them run the injective coloring."""
+    from setpack23.instance import generate_random
+    from setpack23.local_search import solve
+    real, seen = cc.search_improving_binocular, []
+
+    def spy(sg, g, params, seed=0):
+        seen.append((sg, g))
+        return real(sg, g, params, seed)
+    with mock.patch.object(cc, "search_improving_binocular", spy):
+        for s in range(400):
+            for tau in (2, 3):
+                solve(generate_random(12, 16, 0.6, seed=s), SearchParams(tau=tau))
+    return tuple(seen)
+
+
+def injective_csg(sg, g) -> ColorfulSearchGraph:
+    assert default_color_count(sg.tau, g.n) >= g.universe_size
+    return colorful_subgraph(sg, tuple(range(g.universe_size)), g)
 
 
 class TestColorings:
@@ -455,6 +553,109 @@ class TestFindColorful:
         assert hits == 172
         assert digest.hexdigest() == (
             "ae57db33d11354977c00066ab182b6db866fb536d72a453cb4a5e4305e393623")
+
+
+class TestLoopChoices:
+    """The loop stage against ``reference_loop_stage``."""
+
+    def test_clashing_loop_w_labels_yield_nothing(self):
+        # Loops at 0 and 1 with W-labels {100, 102} and {101, 103}, where 100
+        # and 101 share color 0b0001.  The one walk 0-1 covers 101 and wins
+        # the weight test, but its colors meet 100, which it leaves standing.
+        edges = (search_edge((0,), (), (100, 102)), search_edge((1,), (), (101, 103)),
+                 search_edge((0, 1), (), (101,)))
+        colors = {100: 0b0001, 101: 0b0001, 102: 0b0010, 103: 0b0100}
+        csg = ColorfulSearchGraph((0, 1), edges, (0b0011, 0b0101, 0b0001), colors)
+        g = ConflictGraph([2] * 104, [])
+        ctx_w = _mask((100, 101, 102, 103))
+        assert _mask_colors(ctx_w, colors) < 0
+        # w(X) - w(Y) >= w(U_L) + 2|L| - w(W_L)
+        assert 0 - g.weight_mask(_mask((101,))) >= 0 + 2 * 2 - g.weight_mask(ctx_w)
+        assert find_colorful_binocular(csg, g, walk_cap=3) is None
+        assert reference_loop_stage(csg, g, walk_cap=3) is None
+
+    def test_loops_sharing_a_w_vertex_pair_up(self):
+        # Two loops at 0 share W-vertex 100 and no other color, so the pair
+        # is no clash; with the empty walk it wins the weight test.
+        edges = (search_edge((0,), (200,), (100, 101)), search_edge((0,), (200,), (100, 102)))
+        colors = {100: 0b001, 101: 0b010, 102: 0b100}
+        csg = ColorfulSearchGraph((0,), edges, (0b011, 0b101), colors)
+        g = ConflictGraph([2 if 100 <= v <= 102 else 1 for v in range(201)], [])
+        assert _mask_colors(_mask((100, 101, 102)), colors) >= 0
+        b = find_colorful_binocular(csg, g, walk_cap=3)
+        assert b is not None and b.edges == edges
+        assert reference_loop_stage(csg, g, walk_cap=3) == b
+
+    @staticmethod
+    def compare(cases) -> dict:
+        """Assert that every (colorful graph, conflict graph, walk cap) case
+        gives the reference's result, and count the clash skips, the loop
+        pairs by kind and the hits by their number of loops."""
+        counts = dict.fromkeys(("skips", "clashing", "apart", "sharing", "one", "two"), 0)
+
+        def spy(mask, vertex_colors):
+            out = _mask_colors(mask, vertex_colors)
+            counts["skips"] += out < 0
+            return out
+        for csg, g, cap in cases:
+            for e, f in combinations([e for e in csg.edges if e.is_loop], 2):
+                if _mask_colors(e.w_mask | f.w_mask, csg.vertex_colors) < 0:
+                    counts["clashing"] += 1
+                else:
+                    counts["sharing" if e.w_mask & f.w_mask else "apart"] += 1
+            with mock.patch.object(cc, "_mask_colors", spy):
+                b = find_colorful_binocular(csg, g, cap)
+            assert b == reference_find(csg, g, cap)
+            if b is not None and any(e.is_loop for e in b.edges):
+                counts["one" if sum(e.is_loop for e in b.edges) == 1 else "two"] += 1
+        return counts
+
+    def test_matches_reference_on_random_graphs(self):
+        # Every other graph has at most three vertices and about half its
+        # edges loops, so several loops sit on each vertex.
+        def cases():
+            for i in range(3200):
+                rng = random.Random(90_000 + i)
+                csg = (random_csg(rng) if i % 2 else
+                       random_csg(rng, max_vertices=3, max_edges=16, loop_rate=0.5))
+                yield csg, ConflictGraph([rng.choice((1, 2)) for _ in range(206)], []), 1 + i % 5
+        counts = self.compare(cases())
+        assert counts["skips"] >= 3000 and counts["one"] >= 50 and counts["two"] >= 80
+        assert min(counts["clashing"], counts["apart"], counts["sharing"]) >= 3000
+
+    def test_matches_reference_on_seeded_search_graphs(self):
+        # The genuine search graphs under the injective coloring and under
+        # three random colorings of 3 to 8 colors each.
+        def cases():
+            rng = random.Random(4_242)
+            for sg, g in seeded_searches():
+                cap = search_walk_cap(sg, g)
+                yield injective_csg(sg, g), g, cap
+                for _ in range(3):
+                    t = rng.randrange(3, 9)
+                    f = tuple(rng.randrange(t) for _ in range(g.universe_size))
+                    yield colorful_subgraph(sg, f, g), g, cap
+        counts = self.compare(cases())
+        assert counts["skips"] >= 10_000 and counts["one"] >= 5 and counts["two"] >= 1
+        assert counts["clashing"] >= 10_000 and counts["apart"] >= 300 and counts["sharing"] >= 4000
+
+    def test_seeded_search_results_are_pinned(self):
+        # SHA-256 of every find_colorful_binocular result (None included) of
+        # the seeded searches, recorded before the loop stage skipped loop
+        # pairs whose W-labels clash in color.
+        digest, searches, loops_per_hit = hashlib.sha256(), 0, []
+        for sg, g in seeded_searches():
+            csg = injective_csg(sg, g)
+            if not csg.edges:
+                continue  # search_improving_binocular stops before the assembly
+            b = find_colorful_binocular(csg, g, search_walk_cap(sg, g))
+            searches += 1
+            digest.update(repr(None if b is None else tuple(map(label_key, b.edges))).encode())
+            if b is not None:
+                loops_per_hit.append(sum(e.is_loop for e in b.edges))
+        assert (searches, sorted(loops_per_hit)) == (806, [1, 1, 1, 1, 1, 2])
+        assert digest.hexdigest() == (
+            "7b5a9f704d45747ccec02a103b697c230962f39bf512d667bfc182079bdb8c01")
 
 
 class TestBinocularSearch:
