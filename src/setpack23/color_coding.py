@@ -33,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from operator import or_
 from typing import Mapping
 
@@ -186,22 +186,17 @@ def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, l
     return tables
 
 
-def project_walks(rows: list, ctx_u_mask: int, ctx_w_mask: int,
-                  stops: list[int] | None = None) -> dict:
+def project_walks(rows: list, ctx_u_mask: int, ctx_w_mask: int) -> dict:
     """Project one end vertex's walk rows onto a loop context.
 
     ``rows`` are (colors, U-mask, W-mask, witness) in table order.  Returns
     (colors, X, Y) -> witness, with X and Y the masks restricted to the
     context; the first row of each projected key represents it, as a first
-    hit never needs a later row of the same key.  ``stops`` holds one mask
-    per row: the loop W-vertices whose colors the row meets but whose
-    W-label it leaves uncovered.  A row whose stop mask meets the context is
-    dropped.
+    hit never needs a later row of the same key.
     """
     out: dict = {}
-    for (colors, uu, ww, witness), stop in zip(rows, stops or repeat(0)):
-        if not stop & ctx_w_mask:
-            out.setdefault((colors, uu & ctx_u_mask, ww & ctx_w_mask), witness)
+    for colors, uu, ww, witness in rows:
+        out.setdefault((colors, uu & ctx_u_mask, ww & ctx_w_mask), witness)
     return out
 
 
@@ -222,9 +217,10 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
     skipped when its loop W-labels hold two distinct vertices of overlapping
     colors, as a walk covers at most one and the other stops it.  Otherwise
     walks with masks X and Y within the labels U_L and W_L of L pass exactly
-    when w(X) - w(Y) >= w(U_L) + 2|L| - w(W_L).  One-loop choices pair the
-    projected lists; two-loop choices scan one list's rows in table order,
-    so the first passing row is the first of its projected key.  Any hit is
+    when w(X) - w(Y) >= w(U_L) + 2|L| - w(W_L).  Loop choices scan the rows
+    of their lists in table order, unprojected: whether a row passes depends
+    only on its projected key, so the first passing row (or pair of rows) is
+    the first of its key, as a projection would keep it.  Any hit is
     a binocular by construction and is re-verified by the caller.  Stored
     walks are at most ``walk_cap`` long; a nonempty closed walk has at least
     two edges, as loops never enter the walk DP.
@@ -245,12 +241,12 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                 for colors, _, ww, _ in ends[u].get(v, [])]
         return out
 
-    def walks(u: int, v: int, ctx_u: int = 0, ctx_w: int = 0) -> dict:
-        return project_walks(ends[u].get(v, []), ctx_u, ctx_w, stops(u, v) if ctx_w else None)
+    def walks(u: int, v: int) -> dict:
+        return project_walks(ends[u].get(v, []), 0, 0)
 
-    def closed(v: int, ctx_u: int = 0, ctx_w: int = 0) -> list:
+    def closed(v: int) -> list:
         # Every edge carries colors, so only the empty walk has none.
-        return [(key, wit) for key, wit in walks(v, v, ctx_u, ctx_w).items() if key[0]]
+        return [(key, wit) for key, wit in walks(v, v).items() if key[0]]
 
     def assemble(loop_ids: tuple[int, ...], witness: tuple[int, ...]) -> LabeledBinocular:
         edge_ids = sorted(set(loop_ids) | set(witness))
@@ -298,11 +294,15 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                     return assemble(L, wit)
             continue
         for v in csg.vertices:
-            loop_cycles = closed(v, ctx_u, ctx_w)
+            loop_cycles = [(c2, uu & ctx_u, ww & ctx_w, wit2) for (c2, uu, ww, wit2), stop
+                           in zip(ends[v].get(v, []), stops(v, v)) if c2 and not stop & ctx_w]
             if not loop_cycles:
                 continue
-            for (c1, x1, y1), wit1 in walks(p, v, ctx_u, ctx_w).items():
-                for (c2, x2, y2), wit2 in loop_cycles:
+            for (c1, uu, ww, wit1), stop in zip(ends[p].get(v, []), stops(p, v)):
+                if stop & ctx_w:
+                    continue
+                x1, y1 = uu & ctx_u, ww & ctx_w
+                for c2, x2, y2, wit2 in loop_cycles:
                     if not c1 & c2 and g.weight_mask(x1 | x2) - g.weight_mask(y1 | y2) >= need:
                         return assemble(L, wit1 + wit2)
     return None

@@ -35,6 +35,10 @@ such values its remaining depth can add stays negative has no improving
 descendant.  F is independent, so it holds at most one member of any
 clique of candidates: the values of the candidates already linked to X are
 covered greedily by cliques, and only each clique's largest value counts.
+The bound is tested cheapest first, with each linked candidate valued at
+its weight, the most its value can be, and no cover: that sum is never
+smaller, so the cover is built only where it fails to cut, and every cut
+decision stays the same.
 The iterative-deepening passes skip this cut: there the frequent small hits
 end the search before it would pay off.  A child whose extension is empty
 has no children, so it is tested and never entered.
@@ -59,9 +63,11 @@ _ID_DEPTH = 3
 # The capped DFS evaluates its claw-share bound only at children whose plain
 # slack w(X) - w(N) + 2 * depth_left is at most this: a larger slack is rarely
 # cut, and one evaluation costs about as much as visiting a node.  Without the
-# gate, an in-process A/B (sums of per-instance minima over five runs) put the
-# 800 hereditary-small solves of audit-small 23 % and the eight hereditary-cert
-# closures 17 % slower, and only the 138-set closure 18 % faster.
+# gate, the eight hereditary-cert closures visit 21,616 rec_grown frames
+# instead of 27,453 but make 43,597 evaluations instead of 41,779, for no
+# gain in time; the 800 hereditary-small solves of audit-small visit 164,234
+# frames instead of 229,718 but make 64,615 evaluations instead of 1,880 and
+# run about a quarter slower.  A gate derived from the input is still open.
 _SHARE_GATE = 8
 
 
@@ -194,6 +200,37 @@ def _clique_leaders(members: list[tuple[int, int, int]]) -> list[int]:
     return leaders
 
 
+def _capped_share_sum(heavy: int, light: int, far: int,
+                      share_classes: list[tuple[int, int]], d: int) -> int:
+    """The sum of the d largest values over ``heavy`` candidates valued 12,
+    ``light`` ones valued 6 and the candidates in ``far``, valued by
+    ``share_classes`` ((value, lanes) pairs, largest value first).
+
+    6 g(c) never exceeds its cap 6 w(c), 12 at most, and the clique cover
+    only drops values, so valuing each near candidate at its cap bounds from
+    above the sum that the exact values and their clique leaders give.
+    """
+    t = heavy if heavy < d else d
+    total = 12 * t
+    d -= t
+    for value, lanes in share_classes:
+        if not d:
+            return total
+        if light and value < 6:
+            t = light if light < d else d
+            total += 6 * t
+            d -= t
+            light = 0
+            if not d:
+                return total
+        t = (far & lanes).bit_count()
+        if t > d:
+            t = d
+        total += value * t
+        d -= t
+    return total + 6 * (light if light < d else d)
+
+
 def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str) -> int:
     if method == "auto":
         method = "grown" if tau >= 5 else "naive"
@@ -259,8 +296,12 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         ``ext`` take ``base_share`` plus what their neighbors in N gave up,
         and only the leaders of their clique cover count.  The largest d
         values are summed class by class and the sum stops once it covers
-        the deficit.
+        the deficit.  Valuing the near candidates at their caps first
+        (``_capped_share_sum``) decides many evaluations without the cover.
         """
+        heavy = (ext & w2m).bit_count()
+        if _capped_share_sum(heavy, ext.bit_count() - heavy, far, share_classes, d) < deficit:
+            return True
         members = []
         while ext:
             low = ext & -ext

@@ -209,10 +209,9 @@ def reference_loop_stage(csg: ColorfulSearchGraph, g: ConflictGraph,
     loops = [i for i, e in enumerate(csg.edges) if e.is_loop]
 
     def walks(u, v, ctx_u, ctx_w):
-        rows = ends[u].get(v, [])
-        stops = [sum(1 << w for w in bit_positions(ctx_w & ~ww) if csg.vertex_colors[w] & colors)
-                 for colors, _, ww, _ in rows]
-        return project_walks(rows, ctx_u, ctx_w, stops)
+        rows = [(colors, uu, ww, wit) for colors, uu, ww, wit in ends[u].get(v, [])
+                if not any(csg.vertex_colors[w] & colors for w in bit_positions(ctx_w & ~ww))]
+        return project_walks(rows, ctx_u, ctx_w)
 
     def assemble(loop_ids, witness):
         return LabeledBinocular(tuple(csg.edges[i] for i in sorted(set(loop_ids) | set(witness))))
@@ -403,18 +402,16 @@ class TestWalkTable:
 
 
 class TestProjectWalks:
-    def test_rows_alike_in_context_collapse_and_stopped_rows_drop(self):
+    def test_rows_alike_in_context_collapse(self):
         # (colors, U-mask, W-mask, witness) rows of one end vertex; the first
         # two differ only in U-vertex 0b100, outside every context below
         rows = [(0b01, 0b110, 0b01, (0, 1)), (0b01, 0b010, 0b01, (2, 3, 4)),
                 (0b10, 0b100, 0b10, (5,))]
         assert project_walks(rows, 0b010, 0b11) == {
             (0b01, 0b010, 0b01): (0, 1), (0b10, 0b000, 0b10): (5,)}
-        # the last row's stop mask meets the first context, not the second
-        stops = [0, 0, 0b01]
-        assert project_walks(rows, 0b010, 0b11, stops) == {(0b01, 0b010, 0b01): (0, 1)}
-        assert project_walks(rows, 0b010, 0b10, stops) == {
+        assert project_walks(rows, 0b010, 0b10) == {
             (0b01, 0b010, 0b00): (0, 1), (0b10, 0b000, 0b10): (5,)}
+        assert project_walks(rows, 0, 0) == {(0b01, 0, 0): (0, 1), (0b10, 0, 0): (5,)}
 
 
 class TestClashIndexedWalkStates:
@@ -525,7 +522,8 @@ class TestFindColorful:
         stops = [sum(1 << v for v in (100, 103) if colors[v] & c and not ww >> v & 1)
                  for c, _, ww, _ in rows]
         closed_walks = {k: w for k, w in project_walks(rows, 0, ctx_w).items() if k[0]}
-        kept = {k: w for k, w in project_walks(rows, 0, ctx_w, stops).items() if k[0]}
+        unstopped = [row for row, stop in zip(rows, stops) if not stop]
+        kept = {k: w for k, w in project_walks(unstopped, 0, ctx_w).items() if k[0]}
         assert len(closed_walks) == 1 and kept == (closed_walks if covered else {})
         b = find_colorful_binocular(csg, g, walk_cap=4)
         naive = naive_improving_binocular(SearchGraph((0, 1), edges, tau=2), g, max_size=3)

@@ -18,9 +18,9 @@ from setpack23.conflict import ConflictGraph, build_conflict_graph
 from setpack23 import local_search
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import generate_random, parse_instance, serialize_instance
-from setpack23.local_search import (SearchParams, _candidate_linkage, _claw_shares,
-                                    _clique_leaders, apply_improvement, find_improvement,
-                                    is_local_improvement, solve)
+from setpack23.local_search import (SearchParams, _candidate_linkage, _capped_share_sum,
+                                    _claw_shares, _clique_leaders, apply_improvement,
+                                    find_improvement, is_local_improvement, solve)
 from setpack23.oracle import solve_exact
 from conftest import (brute_force_improvement_exists, chain_instance,
                       instance_from_sets, random_packing)
@@ -230,6 +230,38 @@ def test_hereditary_cert_ladder_is_pinned(monkeypatch):
         assert hashlib.sha256(" ".join(map(str, hits)).encode()).hexdigest() == digest, name
 
 
+# rec_grown frames per `hereditary-cert` closure at tau=10, counted before the
+# claw-share cut valued the near candidates at their caps first: a cheaper
+# test of the same bound must cut exactly the same subtrees.
+HEREDITARY_CERT_FRAMES = {
+    "random-30-18-s0": 3223, "random-30-18-s1": 6714, "random-30-18-s2": 1700,
+    "random-30-18-s3": 4566, "random-30-18-s4": 1292, "random-30-18-s5": 4780,
+    "random-30-18-s6": 3445, "random-30-18-s7": 1733,
+}
+
+
+def test_hereditary_cert_frames_are_pinned():
+    ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
+    texts = {d["name"]: d["text"]
+             for d in json.loads(ladders.read_text())["hereditary-cert"]["instances"]}
+    assert sorted(texts) == sorted(HEREDITARY_CERT_FRAMES)
+    frames = {}
+
+    def count_frames(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "rec_grown":
+            frames[name] += 1
+
+    for name in HEREDITARY_CERT_FRAMES:
+        closed = hereditary_closure(parse_instance(texts[name]))
+        frames[name] = 0
+        sys.setprofile(count_frames)
+        try:
+            solve_hereditary(closed)
+        finally:
+            sys.setprofile(None)
+    assert frames == HEREDITARY_CERT_FRAMES
+
+
 @pytest.mark.parametrize("fault, message", [
     ("ConflictGraph.independent_mask = lambda self, mask: False",
      "solution lost independence"),
@@ -371,6 +403,43 @@ def test_clique_leaders_bound_every_independent_subset():
             assert sum(top[:size]) >= best[size]
         assert leaders == top[::-1]  # smallest first, as share_cut pops them
     assert merged >= 500, merged
+
+
+def test_capped_share_sum_bounds_the_clique_leader_sum():
+    # share_cut sums the d largest values over the clique leaders of the
+    # near candidates' exact values (6 g(c) <= 6 w(c)) and the far classes;
+    # valuing every near candidate at its cap 6 w(c) instead, with no cover,
+    # never gives less, so a cut on the capped sum is a cut share_cut makes
+    rng = random.Random(8117)
+    below = 0
+    for trial in range(3000):
+        k = rng.randrange(9)
+        weights = [rng.choice((1, 2)) for _ in range(k)]
+        values = [rng.randrange(-6, 6 * w + 1) for w in weights]
+        density = rng.random()
+        conf = [0] * k
+        for i, j in combinations(range(k), 2):
+            if rng.random() < density:
+                conf[i] |= 1 << j
+                conf[j] |= 1 << i
+        # far candidates take the bits above the near ones
+        far_values = {1 << (k + i): rng.randrange(1, 13) for i in range(rng.randrange(12))}
+        by_value: dict[int, int] = {}
+        for bit, value in far_values.items():
+            by_value[value] = by_value.get(value, 0) | bit
+        share_classes = sorted(by_value.items(), reverse=True)
+        far = sum(bit for bit in far_values if rng.random() < 0.6)
+        d = rng.randrange(1, 9)
+        leaders = _clique_leaders([(values[i], 1 << i, conf[i])
+                                   for i in range(k) if values[i] > 0])
+        far_in = [value for bit, value in far_values.items() if bit & far]
+        exact = sum(sorted(leaders + far_in, reverse=True)[:d])
+        heavy = weights.count(2)
+        capped = _capped_share_sum(heavy, k - heavy, far, share_classes, d)
+        assert capped == sum(sorted([6 * w for w in weights] + far_in, reverse=True)[:d])
+        assert capped >= exact
+        below += exact < capped
+    assert below >= 1000, below
 
 
 def test_runstats_wire_keys():
