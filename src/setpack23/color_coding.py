@@ -10,14 +10,14 @@ witness, its shortest walk.  The DP indexes edges by color: per color bit, a
 clash mask of the edges holding it, so a state expands only along the
 incident edges outside the clash masks of its colors, never touching one
 that its colors would reject.  A candidate binocular is stitched together
-from up to two loops and up to three stored walks.  A loop choice reads
-only the (start, end) lists its shape needs and drops a walk whose colors
-meet a loop W-vertex it leaves uncovered, read from per-row stop masks;
-this is exact, as the other walks are color-disjoint from it and cannot
-cover that vertex.  So loops whose W-labels clash in color are never
-paired, and one weight test per walk decides the rest.  Everything found is
-re-checked against the improving-binocular predicate, so random colorings
-only ever cost completeness, never soundness.
+from up to two loops and up to three stored walks.  A choice of loops whose
+W-labels clash in color is skipped; otherwise it reads only the (start, end)
+lists its shape needs and keeps a walk exactly when every loop W-vertex
+whose colors the walk meets is one it covers, as the candidate's other walks
+are color-disjoint from it and cannot cover that vertex.  One weight test
+per walk decides the rest.  Everything found is re-checked against the
+improving-binocular predicate, so random colorings only ever cost
+completeness, never soundness.
 
 Whenever the color budget t covers the universe, the search runs one
 injective coloring, which is exact: colorful then means element-disjoint
@@ -186,20 +186,6 @@ def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, l
     return tables
 
 
-def project_walks(rows: list, ctx_u_mask: int, ctx_w_mask: int) -> dict:
-    """Project one end vertex's walk rows onto a loop context.
-
-    ``rows`` are (colors, U-mask, W-mask, witness) in table order.  Returns
-    (colors, X, Y) -> witness, with X and Y the masks restricted to the
-    context; the first row of each projected key represents it, as a first
-    hit never needs a later row of the same key.
-    """
-    out: dict = {}
-    for colors, uu, ww, witness in rows:
-        out.setdefault((colors, uu & ctx_u_mask, ww & ctx_w_mask), witness)
-    return out
-
-
 # -- structure search --------------------------------------------------------
 
 def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
@@ -208,71 +194,60 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
 
     One ``walk_states`` call tabulates every start vertex, grouped by end
     vertex.  Loop-free shapes come first: two closed walks plus a (possibly
-    empty) connector, or three paths between two vertices.  A choice L of one
-    or two loops adds a closed walk and a connector, or a connector.  Its
-    walks drop out when their colors meet a loop W-vertex they leave
-    standing, read from per-row stop masks built once per list; this is
-    exact: a candidate's walks are pairwise color-disjoint, so no other walk
-    covers that vertex, and the walk would fail the color condition.  So L is
-    skipped when its loop W-labels hold two distinct vertices of overlapping
-    colors, as a walk covers at most one and the other stops it.  Otherwise
-    walks with masks X and Y within the labels U_L and W_L of L pass exactly
-    when w(X) - w(Y) >= w(U_L) + 2|L| - w(W_L).  Loop choices scan the rows
-    of their lists in table order, unprojected: whether a row passes depends
-    only on its projected key, so the first passing row (or pair of rows) is
-    the first of its key, as a projection would keep it.  Any hit is
-    a binocular by construction and is re-verified by the caller.  Stored
-    walks are at most ``walk_cap`` long; a nonempty closed walk has at least
-    two edges, as loops never enter the walk DP.
+    empty) connector, or three paths between two vertices; they read only
+    colors and witnesses, so the first row of each color set of a list
+    stands for all of its rows.  A choice L of one or two loops adds a closed
+    walk and a connector, or a connector, scanning the rows of their lists in
+    table order.  L is skipped when two of its loop W-vertices share a color.
+    Otherwise the loop W-vertices are pairwise color-disjoint, as are the
+    W-vertices of any walk, so a walk meets the colors of a loop W-vertex it
+    leaves standing exactly when one of its W-vertices outside the loop
+    labels shares a loop color; ``stop_w`` holds those vertices.  Such walks
+    drop out, which is exact: the candidate's walks are pairwise
+    color-disjoint, so no other walk can cover that loop W-vertex.  The rest,
+    with masks X and Y within the labels U_L and W_L of L, pass exactly when
+    w(X) - w(Y) >= w(U_L) + 2|L| - w(W_L).  Any hit is a binocular by
+    construction and is re-verified by the caller.  Stored walks are at most
+    ``walk_cap`` long; a nonempty closed walk has at least two edges, as
+    loops never enter the walk DP.
     """
     ends = walk_states(csg, walk_cap)
+    vcol = csg.vertex_colors
     loops = [i for i, e in enumerate(csg.edges) if e.is_loop]
-    loop_w_colors = {1 << v: csg.vertex_colors[v]
-                     for i in loops for v in bit_positions(csg.edges[i].w_mask)}
-    stop_lists: dict[tuple[int, int], list[int]] = {}
 
-    def stops(u: int, v: int) -> list[int]:
-        """Per row of the u->v list, the loop W-vertices its colors meet but
-        its W-label leaves uncovered; computed on first use."""
-        out = stop_lists.get((u, v))
-        if out is None:
-            out = stop_lists[u, v] = [
-                sum(bit for bit, vcol in loop_w_colors.items() if vcol & colors and not bit & ww)
-                for colors, _, ww, _ in ends[u].get(v, [])]
-        return out
-
-    def walks(u: int, v: int) -> dict:
-        return project_walks(ends[u].get(v, []), 0, 0)
-
-    def closed(v: int) -> list:
-        # Every edge carries colors, so only the empty walk has none.
-        return [(key, wit) for key, wit in walks(v, v).items() if key[0]]
+    def walks(u: int, v: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(colors, witness) of the first row of each color set of the u->v list."""
+        first: dict[int, tuple[int, ...]] = {}
+        for colors, _, _, witness in ends[u].get(v, []):
+            first.setdefault(colors, witness)
+        return list(first.items())
 
     def assemble(loop_ids: tuple[int, ...], witness: tuple[int, ...]) -> LabeledBinocular:
         edge_ids = sorted(set(loop_ids) | set(witness))
         return LabeledBinocular(tuple(csg.edges[i] for i in edge_ids))
 
-    cycles = {v: closed(v) for v in csg.vertices}
+    # Every edge carries colors, so only the empty walk has none.
+    cycles = {v: [(c, wit) for c, wit in walks(v, v) if c] for v in csg.vertices}
     for i, u in enumerate(csg.vertices):
         for v in csg.vertices[i:]:
             # Two closed walks joined by a (possibly empty) connector.
-            connectors = list(walks(u, v).items())
-            for (c1, _, _), wit1 in cycles[u]:
-                for (c2, _, _), wit2 in cycles[v]:
+            connectors = walks(u, v)
+            for c1, wit1 in cycles[u]:
+                for c2, wit2 in cycles[v]:
                     if c1 & c2:
                         continue
-                    for (c3, _, _), wit3 in connectors:
+                    for c3, wit3 in connectors:
                         if not c3 & (c1 | c2):
                             return assemble((), wit1 + wit2 + wit3)
             # Three edge-disjoint walks between two distinct vertices.
             if v == u:
                 continue
-            for j, ((c1, _, _), wit1) in enumerate(connectors):
+            for j, (c1, wit1) in enumerate(connectors):
                 for k in range(j + 1, len(connectors)):
-                    (c2, _, _), wit2 = connectors[k]
+                    c2, wit2 = connectors[k]
                     if c1 & c2:
                         continue  # every triple holding this pair overlaps
-                    for (c3, _, _), wit3 in connectors[k + 1:]:
+                    for c3, wit3 in connectors[k + 1:]:
                         if not c3 & (c1 | c2):
                             return assemble((), wit1 + wit2 + wit3)
 
@@ -281,25 +256,28 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
         for i in L:
             ctx_u |= csg.edges[i].u_mask
             ctx_w |= csg.edges[i].w_mask
-        if _mask_colors(ctx_w, csg.vertex_colors) < 0:
+        ctx_cols = _mask_colors(ctx_w, vcol)
+        if ctx_cols < 0:
             continue  # two loop W-vertices share a color
+        # W-vertices outside the loop labels that share a loop color
+        stop_w = sum(1 << v for v, c in vcol.items() if c & ctx_cols) & ~ctx_w
         # w(ctx_w - Y) >= w(ctx_u - X) + 2|L|, as X and Y lie in the context
         need = g.weight_mask(ctx_u) + 2 * len(L) - g.weight_mask(ctx_w)
         p = csg.edges[L[0]].endpoints[0]
         if len(L) == 2:
             q = csg.edges[L[1]].endpoints[0]
-            for (_, uu, ww, wit), stop in zip(ends[p].get(q, []), stops(p, q)):
-                if not stop & ctx_w and (g.weight_mask(uu & ctx_u)
-                                         - g.weight_mask(ww & ctx_w) >= need):
+            for _, uu, ww, wit in ends[p].get(q, []):
+                if not ww & stop_w and (g.weight_mask(uu & ctx_u)
+                                        - g.weight_mask(ww & ctx_w) >= need):
                     return assemble(L, wit)
             continue
         for v in csg.vertices:
-            loop_cycles = [(c2, uu & ctx_u, ww & ctx_w, wit2) for (c2, uu, ww, wit2), stop
-                           in zip(ends[v].get(v, []), stops(v, v)) if c2 and not stop & ctx_w]
+            loop_cycles = [(c2, uu & ctx_u, ww & ctx_w, wit2) for c2, uu, ww, wit2
+                           in ends[v].get(v, []) if c2 and not ww & stop_w]
             if not loop_cycles:
                 continue
-            for (c1, uu, ww, wit1), stop in zip(ends[p].get(v, []), stops(p, v)):
-                if stop & ctx_w:
+            for c1, uu, ww, wit1 in ends[p].get(v, []):
+                if ww & stop_w:
                     continue
                 x1, y1 = uu & ctx_u, ww & ctx_w
                 for c2, x2, y2, wit2 in loop_cycles:

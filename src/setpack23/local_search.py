@@ -165,11 +165,7 @@ def _candidate_linkage(g: ConflictGraph, a_mask: int) -> tuple[list[int], list[i
 
 def _claw_shares(g: ConflictGraph, a_mask: int, cands: Iterable[int]) -> list[int]:
     """6 g(c) for each candidate c: 6 w(c), less 3 per weight-1 and 4 per
-    weight-2 solution neighbor, the claw shares of the module docstring.
-
-    In every conflict graph built from an instance, w(F) - w(N(F, A)) is at
-    most the sum of g over any independent candidate set F.
-    """
+    weight-2 solution neighbor, the claw shares of the module docstring."""
     w2m = g.w2_mask
     return [6 * g.weights[v] - 3 * (g.adj_mask(v) & a_mask).bit_count()
             - (g.adj_mask(v) & a_mask & w2m).bit_count() for v in cands]
@@ -295,7 +291,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         values of 6 g with N empty, largest first) holds them.  The few in
         ``ext`` take ``base_share`` plus what their neighbors in N gave up,
         and only the leaders of their clique cover count.  The largest d
-        values are summed class by class and the sum stops once it covers
+        values are summed class by class, ending once the sum covers
         the deficit.  Valuing the near candidates at their caps first
         (``_capped_share_sum``) decides many evaluations without the cover.
         """
@@ -332,18 +328,11 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         return total < deficit
 
     # Every child is tested, then cut when it cannot lead to an improvement
-    # within the cap:
+    # within the cap, by two tests in this order:
     # * plain slack: each further candidate gains at most 2;
-    # * claw shares, in the capped DFS of a genuine conflict graph only.  A
-    #   solution set a outside N has w(a)+1 elements, so it meets at most
-    #   w(a)+1 members of an independent extension F, and X | F gains at most
-    #   w(X) - w(N) + sum over c in F of g(c) = w(c) - sum of w(a)/(w(a)+1)
-    #   over c's solution neighbors a outside N (``_claw_shares``).  A child
-    #   with depth_left >= 2 is cut when 6 (w(X) - w(N)) plus the depth_left
-    #   largest positive 6 g(c) over the candidates it may still add,
-    #   ext | (gt_root & ~closed), is negative, counting one value per
-    #   clique of ext (``_clique_leaders``).  Only children whose plain
-    #   slack is at most _SHARE_GATE are tried.
+    # * claw shares (``share_cut``), in the capped DFS of a genuine conflict
+    #   graph only, for a child with depth_left >= 2 whose plain slack is
+    #   at most _SHARE_GATE.
     def rec_grown(x_vmask: int, n_mask: int, wx: int, size: int,
                   ext: int, closed: int, gt_root: int) -> None:
         nonlocal hit, cap

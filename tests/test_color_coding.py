@@ -10,8 +10,8 @@ import pytest
 import setpack23.color_coding as cc
 from setpack23.color_coding import (ColorfulSearchGraph, _mask_colors, colorful_subgraph,
                                     default_color_count, find_colorful_binocular,
-                                    make_colorings, project_walks,
-                                    search_improving_binocular, walk_states)
+                                    make_colorings, search_improving_binocular,
+                                    walk_states)
 from setpack23.conflict import ConflictGraph, bit_positions, build_conflict_graph
 from setpack23.local_search import SearchParams, is_local_improvement
 from setpack23.search_graph import (LabeledBinocular, enumerate_search_edges,
@@ -191,6 +191,20 @@ def reference_walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict:
             if not frontier:
                 break
     return tables
+
+
+def project_walks(rows: list, ctx_u_mask: int, ctx_w_mask: int) -> dict:
+    """Project one end vertex's walk rows onto a loop context.
+
+    ``rows`` are (colors, U-mask, W-mask, witness) in table order.  Returns
+    (colors, X, Y) -> witness, with X and Y the masks restricted to the
+    context; the first row of each projected key represents it, as a first
+    hit never needs a later row of the same key.
+    """
+    out: dict = {}
+    for colors, uu, ww, witness in rows:
+        out.setdefault((colors, uu & ctx_u_mask, ww & ctx_w_mask), witness)
+    return out
 
 
 def reference_loop_stage(csg: ColorfulSearchGraph, g: ConflictGraph,
@@ -654,6 +668,36 @@ class TestLoopChoices:
         assert (searches, sorted(loops_per_hit)) == (806, [1, 1, 1, 1, 1, 2])
         assert digest.hexdigest() == (
             "7b5a9f704d45747ccec02a103b697c230962f39bf512d667bfc182079bdb8c01")
+
+    def test_seeded_random_coloring_results_are_pinned(self):
+        # SHA-256 of every find_colorful_binocular result (None included) of
+        # the seeded searches under three seeded random colorings of 3 to 8
+        # colors each, recorded while the loop stage still read per-row stop
+        # masks.  Few colors make walks meet the colors of loop W-vertices
+        # they leave uncovered; ``stopped`` counts such rows in the lists
+        # that a one-loop choice starts from.  Every result is None, and
+        # accepting such rows turns some of them into hits.
+        rng, digest = random.Random(2_718), hashlib.sha256()
+        searches = stopped = 0
+        for sg, g in seeded_searches():
+            cap = search_walk_cap(sg, g)
+            for _ in range(3):
+                t = rng.randrange(3, 9)
+                csg = colorful_subgraph(sg, tuple(rng.randrange(t) for _ in range(g.universe_size)), g)
+                if not csg.edges:
+                    continue
+                b = find_colorful_binocular(csg, g, cap)
+                searches += 1
+                digest.update(repr(None if b is None else tuple(map(label_key, b.edges))).encode())
+                ends = walk_states(csg, cap)
+                for e in csg.edges:
+                    if e.is_loop:
+                        stopped += sum(
+                            any(csg.vertex_colors[w] & colors for w in bit_positions(e.w_mask & ~ww))
+                            for rows in ends[e.endpoints[0]].values() for colors, _, ww, _ in rows)
+        assert (searches, stopped) == (2396, 23525)
+        assert digest.hexdigest() == (
+            "db5d6d504da552d9162ba9b7ee124532092bc62feb17944cd1a93d664a0005d5")
 
 
 class TestBinocularSearch:
