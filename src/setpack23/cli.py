@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,65 +31,22 @@ CSV_COLUMNS = ["instance", "alg_weight", "opt_weight", "ratio_num", "ratio_den",
                "iterations", "binoculars", "wall_ms"]
 
 
-@dataclass(frozen=True)
-class AuditRow:
-    instance: str
-    alg_weight: int
-    opt_weight: int
-    ratio: Fraction
-    iterations: int
-    binoculars: int
-    wall_ms: float
-    guarantee_bound: str | None = None  # "4/3" on hereditary rows, reported-only otherwise
-
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "alg_weight": self.alg_weight,
-            "opt_weight": self.opt_weight,
-            "ratio_num": self.ratio.numerator,
-            "ratio_den": self.ratio.denominator,
-            "iterations": self.iterations,
-            "binoculars": self.binoculars,
-            "wall_ms": self.wall_ms,
-            "guarantee_bound": self.guarantee_bound,
-        }
-
-    @property
-    def violates_guarantee(self) -> bool:
-        return self.guarantee_bound == "4/3" and 3 * self.opt_weight > 4 * self.alg_weight
-
-
-def rows_to_json(rows: list[AuditRow]) -> str:
-    ordered = sorted(rows, key=lambda r: r.instance)
-    return json.dumps([r.to_dict() for r in ordered], indent=2)
-
-
-def rows_to_csv(rows: list[AuditRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    for r in sorted(rows, key=lambda r: r.instance):
-        d = r.to_dict()
-        writer.writerow([d[c] for c in CSV_COLUMNS])
-    return buf.getvalue()
-
-
 def audit_instance(name: str, instance: inst.Instance, params: SearchParams,
-                   oracle_budget: int) -> AuditRow:
-    """Solve and compare against the exact oracle on one instance."""
-    if params.mode == "hereditary":
-        packing, stats = solve_hereditary(instance, seed=params.seed,
-                                          tau=params.resolved_tau())
-        bound = "4/3"
-    else:
-        packing, stats = solve(instance, params)
-        bound = None
-    opt = solve_exact(instance, budget=oracle_budget)
-    alg_w = packing.weight(instance)
-    ratio = Fraction(opt.optimum_weight, alg_w) if alg_w else Fraction(1)
-    return AuditRow(name, alg_w, opt.optimum_weight, ratio,
-                    stats.iterations, stats.binoculars_applied, stats.wall_ms, bound)
+                   oracle_budget: int) -> dict:
+    """Solve and compare against the exact oracle on one instance.
+
+    The row holds the ``CSV_COLUMNS`` and ``guarantee_bound``: "4/3" in
+    hereditary mode, where the audit checks 3*opt <= 4*alg, else None.
+    """
+    packing, stats = solve(instance, params)
+    opt = solve_exact(instance, budget=oracle_budget).optimum_weight
+    alg = packing.weight(instance)
+    ratio = Fraction(opt, alg) if alg else Fraction(1)
+    return {"instance": name, "alg_weight": alg, "opt_weight": opt,
+            "ratio_num": ratio.numerator, "ratio_den": ratio.denominator,
+            "iterations": stats.iterations, "binoculars": stats.binoculars_applied,
+            "wall_ms": stats.wall_ms,
+            "guarantee_bound": "4/3" if params.mode == "hereditary" else None}
 
 
 # -- instance suites ----------------------------------------------------------
@@ -209,12 +165,19 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _emit_rows(rows: list[AuditRow], fmt: str) -> int:
-    print(rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows), end="")
-    violations = [r for r in rows if r.violates_guarantee]
+def _emit_rows(rows: list[dict], fmt: str) -> int:
+    rows = sorted(rows, key=lambda r: r["instance"])
+    if fmt == "csv":
+        writer = csv.DictWriter(sys.stdout, CSV_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        print(json.dumps(rows, indent=2), end="")
+    violations = [r for r in rows
+                  if r["guarantee_bound"] and 3 * r["opt_weight"] > 4 * r["alg_weight"]]
     for r in violations:
-        print(f"guarantee violation on {r.instance}: opt={r.opt_weight} alg={r.alg_weight}",
-              file=sys.stderr)
+        print(f"guarantee violation on {r['instance']}: opt={r['opt_weight']} "
+              f"alg={r['alg_weight']}", file=sys.stderr)
     return 1 if violations else 0
 
 

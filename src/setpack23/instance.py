@@ -30,10 +30,10 @@ class PackSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.elements) not in (2, 3):
-            raise FormatError(f"set {self.id}: cardinality must be 2 or 3, got {len(self.elements)}")
         if len(set(self.elements)) != len(self.elements):
             raise FormatError(f"set {self.id}: duplicate element within a set")
+        if len(self.elements) not in (2, 3):
+            raise FormatError(f"set {self.id}: cardinality must be 2 or 3, got {len(self.elements)}")
         if any(e < 0 for e in self.elements):
             raise FormatError(f"set {self.id}: negative element id")
 
@@ -106,8 +106,6 @@ def _build(raw_sets: Sequence[Sequence[object]]) -> Instance:
     ids: dict[object, int] = {}  # element token -> dense id, first appearance first
     sets = []
     for idx, tokens in enumerate(raw_sets):
-        if len(tokens) != len(set(tokens)):
-            raise FormatError(f"set {idx}: duplicate element within a set")
         sets.append(PackSet(idx, tuple(ids.setdefault(t, len(ids)) for t in tokens)))
     return Instance(tuple(sets), len(ids))
 
@@ -212,8 +210,5 @@ def embed_3dm(triples: Sequence[tuple[object, object, object]]) -> Instance:
     zs = {t[2] for t in triples}
     if xs & ys or ys & zs or xs & zs:
         raise FormatError("parts of the 3DM instance must be disjoint")
-    for t in triples:
-        if len(set(t)) != 3:
-            raise FormatError(f"triple {t!r} has a repeated element")
     return _build([tuple(t) for t in triples])
 

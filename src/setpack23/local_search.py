@@ -100,6 +100,8 @@ class SearchParams:
     injective_colorings: bool = False
 
     def resolved_tau(self) -> int:
+        if self.mode not in ("general", "hereditary"):
+            raise ValueError(f"mode must be 'general' or 'hereditary', got {self.mode!r}")
         tau = self.tau
         if tau is None and self.epsilon is not None:
             if self.epsilon <= 0:
@@ -444,8 +446,8 @@ def solve(instance: Instance, params: SearchParams) -> tuple[Packing, RunStats]:
     from .color_coding import search_improving_binocular
     from .search_graph import enumerate_search_edges, extract_improvement
 
-    g = build_conflict_graph(instance)
     tau = params.resolved_tau()
+    g = build_conflict_graph(instance)
     stats = RunStats()
     t0 = time.perf_counter()
     a_mask = 0

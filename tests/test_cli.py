@@ -6,14 +6,15 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import setpack23
-from setpack23.cli import AuditRow, main, rows_to_csv, rows_to_json, suite_instances
-from setpack23.instance import generate_random, parse_instance, serialize_instance
+import setpack23.cli
+from setpack23.cli import main, suite_instances
+from setpack23.instance import Packing, generate_random, parse_instance, serialize_instance
+from setpack23.local_search import RunStats
 from test_normalize import BRIDGED_CERTIFICATE, BRIDGED_TUPLE
 
 SRC = Path(setpack23.__file__).resolve().parents[1]
@@ -306,31 +307,48 @@ def test_bench_output_is_pinned(capsys, monkeypatch, suite):
     assert digest == BENCH_DIGESTS[suite]
 
 
-def rows_from_json(text: str) -> list[AuditRow]:
-    """Parse the JSON that ``rows_to_json`` writes back into rows."""
-    return [AuditRow(d["instance"], d["alg_weight"], d["opt_weight"],
-                     Fraction(d["ratio_num"], d["ratio_den"]),
-                     d["iterations"], d["binoculars"], d["wall_ms"],
-                     d.get("guarantee_bound"))
-            for d in json.loads(text)]
-
-
-def test_rows_roundtrip_and_ordering():
-    rows = [AuditRow("b", 3, 4, Fraction(4, 3), 2, 0, 1.5, "4/3"),
-            AuditRow("a", 2, 2, Fraction(1), 1, 1, 0.5, None)]
-    again = rows_from_json(rows_to_json(rows))
-    assert sorted(rows, key=lambda r: r.instance) == again
-    lines = rows_to_csv(rows).strip().splitlines()
-    assert lines[1].startswith("a,") and lines[2].startswith("b,")
-    # CSV carries exactly the JSON core columns, in order
-    header = lines[0].split(",")
+def test_bench_json_and_csv_rows_agree(capsys, monkeypatch):
+    monkeypatch.delenv("SETPACK_SEED", raising=False)
+    argv = ["bench", "--suite", "random-small", "--count", "5"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    docs = json.loads(out)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *lines = csv.reader(io.StringIO(out))
+    # CSV carries exactly the JSON core columns, in order, row for row
     assert header == ["instance", "alg_weight", "opt_weight", "ratio_num",
                       "ratio_den", "iterations", "binoculars", "wall_ms"]
-    # and the same values the JSON form carries for those columns
-    parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
-    docs = json.loads(rows_to_json(rows))
-    for c, d in zip(parsed, docs):
-        assert all(c[k] == str(d[k]) for k in header)
+    assert [line[0] for line in lines] == [d["instance"] for d in docs]
+    for line, d in zip(lines, docs):
+        # wall_ms is timed afresh by each run
+        assert line[:-1] == [str(d[k]) for k in header[:-1]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_audit_rows_are_sorted_by_instance(tmp_path, capsys, chain_file, fmt):
+    late = tmp_path / "zeta.txt"
+    late.write_text("1 2\n")
+    code, out, _ = run_cli(capsys, "audit", str(late), chain_file, "--tau", "2",
+                           "--format", fmt)
+    assert code == 0
+    rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+    assert [r["instance"] for r in rows] == ["chain", "zeta"]
+
+
+@pytest.mark.parametrize("mode, expected", [
+    (["--hereditary"], (1, "guarantee violation on h: opt=2 alg=0\n", "4/3")),
+    (["--tau", "2"], (0, "", None))], ids=["hereditary", "general"])
+def test_audit_guarantee_violation_exits_one(tmp_path, capsys, monkeypatch, mode, expected):
+    # a solver that returns nothing falsifies 3*opt <= 4*alg, which only
+    # hereditary rows are held to
+    monkeypatch.setattr(setpack23.cli, "solve", lambda instance, params: (Packing(), RunStats()))
+    path = tmp_path / "h.txt"
+    path.write_text("1 2 3\n1 2\n1 3\n2 3\n")
+    code, out, err = run_cli(capsys, "audit", str(path), *mode)
+    (row,) = json.loads(out)
+    assert (code, err, row["guarantee_bound"]) == expected
+    assert (row["alg_weight"], row["opt_weight"]) == (0, 2)
 
 
 def test_suite_instances_are_deterministic():

@@ -3,8 +3,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setpack23.instance import (FormatError, Packing, embed_3dm, generate_random,
-                                parse_instance, serialize_instance, validate_packing)
+from setpack23.instance import (FormatError, Instance, Packing, PackSet, embed_3dm,
+                                generate_random, parse_instance, serialize_instance,
+                                validate_packing)
+from setpack23.local_search import SearchParams
 from conftest import brute_force_optimum
 
 
@@ -31,6 +33,33 @@ def test_parse_comments_and_blank_lines():
 def test_parse_rejects_bad_sets(bad):
     with pytest.raises(FormatError):
         parse_instance(bad)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Instance((PackSet(0, (0, 1)), PackSet(0, (1, 2))), 3),
+     FormatError, "duplicate set id 0"),
+    (lambda: Instance((PackSet(0, (0, 3)),), 3),
+     FormatError, "set 0: element id beyond universe of size 3"),
+    (lambda: PackSet(0, (-1, 2)), FormatError, "set 0: negative element id"),
+    (lambda: parse_instance("4 5\n1 2 2 3\n"), FormatError,
+     "set 1: duplicate element within a set"),
+    (lambda: parse_instance(b"1 \xff\n"), UnicodeDecodeError, "utf-8"),
+    (lambda: parse_instance("1 2\n", format="xml"), FormatError, "unknown format 'xml'"),
+    (lambda: serialize_instance(parse_instance("1 2\n"), format="xml"), FormatError,
+     "unknown format 'xml'"),
+    (lambda: generate_random(2, 1, 0.5, seed=0), FormatError,
+     "universe must have at least 3 elements"),
+    (lambda: generate_random(5, 0, 0.5, seed=0), FormatError, "need at least one set"),
+    (lambda: generate_random(5, 1, 1.5, seed=0), FormatError, "p3 must be a probability"),
+    (lambda: embed_3dm([("a", "b", "a")]), FormatError,
+     "parts of the 3DM instance must be disjoint"),
+    (lambda: SearchParams(epsilon=0).resolved_tau(), ValueError, "epsilon must be positive"),
+])
+def test_invalid_input_is_rejected(build, error, message):
+    # parsing interns tokens, so a repeated token reaches PackSet as a repeated id
+    with pytest.raises(error) as exc:
+        build()
+    assert message in str(exc.value)
 
 
 def test_parse_rejects_duplicate_sets():

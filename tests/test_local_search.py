@@ -467,6 +467,15 @@ class TestParams:
         with pytest.raises(ValueError):
             SearchParams().resolved_tau()
 
+    def test_unknown_mode_rejected(self):
+        # a misspelled mode would otherwise skip both the binocular phase
+        # and the hereditary tau floor
+        params = SearchParams(tau=2, mode="hereditray")
+        with pytest.raises(ValueError, match="got 'hereditray'"):
+            params.resolved_tau()
+        with pytest.raises(ValueError, match="got 'hereditray'"):
+            solve(generate_random(12, 16, 0.6, seed=34), params)
+
 
 @given(st.integers(0, 2 ** 31))
 @settings(max_examples=60, deadline=None)
