@@ -1,12 +1,13 @@
 """Command-line interface: solving, exact audits, generators, benchmarks.
 
 Audit ratios are reported as exact integer fractions (opt/alg), never
-floats.  Hereditary rows additionally carry the 4/3 guarantee; any violation
-of 3*opt <= 4*alg flips the exit code, since it would falsify the
-implementation rather than the bound.  SETPACK_SEED in the environment
-overrides ``--seed`` wherever the command takes one.  Exit codes: 0
-success, 1 hereditary guarantee violated, 2 bad input, 3 internal
-invariant violated, 4 a search or oracle budget exceeded.
+floats; an empty packing against a positive optimum reads 1/0.  Hereditary
+rows additionally carry the 4/3 guarantee; any violation of 3*opt <= 4*alg
+flips the exit code, since it would falsify the implementation rather than
+the bound.  SETPACK_SEED in the environment overrides ``--seed`` wherever
+the command takes one.  Exit codes: 0 success, 1 hereditary guarantee
+violated, 2 bad input, 3 internal invariant violated, 4 a search or oracle
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ def audit_instance(name: str, instance: inst.Instance, params: SearchParams,
     packing, stats = solve(instance, params)
     opt = solve_exact(instance, budget=oracle_budget).optimum_weight
     alg = packing.weight(instance)
-    ratio = Fraction(opt, alg) if alg else Fraction(1)
+    num, den = Fraction(opt, alg).as_integer_ratio() if alg else (1, 0 if opt else 1)
     return {"instance": name, "alg_weight": alg, "opt_weight": opt,
-            "ratio_num": ratio.numerator, "ratio_den": ratio.denominator,
+            "ratio_num": num, "ratio_den": den,
             "iterations": stats.iterations, "binoculars": stats.binoculars_applied,
             "wall_ms": stats.wall_ms,
             "guarantee_bound": "4/3" if params.mode == "hereditary" else None}
@@ -103,8 +104,7 @@ def _read_instance(path: str, wire: str) -> inst.Instance:
 
 def _params_from_args(args, mode: str = "general") -> SearchParams:
     return SearchParams(tau=args.tau, epsilon=Fraction(args.epsilon) if args.epsilon else None,
-                        mode=mode, seed=args.seed, coloring_reps=args.colorings,
-                        injective_colorings=args.injective_colorings)
+                        mode=mode, seed=args.seed, injective_colorings=args.injective_colorings)
 
 
 def _cmd_solve(args) -> int:
@@ -217,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--tau", type=int)
             group.add_argument("--epsilon", type=str,
                                help="positive rational; tau becomes 4*ceil(2/epsilon)")
-            p.add_argument("--colorings", type=int, default=64, metavar="R")
             p.add_argument("--injective-colorings", action="store_true")
 
     p = sub.add_parser("solve", help="general-mode local search with the binocular phase")

@@ -23,8 +23,8 @@ Whenever the color budget t covers the universe, the search runs one
 injective coloring, which is exact: colorful then means element-disjoint
 W-labels, so every walk state reachable under some random coloring is
 reachable under the injective one.  Only a universe larger than the budget
-falls back to seeded uniform colorings with a repetition count, the
-standard substitute for a t-perfect hash family.
+falls back to ``COLORING_REPS`` seeded uniform colorings, the standard
+substitute for a t-perfect hash family.
 """
 
 from __future__ import annotations
@@ -41,20 +41,22 @@ from .conflict import ConflictGraph, bit_positions
 from .search_graph import LabeledBinocular, SearchEdge, SearchGraph, is_improving_binocular
 
 
+# Seeded uniform colorings per search when the universe exceeds the budget.
+COLORING_REPS = 64
+
+
 def default_color_count(tau: int, n_vertices: int) -> int:
     """The default color budget 3 * tau^2 * log2(|V|), at least one color."""
     return max(1, math.ceil(3 * tau * tau * math.log2(max(2, n_vertices))))
 
 
-def make_colorings(universe_n: int, t: int, reps: int, seed: int,
-                   injective: bool = False) -> list[tuple[int, ...]]:
-    """Seeded uniform colorings, or the one injective coloring (needs t >= universe),
-    each a tuple of one color in 0..t-1 per universe element."""
+def make_colorings(universe_n: int, t: int, reps: int, seed: int) -> list[tuple[int, ...]]:
+    """The one injective coloring when t covers the universe, else ``reps``
+    seeded uniform colorings, each a tuple of one color in 0..t-1 per
+    universe element."""
     if t < 1 or reps < 1:
         raise ValueError("need t >= 1 and reps >= 1")
-    if injective:
-        if t < universe_n:
-            raise ValueError("injective coloring needs t >= universe size")
+    if t >= universe_n:
         return [tuple(range(universe_n))]
     rng = random.Random(seed)
     return [tuple(rng.randrange(t) for _ in range(universe_n)) for _ in range(reps)]
@@ -292,23 +294,18 @@ def search_improving_binocular(sg: SearchGraph, g: ConflictGraph, params,
 
     When the default color budget covers the universe (or
     ``params.injective_colorings`` asks for it), one injective coloring
-    runs and a none result is exact.  Otherwise ``params.coloring_reps``
-    seeded random colorings run, and none is evidence of absence only.
+    runs and a none result is exact.  Otherwise ``COLORING_REPS`` seeded
+    random colorings run, and none is evidence of absence only.
     The first colorful binocular assembled is returned; colorful implies
     improving, which is checked rather than assumed.
     """
     if not sg.edges:
         return None
-    t = default_color_count(sg.tau, g.n)
-    if params.injective_colorings or t >= g.universe_size:
-        t = max(g.universe_size, 1)
-        colorings = make_colorings(g.universe_size, t, 1, seed, injective=True)
-    else:
-        colorings = make_colorings(g.universe_size, t, params.coloring_reps, seed)
+    t = max(g.universe_size, 1) if params.injective_colorings else default_color_count(sg.tau, g.n)
     # Walks inside a minimal binocular are simple paths or cycles, so lengths
     # beyond the vertex count of the search graph cannot be needed.
     cap = min(math.ceil(sg.tau * math.log2(max(2, g.n))), len(sg.vertices) + 1)
-    for f in colorings:
+    for f in make_colorings(g.universe_size, t, COLORING_REPS, seed):
         csg = colorful_subgraph(sg, f, g)
         if not csg.edges:
             continue

@@ -7,17 +7,19 @@ applies such improvements of size at most tau until none exist; in general
 mode it then additionally searches the auxiliary multigraph for an improving
 binocular (a logarithmic-size structured improvement) before terminating.
 
-Two enumeration strategies exist for the bounded search.  The default grows
-candidate sets that are connected in a linkage graph (candidates are linked
-when their solution neighborhoods intersect or they conflict); a minimal
-improvement that split into linkage-disconnected parts would contain a
-smaller improvement, so the restriction loses nothing.  The naive
-full-subset enumerator serves small tau (below 5) and cross-validation.
+The bounded search is one DFS, ``rec_grown``, run in three settings.  For
+tau from 5 up, iterative-deepening passes and then one capped DFS grow X
+from each root through later candidates linked to it (conflicting or
+sharing a solution neighbor); a minimal improvement that split into
+linkage-disconnected parts would contain a smaller improvement, so the
+restriction loses nothing.  Below that, and for cross-validation, a full
+scan runs one root whose extension holds every candidate: the index-ordered
+subset scan, whose first hit, the least improving tuple, ends it.
 
-The grown enumerator returns the least candidate with no solution
-neighbor, if any, and otherwise the least improving set by (size, root,
-preorder); an earlier root that improves alone loses to the former.  It
-deepens iteratively up to size ``_ID_DEPTH``, where the frequent small
+The grown search returns the least candidate with no solution neighbor, if
+any, and otherwise the least improving set by (size, root, preorder); an
+earlier root that improves alone loses to the former.  It deepens
+iteratively up to size ``_ID_DEPTH``, where the frequent small
 improvements are cheap, then runs one DFS capped at tau that tests every
 larger node and lowers the cap to s - 1 on a hit of size s.  The final
 call, which certifies that no improvement of size up to tau remains, thus
@@ -39,17 +41,16 @@ The bound is tested cheapest first, with each linked candidate valued at
 its weight, the most its value can be, and no cover: that sum is never
 smaller, so the cover is built only where it fails to cut, and every cut
 decision stays the same.
-The iterative-deepening passes skip this cut: there the frequent small hits
-end the search before it would pay off.  A child whose extension is empty
-has no children, so it is tested and never entered.
+The iterative-deepening passes and the full scan skip this cut: there the
+frequent small hits end the search before it would pay off.  A child whose
+extension is empty has no children, so it is tested and never entered.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -89,14 +90,13 @@ class SearchParams:
     enumerator follows from tau (grown from 5 up, naive below).  The
     binocular phase runs one exact, injective coloring whenever the color
     budget covers the universe or ``injective_colorings`` is set, and
-    ``coloring_reps`` seeded random colorings otherwise.
+    ``color_coding.COLORING_REPS`` seeded random colorings otherwise.
     """
 
     tau: int | None = None
     epsilon: Fraction | None = None
     mode: str = "general"  # "general" | "hereditary"
     seed: int = 0
-    coloring_reps: int = 64
     injective_colorings: bool = False
 
     def resolved_tau(self) -> int:
@@ -123,9 +123,6 @@ class RunStats:
     binoculars_applied: int = 0
     final_weight: int = 0
     wall_ms: float = 0.0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def _is_improvement_mask(g: ConflictGraph, a_mask: int, x_mask: int) -> bool:
@@ -243,36 +240,9 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         for v in cands:
             if not g.adj_mask(v) & a_mask:
                 return 1 << v
-    # Indexed by vertex id; the grown enumerator's masks are vertex masks.
     anb = [g.adj_mask(v) & a_mask for v in range(g.n)]
     w = g.weights
     w2m = g.w2_mask
-
-    if method == "naive":
-        # Depth-first over index-sorted subsets: prefixes come first, so the
-        # first hit is the lexicographically least improving tuple.
-        k = len(cands)
-
-        def rec_naive(last: int, x_vmask: int, n_mask: int, wx: int, size: int) -> int:
-            size += 1  # the size of every child
-            for i in range(last + 1, k):
-                v = cands[i]
-                if g.adj_mask(v) & x_vmask:
-                    continue  # never independent again along this branch
-                x2 = x_vmask | 1 << v
-                n2 = n_mask | anb[v]
-                w2 = wx + w[v]
-                n_heavy = (n2 & w2m).bit_count()
-                wn = n2.bit_count() + n_heavy
-                # X holds w2 - size weight-2 vertices, N holds n_heavy.
-                if w2 > wn or (w2 == wn and w2 - size > n_heavy):
-                    return x2
-                if size < tau and w2 - wn + 2 * (tau - size) >= 0:
-                    hit = rec_naive(i, x2, n2, w2, size)
-                    if hit:
-                        return hit
-            return 0
-        return rec_naive(-1, 0, 0, 0, 0)
 
     # Candidates are linked when they conflict or share a solution neighbor.
     cadj, link = _candidate_linkage(g, a_mask)
@@ -281,7 +251,9 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     # cut rests on; hand-built graphs carry no element sets.
     genuine = g.members is not None
     hit = 0
-    floor = cap = 0  # test sets of size floor..cap; a hit lowers cap
+    # Test sets of size floor..cap; a hit of size s ends the search when
+    # s <= stop and otherwise lowers cap to s - 1.
+    floor = cap = stop = 0
     share_bound = False  # the claw-share cut runs in the capped DFS only
 
     def share_cut(ext: int, far: int, n_mask: int, d: int, deficit: int) -> bool:
@@ -350,9 +322,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             # X holds w2 - size weight-2 vertices, N holds n_heavy.
             if size >= floor and (w2 > wn or (w2 == wn and w2 - size > n_heavy)):
                 hit = x_vmask | low
-                # Below floor no improvement exists, so a hit of size floor
-                # is the least and ends the search.
-                cap = size - 1 if size > floor else 0
+                cap = size - 1 if size > stop else 0
                 return
             depth_left = cap - size
             if depth_left == 0:
@@ -372,15 +342,24 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
                 continue
             rec_grown(x_vmask | low, n2, w2, size, ext2, closed2, gt_root)
 
+    if method == "naive":
+        # The full scan: nothing grows the root (gt_root = 0), and prefixes
+        # come first, so the first hit is the least tuple and ends it.
+        floor, cap, stop = 1, tau, tau
+        rec_grown(0, 0, 0, 0, free, 0, 0)
+        return hit
+
     # Root r enters as the only extension of the empty set and grows only
     # through candidates after it, so every connected set is tried from its
     # least member.  Floors 1.._ID_DEPTH are iterative-deepening passes
     # (floor == cap).  The last floor is the capped DFS: it starts at cap tau
     # and ends when a hit drives the cap below the floor or the roots run
-    # out.  Its last hit is the least by (size, root, preorder), because it
+    # out.  No improvement is smaller than floor, so stop = floor.  The last
+    # hit is the least by (size, root, preorder), because the capped DFS
     # visits every node of each deepening pass in the same preorder, and
     # every cut drops only subtrees without an improving set.
     for floor in range(1, min(tau, _ID_DEPTH + 1) + 1):
+        stop = floor
         cap = floor if floor <= _ID_DEPTH else tau
         if floor > _ID_DEPTH and genuine:
             base_share = [0] * g.n

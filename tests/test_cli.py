@@ -72,7 +72,7 @@ def test_oracle_budget_overrun_exits_four(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", [["--pair-mode", "full"], ["--naive-improve"],
-                                  ["--t-override", "9"]])
+                                  ["--t-override", "9"], ["--colorings", "7"]])
 def test_removed_solver_flags_are_rejected(chain_file, flag):
     with pytest.raises(SystemExit):
         main(["solve", chain_file, "--tau", "2", *flag])
@@ -105,6 +105,22 @@ def test_audit_csv_shape(tmp_path, capsys, chain_file):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["alg_weight"] == "4" and rows[0]["opt_weight"] == "4"
     assert rows[0]["ratio_num"] == "1" and rows[0]["ratio_den"] == "1"
+
+
+def test_audit_ratio_of_an_empty_packing(tmp_path, capsys, monkeypatch):
+    # a solver that packs nothing reads 1/0 against a positive optimum, and
+    # only an empty optimum makes it 1/1
+    path = tmp_path / "h.txt"
+    path.write_text("1 2 3\n1 2\n1 3\n2 3\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    monkeypatch.setattr(setpack23.cli, "solve", lambda instance, params: (Packing(), RunStats()))
+    code, out, _ = run_cli(capsys, "audit", str(path), str(empty), "--tau", "2",
+                           "--format", "json")
+    assert code == 0
+    rows = {r["instance"]: r for r in json.loads(out)}
+    assert [(rows[k]["opt_weight"], rows[k]["alg_weight"], rows[k]["ratio_num"],
+             rows[k]["ratio_den"]) for k in ("empty", "h")] == [(0, 0, 1, 1), (2, 0, 1, 0)]
 
 
 def test_audit_hereditary_guarantee_exit(tmp_path, capsys):

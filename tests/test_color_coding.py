@@ -8,10 +8,10 @@ from unittest import mock
 import pytest
 
 import setpack23.color_coding as cc
-from setpack23.color_coding import (ColorfulSearchGraph, _mask_colors, colorful_subgraph,
-                                    default_color_count, find_colorful_binocular,
-                                    make_colorings, search_improving_binocular,
-                                    walk_states)
+from setpack23.color_coding import (COLORING_REPS, ColorfulSearchGraph, _mask_colors,
+                                    colorful_subgraph, default_color_count,
+                                    find_colorful_binocular, make_colorings,
+                                    search_improving_binocular, walk_states)
 from setpack23.conflict import ConflictGraph, bit_positions, build_conflict_graph
 from setpack23.local_search import SearchParams, is_local_improvement
 from setpack23.search_graph import (LabeledBinocular, enumerate_search_edges,
@@ -25,16 +25,23 @@ def search_walk_cap(sg, g) -> int:
     return min(math.ceil(sg.tau * math.log2(max(2, g.n))), len(sg.vertices) + 1)
 
 
+def random_colorings(universe_n: int, t: int, reps: int, seed: int) -> list[tuple[int, ...]]:
+    """``reps`` seeded uniform colorings with t colors, whatever the universe
+    size: what ``make_colorings`` returns when t is short of the universe."""
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(t) for _ in range(universe_n)) for _ in range(reps)]
+
+
 def random_coloring_search(sg, g, a, seed: int = 0):
-    """The seeded random-coloring search (default repetitions), whatever the
-    universe size.
+    """The seeded random-coloring search (``COLORING_REPS`` colorings),
+    whatever the universe size.
 
     ``search_improving_binocular`` runs it only when the universe exceeds
     the color budget; the statistical completeness tests call it directly.
     """
     t = default_color_count(sg.tau, g.n)
     cap = search_walk_cap(sg, g)
-    for f in make_colorings(g.universe_size, t, SearchParams.coloring_reps, seed):
+    for f in random_colorings(g.universe_size, t, COLORING_REPS, seed):
         hit = find_colorful_binocular(colorful_subgraph(sg, f, g), g, cap)
         if hit is not None:
             assert is_improving_binocular(hit, g)
@@ -301,9 +308,11 @@ class TestColorings:
         assert make_colorings(8, 5, 3, seed=42) != make_colorings(8, 5, 3, seed=43)
 
     def test_injective_is_identity(self):
-        assert make_colorings(6, 6, reps=5, seed=0, injective=True) == [tuple(range(6))]
+        assert make_colorings(6, 6, reps=5, seed=0) == [tuple(range(6))]
+        assert make_colorings(6, 9, reps=5, seed=0) == [tuple(range(6))]
+        assert make_colorings(6, 5, reps=5, seed=0) == random_colorings(6, 5, 5, 0)
         with pytest.raises(ValueError):
-            make_colorings(6, 5, 1, 0, injective=True)
+            make_colorings(6, 5, 0, 0)
 
     def test_default_color_count(self):
         assert default_color_count(2, 8) == math.ceil(3 * 4 * 3)
@@ -329,7 +338,7 @@ class TestColorfulSubgraph:
         from setpack23.instance import parse_instance
         g = build_conflict_graph(parse_instance(self.inst_sets))
         sg = enumerate_search_edges(g, self.solution, tau=2)
-        f = make_colorings(g.universe_size, g.universe_size, 1, 0, injective=True)[0]
+        f = make_colorings(g.universe_size, g.universe_size, 1, 0)[0]
         csg = colorful_subgraph(sg, f, g)
         assert set(csg.edges) == set(sg.edges)
 
@@ -449,8 +458,8 @@ class TestClashIndexedWalkStates:
             sg = enumerate_search_edges(g, random_packing(g, rng), rng.choice((2, 3)))
             if not sg.edges:
                 continue
-            colorings = make_colorings(g.universe_size, g.universe_size, 1, 0, injective=True)
-            colorings += make_colorings(g.universe_size, rng.choice((3, 5, 8)), 2, trial)
+            colorings = make_colorings(g.universe_size, g.universe_size, 1, 0)
+            colorings += random_colorings(g.universe_size, rng.choice((3, 5, 8)), 2, trial)
             for f in colorings:
                 yield colorful_subgraph(sg, f, g), rng.randrange(2, 6)
 
@@ -500,7 +509,7 @@ class TestFindColorful:
         from setpack23.instance import parse_instance
         g = build_conflict_graph(parse_instance("0 1 2\n0 3 4\n1 5 6\n"))
         sg = enumerate_search_edges(g, {0}, tau=2)
-        f = make_colorings(g.universe_size, g.universe_size, 1, 0, injective=True)[0]
+        f = make_colorings(g.universe_size, g.universe_size, 1, 0)[0]
         csg = colorful_subgraph(sg, f, g)
         b = find_colorful_binocular(csg, g, walk_cap=4)
         assert b is not None and len(b.edges) == 2 and all(e.is_loop for e in b.edges)
@@ -511,7 +520,7 @@ class TestFindColorful:
         g = build_conflict_graph(parse_instance(inst_text))
         sg = enumerate_search_edges(g, {0, 1}, tau=1)  # tau=1 rules the loops out
         assert all(not e.is_loop for e in sg.edges)
-        f = make_colorings(g.universe_size, g.universe_size, 1, 0, injective=True)[0]
+        f = make_colorings(g.universe_size, g.universe_size, 1, 0)[0]
         csg = colorful_subgraph(sg, f, g)
         b = find_colorful_binocular(csg, g, walk_cap=4)
         assert b is not None and len(b.edges) == 3 and not any(e.is_loop for e in b.edges)
@@ -744,9 +753,10 @@ class TestBinocularSearch:
         calls = []
         real = cc.make_colorings
 
-        def spy(universe_n, t, reps, seed, injective=False):
-            calls.append((universe_n, t, reps, injective))
-            return real(universe_n, t, reps, seed, injective)
+        def spy(universe_n, t, reps, seed):
+            colorings = real(universe_n, t, reps, seed)
+            calls.append((universe_n, t, reps, len(colorings)))
+            return colorings
         monkeypatch.setattr(cc, "make_colorings", spy)
         return calls
 
@@ -758,7 +768,8 @@ class TestBinocularSearch:
         hits = {search_improving_binocular(sg, g, SearchParams(tau=2), seed=s)
                 for s in range(5)}
         assert len(hits) == 1 and None not in hits  # the seed plays no part
-        assert coloring_calls == [(g.universe_size, g.universe_size, 1, True)] * 5
+        t = default_color_count(2, g.n)
+        assert coloring_calls == [(g.universe_size, t, COLORING_REPS, 1)] * 5
 
     def test_random_colorings_when_universe_exceeds_budget(self, coloring_calls):
         from setpack23.instance import generate_random
@@ -768,11 +779,11 @@ class TestBinocularSearch:
         sg = enumerate_search_edges(g, a, tau=1)
         t = default_color_count(1, g.n)
         assert sg.edges and g.universe_size > t
-        search_improving_binocular(sg, g, SearchParams(tau=1, coloring_reps=7), seed=3)
-        assert coloring_calls == [(g.universe_size, t, 7, False)]
+        search_improving_binocular(sg, g, SearchParams(tau=1), seed=3)
+        assert coloring_calls == [(g.universe_size, t, COLORING_REPS, COLORING_REPS)]
         coloring_calls.clear()
         search_improving_binocular(sg, g, SearchParams(tau=1, injective_colorings=True), 3)
-        assert coloring_calls == [(g.universe_size, g.universe_size, 1, True)]
+        assert coloring_calls == [(g.universe_size, g.universe_size, COLORING_REPS, 1)]
 
     def test_auto_random_and_naive_agree_on_existence(self):
         # on search graphs of at most 8 edges the naive oracle tries every

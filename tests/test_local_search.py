@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import setpack23
 from setpack23.cli import suite_instances
-from setpack23.conflict import ConflictGraph, build_conflict_graph
+from setpack23.conflict import ConflictGraph, bit_positions, build_conflict_graph
 from setpack23 import local_search
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import generate_random, parse_instance, serialize_instance
@@ -230,6 +231,94 @@ def test_hereditary_cert_ladder_is_pinned(monkeypatch):
         assert hashlib.sha256(" ".join(map(str, hits)).encode()).hexdigest() == digest, name
 
 
+def reference_naive_hit(g: ConflictGraph, a_mask: int, tau: int) -> int:
+    """The least improving tuple of size <= tau as a mask, or 0, by the naive
+    scan's own recursion, as it ran before it became a single-root run of
+    ``rec_grown``."""
+    free = ((1 << g.n) - 1) & ~a_mask
+    cands = bit_positions(free)
+    if not cands:
+        return 0
+    anb = [g.adj_mask(v) & a_mask for v in range(g.n)]
+    w = g.weights
+    w2m = g.w2_mask
+    # Depth-first over index-sorted subsets: prefixes come first, so the
+    # first hit is the lexicographically least improving tuple.
+    k = len(cands)
+
+    def rec_naive(last: int, x_vmask: int, n_mask: int, wx: int, size: int) -> int:
+        size += 1  # the size of every child
+        for i in range(last + 1, k):
+            v = cands[i]
+            if g.adj_mask(v) & x_vmask:
+                continue  # never independent again along this branch
+            x2 = x_vmask | 1 << v
+            n2 = n_mask | anb[v]
+            w2 = wx + w[v]
+            n_heavy = (n2 & w2m).bit_count()
+            wn = n2.bit_count() + n_heavy
+            # X holds w2 - size weight-2 vertices, N holds n_heavy.
+            if w2 > wn or (w2 == wn and w2 - size > n_heavy):
+                return x2
+            if size < tau and w2 - wn + 2 * (tau - size) >= 0:
+                hit = rec_naive(i, x2, n2, w2, size)
+                if hit:
+                    return hit
+        return 0
+    return rec_naive(-1, 0, 0, 0, 0)
+
+
+def test_naive_scan_matches_reference_on_solve_calls(monkeypatch):
+    # every improvement search that solve makes on random-small (tau 4) and
+    # on the general-tau4 ladder, replayed through both scans
+    ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
+    runs = [(parse_instance(d["text"]), SearchParams(tau=4, seed=0))
+            for d in json.loads(ladders.read_text())["general-tau4"]["instances"]]
+    runs += [(inst, params) for _, inst, params in suite_instances("random-small", 200, 0)]
+    find = local_search._find_improvement_mask
+    calls = []
+
+    def recording_find(g, a_mask, tau, method):
+        calls.append((g, a_mask, tau))
+        return find(g, a_mask, tau, method)
+
+    monkeypatch.setattr(local_search, "_find_improvement_mask", recording_find)
+    for inst, params in runs:
+        solve(inst, params)
+    hits = 0
+    for g, a_mask, tau in calls:
+        assert tau == 4
+        hit = find(g, a_mask, tau, "naive")
+        assert hit == reference_naive_hit(g, a_mask, tau)
+        hits += hit != 0
+    assert (len(calls), hits) == (1167, 960)
+
+
+def test_naive_scan_matches_reference_on_seeded_states():
+    # hand-built graphs (no element sets) and instance graphs, under maximal
+    # and thinned packings, for tau 1..7
+    rng = random.Random(2323)
+    hits = 0
+    for trial in range(3000):
+        if trial % 2:
+            g = build_conflict_graph(generate_random(rng.randrange(6, 12), rng.randrange(3, 13),
+                                                     rng.random(), seed=9000 + trial))
+        else:
+            n = rng.randrange(2, 13)
+            density = rng.random() * 0.6
+            g = ConflictGraph([rng.choice((1, 2)) for _ in range(n)],
+                              [e for e in combinations(range(n), 2) if rng.random() < density])
+        a = random_packing(g, rng)
+        if rng.random() < 0.3:
+            a = frozenset(v for v in a if rng.random() < 0.7)
+        a_mask = g.mask(a)
+        tau = 1 + trial % 7
+        hit = local_search._find_improvement_mask(g, a_mask, tau, "naive")
+        assert hit == reference_naive_hit(g, a_mask, tau), (trial, tau)
+        hits += hit != 0
+    assert hits == 1771
+
+
 # rec_grown frames per `hereditary-cert` closure at tau=10, counted before the
 # claw-share cut valued the near candidates at their caps first: a cheaper
 # test of the same bound must cut exactly the same subtrees.
@@ -443,9 +532,8 @@ def test_capped_share_sum_bounds_the_clique_leader_sum():
 
 
 def test_runstats_wire_keys():
-    import json
     _, stats = solve(chain_instance(), SearchParams(tau=2))
-    doc = json.loads(stats.to_json())
+    doc = json.loads(json.dumps(asdict(stats)))
     assert set(doc) == {"iterations", "improvements_applied", "binoculars_applied",
                         "final_weight", "wall_ms"}
 
