@@ -7,27 +7,25 @@ applies such improvements of size at most tau until none exist; in general
 mode it then additionally searches the auxiliary multigraph for an improving
 binocular (a logarithmic-size structured improvement) before terminating.
 
-The bounded search is one DFS, ``rec_grown``, run in three settings.  For
-tau from 5 up, iterative-deepening passes and then one capped DFS grow X
-from each root through later candidates linked to it (conflicting or
-sharing a solution neighbor); a minimal improvement that split into
-linkage-disconnected parts would contain a smaller improvement, so the
-restriction loses nothing.  Below that, and for cross-validation, a full
-scan runs one root whose extension holds every candidate: the index-ordered
-subset scan, whose first hit, the least improving tuple, ends it.
+The bounded search is one DFS, ``rec_grown``, run in two settings.  For
+tau from 5 up, capped runs grow X from each root through later candidates
+linked to it (conflicting or sharing a solution neighbor); a minimal
+improvement that split into linkage-disconnected parts would contain a
+smaller improvement, so the restriction loses nothing.  Below that, and for
+cross-validation, a full scan runs one root whose extension holds every
+candidate: the index-ordered subset scan, whose first hit, the least
+improving tuple, ends it.
 
 The grown search returns the least candidate with no solution neighbor, if
 any, and otherwise the least improving set by (size, root, preorder); an
-earlier root that improves alone loses to the former.  It deepens
-iteratively up to size ``_ID_DEPTH``, where the frequent small
-improvements are cheap, then runs one DFS capped at tau that tests every
-larger node and lowers the cap to s - 1 on a hit of size s.  The final
-call, which certifies that no improvement of size up to tau remains, thus
-walks the search tree once instead of once per depth.  Its prunes only
-loosen as the cap grows and never cut off an improving descendant, so the
-capped DFS returns the hit that iterative deepening to tau would.
+earlier root that improves alone loses to the former.  A capped run tests
+every node and lowers its cap to s - 1 on a hit of size s, so its last hit
+is the one iterative deepening would return: its prunes only loosen as the
+cap grows and never cut off an improving descendant.  The first run caps
+at ``_SMALL_CAP``, where the frequent small improvements are cheap; when
+it finds none, the second caps at tau.
 
-The capped DFS also cuts by claw shares, an admissible bound from the
+The second capped run also cuts by claw shares, an admissible bound from the
 claw-freeness the guarantee rests on: a solution set a has w(a)+1 elements,
 so it meets at most w(a)+1 members of an independent extension F.  Charging
 each of them w(a)/(w(a)+1) pays for a, so X together with F gains at most
@@ -41,8 +39,8 @@ The bound is tested cheapest first, with each linked candidate valued at
 its weight, the most its value can be, and no cover: that sum is never
 smaller, so the cover is built only where it fails to cut, and every cut
 decision stays the same.
-The iterative-deepening passes and the full scan skip this cut: there the
-frequent small hits end the search before it would pay off.  A child whose
+The first capped run and the full scan skip this cut: there the frequent
+small hits end the search before it would pay off.  A child whose
 extension is empty has no children, so it is tested and never entered.
 """
 
@@ -57,18 +55,18 @@ from typing import Iterable
 from .conflict import ConflictGraph, bit_positions, build_conflict_graph
 from .instance import Instance, Packing
 
-# The grown enumerator deepens iteratively up to this size, then runs one
-# capped DFS for every larger size.
-_ID_DEPTH = 3
+# The grown search's first capped run stops at this size, the second at tau.
+_SMALL_CAP = 3
 
-# The capped DFS evaluates its claw-share bound only at children whose plain
-# slack w(X) - w(N) + 2 * depth_left is at most this: a larger slack is rarely
-# cut, and one evaluation costs about as much as visiting a node.  Without the
-# gate, the eight hereditary-cert closures visit 21,616 rec_grown frames
-# instead of 27,453 but make 43,597 evaluations instead of 41,779, for no
-# gain in time; the 800 hereditary-small solves of audit-small visit 164,234
-# frames instead of 229,718 but make 64,615 evaluations instead of 1,880 and
-# run about a quarter slower.  A gate derived from the input is still open.
+# The second capped run evaluates its claw-share bound only at children
+# whose plain slack w(X) - w(N) + 2 * depth_left is at most this: a larger
+# slack is rarely cut, and one evaluation costs about as much as visiting a
+# node.  Without the gate, the eight hereditary-cert closures visit 19,887
+# rec_grown frames instead of 25,724 but make 43,597 evaluations instead of
+# 41,779, for no gain in time; the 800 hereditary-small solves of
+# audit-small visit 114,302 frames instead of 179,786 but make 64,615
+# evaluations instead of 1,880 and run about a third slower.  A gate
+# derived from the input is still open.
 _SHARE_GATE = 8
 
 
@@ -237,24 +235,27 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         return 0
     if method == "grown":
         # A vertex untouched by the solution is an improvement on its own.
-        for v in cands:
-            if not g.adj_mask(v) & a_mask:
-                return 1 << v
+        lone = free & ~g.neighbors_mask(a_mask)
+        if lone:
+            return lone & -lone
+        # Candidates are linked when they conflict or share a solution neighbor.
+        cadj, link = _candidate_linkage(g, a_mask)
+    else:
+        # The full scan grows no root, so link only feeds closed2, which
+        # only the claw-share cut reads: the conflicts stand in for it.
+        cadj = link = [g.adj_mask(v) & free for v in range(g.n)]
     anb = [g.adj_mask(v) & a_mask for v in range(g.n)]
     w = g.weights
     w2m = g.w2_mask
-
-    # Candidates are linked when they conflict or share a solution neighbor.
-    cadj, link = _candidate_linkage(g, a_mask)
 
     # Only genuine conflict graphs promise the element bound the claw-share
     # cut rests on; hand-built graphs carry no element sets.
     genuine = g.members is not None
     hit = 0
-    # Test sets of size floor..cap; a hit of size s ends the search when
+    # Test sets of size up to cap; a hit of size s ends the search when
     # s <= stop and otherwise lowers cap to s - 1.
-    floor = cap = stop = 0
-    share_bound = False  # the claw-share cut runs in the capped DFS only
+    cap = stop = 0
+    share_bound = False  # the claw-share cut runs in the second capped run only
 
     def share_cut(ext: int, far: int, n_mask: int, d: int, deficit: int) -> bool:
         """True when no d candidates of ``ext | far`` make up ``deficit`` sixths.
@@ -304,9 +305,9 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     # Every child is tested, then cut when it cannot lead to an improvement
     # within the cap, by two tests in this order:
     # * plain slack: each further candidate gains at most 2;
-    # * claw shares (``share_cut``), in the capped DFS of a genuine conflict
-    #   graph only, for a child with depth_left >= 2 whose plain slack is
-    #   at most _SHARE_GATE.
+    # * claw shares (``share_cut``), in the second capped run on a genuine
+    #   conflict graph only, for a child with depth_left >= 2 whose plain
+    #   slack is at most _SHARE_GATE.
     def rec_grown(x_vmask: int, n_mask: int, wx: int, size: int,
                   ext: int, closed: int, gt_root: int) -> None:
         nonlocal hit, cap
@@ -320,7 +321,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             n_heavy = (n2 & w2m).bit_count()
             wn = n2.bit_count() + n_heavy
             # X holds w2 - size weight-2 vertices, N holds n_heavy.
-            if size >= floor and (w2 > wn or (w2 == wn and w2 - size > n_heavy)):
+            if w2 > wn or (w2 == wn and w2 - size > n_heavy):
                 hit = x_vmask | low
                 cap = size - 1 if size > stop else 0
                 return
@@ -345,23 +346,18 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     if method == "naive":
         # The full scan: nothing grows the root (gt_root = 0), and prefixes
         # come first, so the first hit is the least tuple and ends it.
-        floor, cap, stop = 1, tau, tau
+        cap = stop = tau
         rec_grown(0, 0, 0, 0, free, 0, 0)
         return hit
 
     # Root r enters as the only extension of the empty set and grows only
     # through candidates after it, so every connected set is tried from its
-    # least member.  Floors 1.._ID_DEPTH are iterative-deepening passes
-    # (floor == cap).  The last floor is the capped DFS: it starts at cap tau
-    # and ends when a hit drives the cap below the floor or the roots run
-    # out.  No improvement is smaller than floor, so stop = floor.  The last
-    # hit is the least by (size, root, preorder), because the capped DFS
-    # visits every node of each deepening pass in the same preorder, and
-    # every cut drops only subtrees without an improving set.
-    for floor in range(1, min(tau, _ID_DEPTH + 1) + 1):
-        stop = floor
-        cap = floor if floor <= _ID_DEPTH else tau
-        if floor > _ID_DEPTH and genuine:
+    # least member.  The first run covers sizes up to _SMALL_CAP, the
+    # second the larger ones up to tau; each ends when a hit drives the cap
+    # below its stop or the roots run out.  The second also tests the small
+    # sizes, where the first found no improvement.
+    for stop, cap in ((1, min(tau, _SMALL_CAP)), (_SMALL_CAP + 1, tau)):
+        if stop > 1 and genuine:
             base_share = [0] * g.n
             by_value: dict[int, int] = {}
             for v, g6 in zip(cands, _claw_shares(g, a_mask, cands)):
@@ -371,7 +367,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             share_classes = sorted(by_value.items(), reverse=True)
             share_bound = True
         for r in cands:
-            if cap < floor:
+            if cap < stop:
                 break
             rec_grown(0, 0, 0, 0, 1 << r, 0, free & ~((2 << r) - 1))
         if hit:

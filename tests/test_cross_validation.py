@@ -9,7 +9,7 @@ from setpack23.color_coding import search_improving_binocular
 from setpack23.conflict import build_conflict_graph
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import generate_random
-from setpack23.local_search import (_ID_DEPTH, SearchParams, apply_improvement,
+from setpack23.local_search import (_SMALL_CAP, SearchParams, apply_improvement,
                                     find_improvement, is_local_improvement)
 from setpack23.search_graph import (LabeledBinocular, enumerate_search_edges,
                                     extract_improvement, is_improving_binocular)
@@ -150,7 +150,7 @@ def alternating_paths(lengths: list[int], seed: int):
 
 def test_grown_hit_has_the_least_size():
     # the grown hit's size must be the least s at which the naive search with
-    # tau = s finds an improvement, also past the iterative-deepening depth
+    # tau = s finds an improvement, also past the first capped run's cap
     rng = random.Random(4711)
     states = []
     for trial in range(20):
@@ -177,8 +177,8 @@ def test_grown_hit_has_the_least_size():
             assert size == 1 or find_improvement(g, a, size - 1, method="naive") is None
             sizes.append(size)
             a = apply_improvement(g, a, imp)
-    assert max(sizes) > _ID_DEPTH + 1
-    assert sum(size > _ID_DEPTH for size in sizes) >= 10
+    assert max(sizes) > _SMALL_CAP + 1
+    assert sum(size > _SMALL_CAP for size in sizes) >= 10
 
 
 def three_local(g, a: frozenset[int]) -> frozenset[int]:
@@ -189,8 +189,8 @@ def three_local(g, a: frozenset[int]) -> frozenset[int]:
 
 
 def test_grown_matches_naive_where_claw_shares_cut(monkeypatch):
-    # tau 5-7, where the capped DFS cuts by claw shares.  States: seeded
-    # hereditary closures of 20-40 sets with the empty packing, a random
+    # tau 5-7, where the second capped run cuts by claw shares.  States:
+    # seeded hereditary closures of 20-40 sets with the empty packing, a random
     # one, the 3-local optimum the solver reaches from the empty one and the
     # packing solve_hereditary returns; and a general draw whose 3-local
     # optimum hides a least improvement of size 4 that is cut when a
@@ -233,5 +233,5 @@ def test_grown_matches_naive_where_claw_shares_cut(monkeypatch):
                 sizes.append(size)
                 path = apply_improvement(g, path, imp)
             assert find_improvement(g, path, tau, method="naive") is None
-    assert sum(size > _ID_DEPTH for size in sizes) >= 3
+    assert sum(size > _SMALL_CAP for size in sizes) >= 3
     assert sum(merges) >= 100, sum(merges)

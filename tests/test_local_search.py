@@ -231,6 +231,28 @@ def test_hereditary_cert_ladder_is_pinned(monkeypatch):
         assert hashlib.sha256(" ".join(map(str, hits)).encode()).hexdigest() == digest, name
 
 
+def test_audit_small_hits_are_pinned(monkeypatch):
+    # SHA-256 of every _find_improvement_mask result in call order, written
+    # as space-separated decimals, over audit-small's inputs: the 800
+    # hereditary-small and 800 threedm-small solves at seed 0.  Recorded
+    # before one capped run replaced the iterative-deepening passes to
+    # size 3: each call must return the same hit, not just an improvement.
+    find = local_search._find_improvement_mask
+    hits: list[int] = []
+
+    def recording_find(*args):
+        hits.append(find(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(local_search, "_find_improvement_mask", recording_find)
+    for suite in ("hereditary-small", "threedm-small"):
+        for _, inst, params in suite_instances(suite, 800, 0):
+            solve(inst, params)
+    assert (len(hits), sum(hit != 0 for hit in hits)) == (7184, 5584)
+    assert hashlib.sha256(" ".join(map(str, hits)).encode()).hexdigest() == (
+        "6941dfc3877c70b0b27b2502d6fd81c5112f5935496b5fef39d2fd670be99b9a")
+
+
 def reference_naive_hit(g: ConflictGraph, a_mask: int, tau: int) -> int:
     """The least improving tuple of size <= tau as a mask, or 0, by the naive
     scan's own recursion, as it ran before it became a single-root run of
@@ -319,13 +341,20 @@ def test_naive_scan_matches_reference_on_seeded_states():
     assert hits == 1771
 
 
-# rec_grown frames per `hereditary-cert` closure at tau=10, counted before the
-# claw-share cut valued the near candidates at their caps first: a cheaper
-# test of the same bound must cut exactly the same subtrees.
+# rec_grown frames and share_cut evaluations per `hereditary-cert` closure at
+# tau=10.  The evaluations are the cut decisions: they were counted before
+# the claw-share cut valued the near candidates at their caps first, and a
+# cheaper test of the same bound must make exactly the same ones.  The
+# frames also follow how the search stages its capped runs.
 HEREDITARY_CERT_FRAMES = {
-    "random-30-18-s0": 3223, "random-30-18-s1": 6714, "random-30-18-s2": 1700,
-    "random-30-18-s3": 4566, "random-30-18-s4": 1292, "random-30-18-s5": 4780,
-    "random-30-18-s6": 3445, "random-30-18-s7": 1733,
+    "random-30-18-s0": 3009, "random-30-18-s1": 6580, "random-30-18-s2": 1388,
+    "random-30-18-s3": 4366, "random-30-18-s4": 1148, "random-30-18-s5": 4466,
+    "random-30-18-s6": 3151, "random-30-18-s7": 1616,
+}
+HEREDITARY_CERT_SHARE_CUTS = {
+    "random-30-18-s0": 3766, "random-30-18-s1": 16858, "random-30-18-s2": 504,
+    "random-30-18-s3": 6940, "random-30-18-s4": 1155, "random-30-18-s5": 5524,
+    "random-30-18-s6": 6043, "random-30-18-s7": 989,
 }
 
 
@@ -333,22 +362,23 @@ def test_hereditary_cert_frames_are_pinned():
     ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
     texts = {d["name"]: d["text"]
              for d in json.loads(ladders.read_text())["hereditary-cert"]["instances"]}
-    assert sorted(texts) == sorted(HEREDITARY_CERT_FRAMES)
-    frames = {}
+    assert sorted(texts) == sorted(HEREDITARY_CERT_FRAMES) == sorted(HEREDITARY_CERT_SHARE_CUTS)
+    counts = {"rec_grown": {}, "share_cut": {}}
 
     def count_frames(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "rec_grown":
-            frames[name] += 1
+        if event == "call" and frame.f_code.co_name in counts:
+            counts[frame.f_code.co_name][name] += 1
 
     for name in HEREDITARY_CERT_FRAMES:
         closed = hereditary_closure(parse_instance(texts[name]))
-        frames[name] = 0
+        counts["rec_grown"][name] = counts["share_cut"][name] = 0
         sys.setprofile(count_frames)
         try:
             solve_hereditary(closed)
         finally:
             sys.setprofile(None)
-    assert frames == HEREDITARY_CERT_FRAMES
+    assert counts["share_cut"] == HEREDITARY_CERT_SHARE_CUTS
+    assert counts["rec_grown"] == HEREDITARY_CERT_FRAMES
 
 
 @pytest.mark.parametrize("fault, message", [
