@@ -3,19 +3,20 @@
 A pair (U, W) with U inside the solution A and W an independent set outside
 A induces a labeled edge when w(U) + 2 = w(W), both parts have at most tau
 vertices, and the residual neighborhood N(W, A \\ U) consists of one or two
-weight-2 solution vertices.  Those residual vertices are the edge's
-endpoints (one endpoint makes a loop); the labels are vertex bitmasks, and
-edges sort by endpoints, then by each label's ascending vertex tuple.  A
-sub-multigraph with more edges than vertices is a binocular; an improving
-binocular satisfies three label conditions that force its combined W-sets
-to be a local improvement.
+weight-2 solution vertices: the edge's endpoints (one makes a loop).  The
+labels are vertex bitmasks; edges sort by endpoints, then by each label's
+ascending vertex tuple.  W grows one vertex at a time, and W with all its
+supersets is dropped once N(W, A) is too large or the balance slack too
+wide for any of them to have an edge.  A sub-multigraph with more edges
+than vertices is a binocular; an improving binocular satisfies three label
+conditions that force its combined W-sets to be a local improvement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .conflict import ConflictGraph, bit_positions
 
@@ -71,53 +72,52 @@ class LabeledBinocular:
         return m
 
 
-def _independent_subsets(g: ConflictGraph, pool: Sequence[int], max_size: int):
-    """Yield the masks of the non-empty independent subsets of pool, lex order."""
-    def rec(start: int, mask: int, size: int):
-        for i in range(start, len(pool)):
-            v = pool[i]
-            if g.adj_mask(v) & mask:
-                continue
-            mask2 = mask | (1 << v)
-            yield mask2
-            if size < max_size:
-                yield from rec(i + 1, mask2, size + 1)
-    yield from rec(0, 0, 1)
-
-
 def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> SearchGraph:
     """Build the search graph for the solution A.
 
-    W ranges over the independent sets of at most tau vertices outside A,
-    and U over N(W, A) minus one or two weight-2 vertices; the
-    weight-balance equation pins down how many.  Pairs whose U reaches
-    outside N(W, A) are never enumerated.
+    U is N(W, A) minus a set R of weight-2 vertices, the edge's endpoints.
+    With d = w(N(W, A)) - w(W), the balance w(U) + 2 = w(W) forces
+    |R| = (d + 2) / 2, so W has edges only when d is 0 or 2.  One recursion
+    adds outside vertices to W in ascending order, carries w(W) and N(W, A)
+    down, and drops W with every superset in two cases, both exact:
+
+    - size: |N(W, A)| - 2 > tau.  |U| >= |N(W, A)| - 2, and N only grows.
+    - balance slack: d - 2 (tau - |W|) > 2.  An added vertex adds at most 2
+      to w(W) and takes nothing from w(N(W, A)), so d falls by at most 2 per
+      vertex, and at most tau - |W| vertices follow.
+
+    Each W is emitted before its supersets: the lex order of W's ascending
+    vertex tuple.  So a stable sort by endpoints and U's tuple gives the edge
+    order without building W's tuple.
     """
     a_mask = g.mask(A)
     if not g.independent_mask(a_mask):
         raise ValueError("solution must be independent")
-    outside = bit_positions(((1 << g.n) - 1) & ~a_mask)
-    # Each (W, R) pair gives its own edge and sort key, in which labels
-    # compare as ascending vertex tuples, not as masks.
-    keyed: list[tuple[tuple, SearchEdge]] = []
-    for w_mask in _independent_subsets(g, outside, tau):
-        ww = g.weight_mask(w_mask)
-        m_mask = g.neighbors_mask(w_mask) & a_mask
-        # U = N(W, A) minus a removed set R of weight-2 vertices; the
-        # balance w(U) + 2 = w(W) forces |R| = (w(M) - w(W) + 2) / 2.
-        need2, rem = divmod(g.weight_mask(m_mask) - ww + 2, 2)
-        if rem or need2 not in (1, 2) or m_mask.bit_count() - need2 > tau:
-            continue
-        w_key = bit_positions(w_mask)
-        for r_combo in combinations(bit_positions(m_mask & g.w2_mask), need2):
-            u_mask = m_mask
-            for v in r_combo:
-                u_mask ^= 1 << v
-            keyed.append(((r_combo, bit_positions(u_mask), w_key),
-                          SearchEdge(r_combo, u_mask, w_mask)))
-    keyed.sort()
-    vertices = bit_positions(a_mask & g.w2_mask)
-    return SearchGraph(vertices, tuple(e for _, e in keyed), tau)
+    a2 = a_mask & g.w2_mask
+    table = [(m, m & a_mask, w) for m, w in zip(map(g.adj_mask, range(g.n)), g.weights)]
+    edges: list[SearchEdge] = []
+
+    def grow(cands: int, w_mask: int, ww: int, n_mask: int, left: int) -> None:
+        # A child adds a vertex of cands; left = tau - |child|; w(N) = |N| + |N & A2|.
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            adj, a_nbrs, wv = table[low.bit_length() - 1]
+            n2 = n_mask | a_nbrs
+            n_size = n2.bit_count()
+            d = n_size + (n2 & a2).bit_count() - ww - wv
+            if n_size - 2 > tau or d - 2 * left > 2:
+                continue
+            if (d == 0 or d == 2) and n_size - d // 2 - 1 <= tau:
+                for r_combo in combinations(bit_positions(n2 & a2), d // 2 + 1):
+                    u_mask = n2 & ~(1 << r_combo[0] | 1 << r_combo[-1])
+                    edges.append(SearchEdge(r_combo, u_mask, w_mask | low))
+            if left > 0:
+                grow(cands & ~adj, w_mask | low, ww + wv, n2, left - 1)
+
+    grow(((1 << g.n) - 1) & ~a_mask, 0, 0, 0, tau - 1)
+    edges.sort(key=lambda e: (e.endpoints, bit_positions(e.u_mask)))
+    return SearchGraph(bit_positions(a2), tuple(edges), tau)
 
 
 def is_improving_binocular(b: LabeledBinocular, g: ConflictGraph) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -12,7 +12,7 @@ from setpack23 import build_conflict_graph, is_local_improvement, parse_instance
 from setpack23.conflict import ConflictGraph, bit_positions
 from setpack23.instance import Instance, PackSet, generate_random
 from setpack23.normalize import AnalysisTuple, analysis_tuple
-from setpack23.search_graph import SearchEdge, SearchGraph, _independent_subsets
+from setpack23.search_graph import SearchEdge, SearchGraph
 
 
 def chain_instance() -> Instance:
@@ -67,6 +67,53 @@ def label_key(e: SearchEdge) -> tuple:
     return e.endpoints, bit_positions(e.u_mask), bit_positions(e.w_mask)
 
 
+def independent_subsets(g: ConflictGraph, pool: Sequence[int], max_size: int):
+    """Yield the masks of the non-empty independent subsets of pool, lex order."""
+    def rec(start: int, mask: int, size: int):
+        for i in range(start, len(pool)):
+            v = pool[i]
+            if g.adj_mask(v) & mask:
+                continue
+            mask2 = mask | (1 << v)
+            yield mask2
+            if size < max_size:
+                yield from rec(i + 1, mask2, size + 1)
+    yield from rec(0, 0, 1)
+
+
+def reference_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> SearchGraph:
+    """Reference search graph from the unpruned scan over every W.
+
+    W ranges over all independent sets of at most tau vertices outside A, and
+    U over N(W, A) minus one or two weight-2 vertices, as many as the weight
+    balance asks for.  Each edge is keyed by endpoints and both label tuples.
+    The solver's ``enumerate_search_edges`` must return this graph exactly.
+    """
+    a_mask = g.mask(A)
+    if not g.independent_mask(a_mask):
+        raise ValueError("solution must be independent")
+    outside = bit_positions(((1 << g.n) - 1) & ~a_mask)
+    keyed: list[tuple[tuple, SearchEdge]] = []
+    for w_mask in independent_subsets(g, outside, tau):
+        ww = g.weight_mask(w_mask)
+        m_mask = g.neighbors_mask(w_mask) & a_mask
+        # U = N(W, A) minus a removed set R of weight-2 vertices; the
+        # balance w(U) + 2 = w(W) forces |R| = (w(M) - w(W) + 2) / 2.
+        need2, rem = divmod(g.weight_mask(m_mask) - ww + 2, 2)
+        if rem or need2 not in (1, 2) or m_mask.bit_count() - need2 > tau:
+            continue
+        w_key = bit_positions(w_mask)
+        for r_combo in combinations(bit_positions(m_mask & g.w2_mask), need2):
+            u_mask = m_mask
+            for v in r_combo:
+                u_mask ^= 1 << v
+            keyed.append(((r_combo, bit_positions(u_mask), w_key),
+                          SearchEdge(r_combo, u_mask, w_mask)))
+    keyed.sort()
+    vertices = bit_positions(a_mask & g.w2_mask)
+    return SearchGraph(vertices, tuple(e for _, e in keyed), tau)
+
+
 def full_search_edges(g: ConflictGraph, A: frozenset[int], tau: int) -> SearchGraph:
     """Reference search graph: U ranges over every subset of A of size <= tau.
 
@@ -82,7 +129,7 @@ def full_search_edges(g: ConflictGraph, A: frozenset[int], tau: int) -> SearchGr
         for combo in combinations(a_list, size):
             u_choices.append(g.mask(combo))
     edges: set[SearchEdge] = set()
-    for w_mask in _independent_subsets(g, outside, tau):
+    for w_mask in independent_subsets(g, outside, tau):
         ww = g.weight_mask(w_mask)
         m_mask = g.neighbors_mask(w_mask) & a_mask
         for u_mask in u_choices:

@@ -1,16 +1,24 @@
+import hashlib
+import json
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from setpack23.cli import suite_instances
+import setpack23.search_graph as search_graph
+from setpack23 import parse_instance
+from setpack23.cli import random_triples, suite_instances
 from setpack23.conflict import ConflictGraph, build_conflict_graph
-from setpack23.local_search import is_local_improvement, solve
+from setpack23.hereditary import hereditary_closure
+from setpack23.local_search import SearchParams, is_local_improvement, solve
 from setpack23.search_graph import (LabeledBinocular, SearchEdge,
                                     enumerate_search_edges, extract_improvement,
                                     is_improving_binocular)
-from setpack23.instance import generate_random
+from setpack23.instance import embed_3dm, generate_random
 from conftest import (binocular_gadget, full_search_edges, instance_from_sets, label_key,
-                      random_packing, search_edge, validate_search_edge)
+                      random_packing, reference_search_edges, search_edge,
+                      validate_search_edge)
 from test_binoculars import naive_improving_binocular
 
 
@@ -95,6 +103,80 @@ def test_search_edges_keep_label_order():
         mask_order_differs += sg.edges != tuple(sorted(sg.edges))
     assert edges >= 100, edges
     assert mask_order_differs >= 1
+
+
+def differential_states():
+    """Seeded (conflict graph, solution, tau) triples for the differential test:
+    random, 3DM, hereditary-closure and hand-built graphs at every tau from 1
+    to 8, under a maximal packing at alternate tau and a thinned one at the
+    rest."""
+    rng = random.Random(2525)
+    graphs = []
+    for seed in range(8):
+        graphs.append(build_conflict_graph(generate_random(
+            rng.randrange(10, 17), rng.randrange(12, 22), rng.choice((0.3, 0.6, 0.9)), seed + 900)))
+        m = rng.randrange(10, 21)
+        part = max(2, m // 2)
+        graphs.append(build_conflict_graph(embed_3dm(random_triples(part, part, part, m, seed))))
+        base = generate_random(rng.randrange(9, 14), rng.randrange(4, 8), 1.0, seed + 950)
+        graphs.append(build_conflict_graph(hereditary_closure(base).base))
+        n = rng.randrange(10, 19)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        graphs.append(ConflictGraph([rng.choice((1, 2, 2)) for _ in range(n)], pairs))
+    for i, g in enumerate(graphs):
+        a = random_packing(g, rng)
+        thinned = frozenset(v for v in a if rng.random() < 0.6)
+        for tau in range(1, 9):
+            yield g, (a if (i + tau) % 2 else thinned), tau
+
+
+def test_pruned_enumeration_matches_the_unpruned_reference():
+    graphs = edges = loops = 0
+    for g, a, tau in differential_states():
+        sg = enumerate_search_edges(g, a, tau)
+        assert sg == reference_search_edges(g, a, tau), (tau, sorted(a))
+        graphs += 1
+        edges += len(sg.edges)
+        loops += len(sg.loops)
+    assert graphs == 256
+    assert edges >= 10000 and loops >= 1000, (edges, loops)
+
+
+def _graph_bytes(sg) -> bytes:
+    return json.dumps([sg.tau, list(sg.vertices),
+                       [[list(e.endpoints), e.u_mask, e.w_mask] for e in sg.edges]]).encode()
+
+
+# (graph count, SHA-256 over the search graphs in call order) of every
+# SearchGraph that `solve` builds: the `general-tau4` ladder (instance texts
+# from perfbench/ladders.json) at tau=4, seed 0, and the `setpack bench`
+# suites threedm-small (800) and random-small (200) at seed 0.  Recorded
+# with the unpruned enumerator that `reference_search_edges` keeps.
+SOLVE_SEARCH_GRAPH_PINS = {
+    "general-tau4": (7, "875827d5602c04d866983930f3d7144106faa11faed456399fcc894ee39a28dd"),
+    "threedm-small": (800, "4b48e2160c42e61a87ff07b77183c8b2ab2c173da2b612f04e8d6515c767f3c5"),
+    "random-small": (200, "56376e514a7c9ac2543d55f9bc9fa7de19c19425a1e662b8e15949f18c594b2e"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SOLVE_SEARCH_GRAPH_PINS))
+def test_solve_search_graphs_are_pinned(family):
+    real, digest, count = search_graph.enumerate_search_edges, hashlib.sha256(), [0]
+
+    def spy(g, a, tau):
+        sg = real(g, a, tau)
+        digest.update(_graph_bytes(sg))
+        count[0] += 1
+        return sg
+    with mock.patch.object(search_graph, "enumerate_search_edges", spy):
+        if family == "general-tau4":
+            ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
+            for d in json.loads(ladders.read_text())["general-tau4"]["instances"]:
+                solve(parse_instance(d["text"]), SearchParams(tau=4, seed=0))
+        else:
+            for _, inst, params in suite_instances(family, SOLVE_SEARCH_GRAPH_PINS[family][0], 0):
+                solve(inst, params)
+    assert (count[0], digest.hexdigest()) == SOLVE_SEARCH_GRAPH_PINS[family]
 
 
 def _hand_graph(weights, edges):
