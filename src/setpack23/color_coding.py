@@ -6,11 +6,15 @@ pairwise disjoint.  Colorful walks (loop-free walks whose per-edge W-color
 sets are pairwise disjoint) are tabulated from every start vertex by one
 dynamic program over reachable states, grouped by end vertex; a state is the
 bitmask tuple (end vertex, colors, U-label mask, W-label mask) and stores one
-witness, its shortest walk.  The DP indexes edges by color: per color bit, a
-clash mask of the edges holding it, so a state expands only along the
-incident edges outside the clash masks of its colors, never touching one
-that its colors would reject.  A candidate binocular is stitched together
-from up to two loops and up to three stored walks.  A choice of loops whose
+witness, its shortest walk.  The label masks keep only the vertices the
+assembly reads: the loops' U-vertices, and the vertices whose colors meet a
+loop W-vertex's colors, so without loops a state is its end and colors.  The
+DP indexes edges by color: per color bit, a clash mask of the edges holding
+it, so a state expands only along the incident edges outside the clash masks
+of its colors, never touching one that its colors would reject.  A candidate
+binocular is stitched together from up to two loops and up to three stored
+walks.  One table per search holds each loop's labels, colors and stop set
+(the vertices sharing a color with its W-label).  A choice of loops whose
 W-labels clash in color is skipped; otherwise it reads only the (start, end)
 lists its shape needs and keeps a walk exactly when every loop W-vertex
 whose colors the walk meets is one it covers, as the candidate's other walks
@@ -32,8 +36,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, combinations
+from functools import cache, reduce
+from itertools import combinations
 from operator import or_
 from typing import Mapping
 
@@ -115,19 +119,25 @@ class WalkBudgetExceeded(RuntimeError):
     """A start vertex's reachable state space outgrew ``WALK_STATE_BUDGET``."""
 
 
-def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, list]]:
+def walk_states(csg: ColorfulSearchGraph, max_len: int, u_keep: int,
+                w_keep: int) -> dict[int, dict[int, list]]:
     """Every colorful-walk state reachable from each start vertex within
     ``max_len`` edges, one witness walk each, as
     start -> end -> [(colors, U-mask, W-mask, witness)].
 
     The masks carry bit v for every vertex v in the U- and W-labels of the
-    walk's edges; witnesses are tuples of edge indices; rows come in table
-    order.  The base state is the empty walk; a transition appends a non-loop
-    edge whose W-color set is disjoint from the colors accumulated so far.
-    Merging on the full label unions is lossless: states with equal keys admit
-    exactly the same extensions and the same projections onto any context, so
-    one witness per key suffices: the first, a shortest walk, as the DP runs
-    breadth first.  The budget bounds each start's table.
+    walk's edges that lies in ``u_keep`` or ``w_keep`` (-1 keeps every
+    vertex); witnesses are tuples of edge indices; rows come in table order.
+    The base state is the empty walk; a transition appends a non-loop edge
+    whose W-color set is disjoint from the colors accumulated so far.  How a
+    state expands depends only on its end vertex and colors, and a child's
+    kept masks only on its parent's and the edge's, so merging states on the
+    kept masks is lossless for every reader that looks at no other bits:
+    each end's list is the full table's list cut to its first row per
+    (colors, kept U, kept W), in the same order and with the same
+    witnesses.  One witness per state suffices: the first, a shortest walk,
+    as the DP runs breadth first.  The budget bounds the number of kept
+    states in each start's table.
 
     Non-loop edges get bit positions in index order.  ``incident[v]`` holds
     the positions of v's edges and ``clash[c]`` those of the edges whose
@@ -153,7 +163,7 @@ def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, l
         for c in col_bits:
             clash[c] |= bit
         # a ^ b ^ v is the endpoint other than v
-        steps.append((a ^ b, col, e.u_mask, e.w_mask, i, col_bits))
+        steps.append((a ^ b, col, e.u_mask & u_keep, e.w_mask & w_keep, i, col_bits))
 
     blocked_of = {0: 0}
     tables: dict[int, dict[int, list]] = {}
@@ -190,32 +200,74 @@ def walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict[int, dict[int, l
 
 # -- structure search --------------------------------------------------------
 
+def _loop_choices(loops: list, g: ConflictGraph, vcol: Mapping[int, int]):
+    """Yield (loop ids, p, q, U_L, W_L, stop mask, need) for each choice L of
+    one loop, then of two, in ``combinations`` order of the ``loops`` table,
+    where need = w(U_L) + 2|L| - w(W_L).
+
+    A pair yields nothing, and is skipped, when a W-vertex of one loop
+    shares a color with a different W-vertex of the other: a walk covers at
+    most one of the two, and one covering neither leaves the clash
+    standing.  As each W-label is colorful, that happens exactly when the
+    color masks overlap beyond the colors of the shared W-vertices; when it
+    does not, neither loop's W-label meets the other's stop set, so the
+    pair's stop mask is the union of the two.
+    """
+    weight = g.weight_mask
+    for i, p, uu, ww, _, stop in loops:
+        yield (i,), p, p, uu, ww, stop, weight(uu) + 2 - weight(ww)
+    for (i, p, ua, wa, ca, sa), (j, q, ub, wb, cb, sb) in combinations(loops, 2):
+        common = ca & cb
+        if common and common != _mask_colors(wa & wb, vcol):
+            continue
+        ctx_u, ctx_w = ua | ub, wa | wb
+        yield (i, j), p, q, ctx_u, ctx_w, sa | sb, weight(ctx_u) + 4 - weight(ctx_w)
+
+
 def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                             walk_cap: int) -> LabeledBinocular | None:
     """Assemble a colorful binocular from at most two loops and stored walks.
 
-    One ``walk_states`` call tabulates every start vertex, grouped by end
-    vertex.  Loop-free shapes come first: two closed walks plus a (possibly
-    empty) connector, or three paths between two vertices; they read only
-    colors and witnesses, so the first row of each color set of a list
-    stands for all of its rows.  A choice L of one or two loops adds a closed
-    walk and a connector, or a connector, scanning the rows of their lists in
-    table order.  L is skipped when two of its loop W-vertices share a color.
-    Otherwise the loop W-vertices are pairwise color-disjoint, as are the
-    W-vertices of any walk, so a walk meets the colors of a loop W-vertex it
-    leaves standing exactly when one of its W-vertices outside the loop
-    labels shares a loop color; ``stop_w`` holds those vertices.  Such walks
-    drop out, which is exact: the candidate's walks are pairwise
-    color-disjoint, so no other walk can cover that loop W-vertex.  The rest,
-    with masks X and Y within the labels U_L and W_L of L, pass exactly when
-    w(X) - w(Y) >= w(U_L) + 2|L| - w(W_L).  Any hit is a binocular by
-    construction and is re-verified by the caller.  Stored walks are at most
-    ``walk_cap`` long; a nonempty closed walk has at least two edges, as
-    loops never enter the walk DP.
+    A table holds each loop's vertex, U- and W-label masks, W-colors and
+    stop set, the vertices outside its W-label whose colors meet those
+    colors (a loop whose W-label is not colorful yields nothing and gets no
+    row).  One ``walk_states`` call tabulates every start vertex, grouped
+    by end vertex, keeping only the label bits read below: the loop
+    U-labels, and the loop W-labels and stop sets.  Loop-free shapes come
+    first: two closed walks plus a (possibly empty) connector, or three
+    paths between two vertices; they read only colors and witnesses, so the
+    first row of each color set of a list stands for all of its rows.  A
+    choice L of one or two loops from ``_loop_choices`` adds a closed walk
+    and a connector, or a connector, scanning the rows of their lists in
+    table order.  The loop W-vertices are pairwise color-disjoint, as are
+    the W-vertices of any walk, so a walk meets the colors of a loop
+    W-vertex it leaves standing exactly when it holds a vertex of L's stop
+    mask.  Such walks drop out, which is exact: the candidate's walks are
+    pairwise color-disjoint, so no other walk can cover that vertex.  The
+    rest, with masks X and Y within the labels U_L and W_L of L, pass
+    exactly when w(X) - w(Y) >= w(U_L) + 2|L| - w(W_L).  As w(Y) >= 0, the
+    scan passes over a two-loop list whose rows' U-labels together meet U_L
+    in too little weight, and a one-loop connector row (or list) that even
+    the union of the kept closed walks' X cannot lift to the bound; the
+    order, and with it the first hit, stays the same.  Any hit is a
+    binocular by construction and is re-verified by the caller.  Stored
+    walks are at most ``walk_cap`` long; a nonempty closed walk has at
+    least two edges, as loops never enter the walk DP.
     """
-    ends = walk_states(csg, walk_cap)
     vcol = csg.vertex_colors
-    loops = [i for i, e in enumerate(csg.edges) if e.is_loop]
+    loops = []
+    u_keep = w_keep = 0
+    for i, e in enumerate(csg.edges):
+        if not e.is_loop:
+            continue
+        cols = _mask_colors(e.w_mask, vcol)
+        if cols < 0:
+            continue  # two of its own W-vertices share a color
+        stop = sum(1 << v for v, c in vcol.items() if c & cols) & ~e.w_mask
+        loops.append((i, e.endpoints[0], e.u_mask, e.w_mask, cols, stop))
+        u_keep |= e.u_mask
+        w_keep |= e.w_mask | stop
+    ends = walk_states(csg, walk_cap, u_keep, w_keep)
 
     def walks(u: int, v: int) -> list[tuple[int, tuple[int, ...]]]:
         """(colors, witness) of the first row of each color set of the u->v list."""
@@ -253,24 +305,19 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                         if not c3 & (c1 | c2):
                             return assemble((), wit1 + wit2 + wit3)
 
-    for L in chain(combinations(loops, 1), combinations(loops, 2)):
-        ctx_u = ctx_w = 0
-        for i in L:
-            ctx_u |= csg.edges[i].u_mask
-            ctx_w |= csg.edges[i].w_mask
-        ctx_cols = _mask_colors(ctx_w, vcol)
-        if ctx_cols < 0:
-            continue  # two loop W-vertices share a color
-        # W-vertices outside the loop labels that share a loop color
-        stop_w = sum(1 << v for v, c in vcol.items() if c & ctx_cols) & ~ctx_w
-        # w(ctx_w - Y) >= w(ctx_u - X) + 2|L|, as X and Y lie in the context
-        need = g.weight_mask(ctx_u) + 2 * len(L) - g.weight_mask(ctx_w)
-        p = csg.edges[L[0]].endpoints[0]
+    weight = g.weight_mask
+
+    @cache
+    def u_union(p: int, q: int) -> int:
+        """The union of the U-masks of the p->q rows."""
+        return reduce(or_, (uu for _, uu, _, _ in ends[p].get(q, [])), 0)
+
+    for L, p, q, ctx_u, ctx_w, stop_w, need in _loop_choices(loops, g, vcol):
         if len(L) == 2:
-            q = csg.edges[L[1]].endpoints[0]
+            if weight(u_union(p, q) & ctx_u) < need:
+                continue
             for _, uu, ww, wit in ends[p].get(q, []):
-                if not ww & stop_w and (g.weight_mask(uu & ctx_u)
-                                        - g.weight_mask(ww & ctx_w) >= need):
+                if not ww & stop_w and weight(uu & ctx_u) - weight(ww & ctx_w) >= need:
                     return assemble(L, wit)
             continue
         for v in csg.vertices:
@@ -278,12 +325,17 @@ def find_colorful_binocular(csg: ColorfulSearchGraph, g: ConflictGraph,
                            in ends[v].get(v, []) if c2 and not ww & stop_w]
             if not loop_cycles:
                 continue
+            x_any = reduce(or_, (x2 for _, x2, _, _ in loop_cycles))
+            if weight((u_union(p, v) & ctx_u) | x_any) < need:
+                continue
             for c1, uu, ww, wit1 in ends[p].get(v, []):
                 if ww & stop_w:
                     continue
                 x1, y1 = uu & ctx_u, ww & ctx_w
+                if weight(x1 | x_any) - weight(y1) < need:
+                    continue
                 for c2, x2, y2, wit2 in loop_cycles:
-                    if not c1 & c2 and g.weight_mask(x1 | x2) - g.weight_mask(y1 | y2) >= need:
+                    if not c1 & c2 and weight(x1 | x2) - weight(y1 | y2) >= need:
                         return assemble(L, wit1 + wit2)
     return None
 

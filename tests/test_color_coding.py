@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 from itertools import chain, combinations
+from operator import or_
 from unittest import mock
 
 import pytest
@@ -124,17 +125,17 @@ def _unmask(mask: int) -> frozenset:
 
 
 def walk_table(csg: ColorfulSearchGraph, start: int, ctx_u, ctx_w, max_len: int) -> dict:
-    """The DP's states projected onto the context, keyed (end, colors, X, Y).
+    """The DP's states kept on the context, keyed (end, colors, X, Y).
 
-    Keys are built from the ``walk_states`` rows themselves, first row per
-    key, as the assembly reads them; X and Y come back as frozensets so keys
-    compare with the references below.
+    ``walk_states`` keeps only the context's label bits, one row per key;
+    X and Y come back as frozensets so keys compare with the references
+    below.
     """
-    u, w = _mask(ctx_u), _mask(ctx_w)
     table: dict = {}
-    for v, rows in walk_states(csg, max_len)[start].items():
+    for v, rows in walk_states(csg, max_len, _mask(ctx_u), _mask(ctx_w))[start].items():
         for colors, uu, ww, witness in rows:
-            table.setdefault((v, colors, _unmask(uu & u), _unmask(ww & w)), witness)
+            assert (v, colors, _unmask(uu), _unmask(ww)) not in table
+            table[v, colors, _unmask(uu), _unmask(ww)] = witness
     return table
 
 
@@ -200,6 +201,30 @@ def reference_walk_states(csg: ColorfulSearchGraph, max_len: int) -> dict:
     return tables
 
 
+def keep_masks(csg: ColorfulSearchGraph) -> tuple[int, int]:
+    """The label bits the loop stage reads: the loops' U-vertices, and the
+    vertices whose colors meet the colors of a loop W-vertex."""
+    loops = [e for e in csg.edges if e.is_loop]
+    loop_colors = functools.reduce(
+        or_, (csg.vertex_colors[w] for e in loops for w in bit_positions(e.w_mask)), 0)
+    return (functools.reduce(or_, (e.u_mask for e in loops), 0),
+            sum(1 << v for v, c in csg.vertex_colors.items() if c & loop_colors))
+
+
+def cut_tables(tables: dict, u_keep: int, w_keep: int) -> dict:
+    """Full walk tables cut to the first row per (end, colors, U & u_keep,
+    W & w_keep) of each start, with the masks cut to the keep masks."""
+    out: dict = {}
+    for start, by_end in tables.items():
+        out[start] = {}
+        for end, rows in by_end.items():
+            first: dict = {}
+            for colors, uu, ww, witness in rows:
+                first.setdefault((colors, uu & u_keep, ww & w_keep), witness)
+            out[start][end] = [key + (witness,) for key, witness in first.items()]
+    return out
+
+
 def project_walks(rows: list, ctx_u_mask: int, ctx_w_mask: int) -> dict:
     """Project one end vertex's walk rows onto a loop context.
 
@@ -226,7 +251,7 @@ def reference_loop_stage(csg: ColorfulSearchGraph, g: ConflictGraph,
     full conditions: the standing loop W-vertices are pairwise
     color-disjoint and outweigh the standing U-vertices by two per loop.
     """
-    ends = walk_states(csg, walk_cap)
+    ends = walk_states(csg, walk_cap, -1, -1)
     loops = [i for i, e in enumerate(csg.edges) if e.is_loop]
 
     def walks(u, v, ctx_u, ctx_w):
@@ -399,10 +424,10 @@ class TestWalkTable:
         edges = (search_edge((0, 1), (), (100,)), search_edge((1, 2), (), (101,)),
                  search_edge((0, 2), (), (100, 101)))
         csg = ColorfulSearchGraph((0, 1, 2), edges, (0b01, 0b10, 0b11), {100: 0b01, 101: 0b10})
-        assert walk_states(csg, 3)[0][2] == [(0b11, 0, _mask((100, 101)), (2,))]
+        assert walk_states(csg, 3, -1, -1)[0][2] == [(0b11, 0, _mask((100, 101)), (2,))]
         for _ in range(25):
             csg = random_csg(rng)
-            for by_end in walk_states(csg, 5).values():
+            for by_end in walk_states(csg, 5, -1, -1).values():
                 for rows in by_end.values():
                     assert len({row[:3] for row in rows}) == len(rows)
 
@@ -415,13 +440,13 @@ class TestWalkTable:
                       for a, b in ((0, 1), (1, 2), (2, 3), (0, 3)))
         csg = ColorfulSearchGraph((0, 1, 2, 3), edges, (1, 2, 4, 8),
                                   {100 + a: 1 << a for a in range(4)})
-        sizes = [sum(map(len, by_end.values())) for by_end in walk_states(csg, 4).values()]
+        sizes = [sum(map(len, by_end.values())) for by_end in walk_states(csg, 4, -1, -1).values()]
         assert len(set(sizes)) == 1 and sizes[0] > 1
         monkeypatch.setattr(cc, "WALK_STATE_BUDGET", sizes[0])
-        assert sum(map(len, walk_states(csg, 4)[0].values())) == sizes[0]
+        assert sum(map(len, walk_states(csg, 4, -1, -1)[0].values())) == sizes[0]
         monkeypatch.setattr(cc, "WALK_STATE_BUDGET", sizes[0] - 1)
         with pytest.raises(cc.WalkBudgetExceeded):
-            walk_states(csg, 4)
+            walk_states(csg, 4, -1, -1)
 
 
 class TestProjectWalks:
@@ -466,7 +491,7 @@ class TestClashIndexedWalkStates:
     def test_tables_equal_the_scan(self):
         shared = multi_bit = 0
         for csg, max_len in self.graphs():
-            assert walk_states(csg, max_len) == reference_walk_states(csg, max_len)
+            assert walk_states(csg, max_len, -1, -1) == reference_walk_states(csg, max_len)
             cols = [c for c, e in zip(csg.edge_colors, csg.edges) if not e.is_loop]
             shared += any(a & b for a, b in combinations(cols, 2))
             multi_bit += any(c.bit_count() > 1 for c in cols)
@@ -491,9 +516,75 @@ class TestClashIndexedWalkStates:
             for budget in {max(sizes), max(sizes) - 1, sizes[0] // 2, 1}:
                 monkeypatch.setattr(cc, "WALK_STATE_BUDGET", budget)
                 expected = outcome(reference_walk_states, csg, max_len)
-                assert outcome(walk_states, csg, max_len) == expected
+                assert outcome(lambda c, n: walk_states(c, n, -1, -1), csg, max_len) == expected
                 tripped += expected == "over budget"
         assert tripped >= 20
+
+
+class TestProjectedWalkStates:
+    """``walk_states`` kept on the loop stage's label bits against the full
+    table cut to its first row per kept key."""
+
+    @staticmethod
+    def graphs():
+        """The graphs above, then every fourth seeded search graph under
+        the injective coloring and under a random coloring of 3 to 8 colors."""
+        yield from TestClashIndexedWalkStates.graphs()
+        rng = random.Random(8_128)
+        for sg, g in seeded_searches()[::4]:
+            cap = search_walk_cap(sg, g)
+            yield injective_csg(sg, g), cap
+            t = rng.randrange(3, 9)
+            yield colorful_subgraph(sg, tuple(rng.randrange(t) for _ in range(g.universe_size)), g), cap
+
+    def test_tables_are_the_full_tables_cut(self):
+        cut = no_loops = 0
+        for csg, max_len in self.graphs():
+            u_keep, w_keep = keep_masks(csg)
+            full = reference_walk_states(csg, max_len)
+            kept = walk_states(csg, max_len, u_keep, w_keep)
+            assert kept == cut_tables(full, u_keep, w_keep)
+            rows = [sum(len(r) for by_end in t.values() for r in by_end.values())
+                    for t in (full, kept)]
+            cut += rows[1] < rows[0]
+            no_loops += not u_keep | w_keep
+        assert cut >= 150 and no_loops >= 150
+
+    def test_budget_trips_at_the_same_point(self, monkeypatch):
+        # The kept table of a start exceeds the budget exactly when the cut
+        # full table does: the DP keeps its states in the cut table's order.
+        full, tripped = cc.WALK_STATE_BUDGET, 0
+        for n, (csg, max_len) in enumerate(self.graphs()):
+            if n % 4:
+                continue
+            monkeypatch.setattr(cc, "WALK_STATE_BUDGET", full)
+            u_keep, w_keep = keep_masks(csg)
+            sizes = [sum(map(len, by_end.values())) for by_end
+                     in cut_tables(reference_walk_states(csg, max_len), u_keep, w_keep).values()]
+            for budget in {max(sizes), max(sizes) - 1, sizes[0] // 2, 1} - {0}:
+                monkeypatch.setattr(cc, "WALK_STATE_BUDGET", budget)
+                if max(sizes) > budget:
+                    with pytest.raises(cc.WalkBudgetExceeded):
+                        walk_states(csg, max_len, u_keep, w_keep)
+                    tripped += 1
+                else:
+                    walk_states(csg, max_len, u_keep, w_keep)
+        assert tripped >= 300
+
+    def test_the_search_keeps_what_the_loop_stage_reads(self):
+        seen = []
+        real = cc.walk_states
+
+        def spy(csg, max_len, u_keep, w_keep):
+            seen.append((u_keep, w_keep))
+            return real(csg, max_len, u_keep, w_keep)
+        with_loops = 0
+        for csg, max_len in self.graphs():
+            with mock.patch.object(cc, "walk_states", spy):
+                find_colorful_binocular(csg, ConflictGraph([2] * 206, []), max_len)
+            assert seen.pop() == keep_masks(csg)
+            with_loops += any(e.is_loop for e in csg.edges)
+        assert with_loops >= 300
 
 
 class TestFindColorful:
@@ -540,7 +631,7 @@ class TestFindColorful:
         csg = ColorfulSearchGraph((0, 1), edges, (0b101, 0b010, 0b001), colors)
         g = ConflictGraph([2, 2] + [1] * 101 + [2], [] if covered else [(100, 102)])
         ctx_w = _mask((100, 103))
-        rows = walk_states(csg, 4)[0][0]
+        rows = walk_states(csg, 4, -1, -1)[0][0]
         # Per row, the loop W-vertices its colors meet but its W-label misses.
         stops = [sum(1 << v for v in (100, 103) if colors[v] & c and not ww >> v & 1)
                  for c, _, ww, _ in rows]
@@ -607,24 +698,55 @@ class TestLoopChoices:
         assert b is not None and b.edges == edges
         assert reference_loop_stage(csg, g, walk_cap=3) == b
 
+    def test_loop_with_a_clashing_w_label_yields_nothing(self):
+        # One loop at 0 with W-label {100, 101, 104}, where 100 and 101 share
+        # color 0b0001, and one closed walk 0-1-0 covering 100 and 104.  The
+        # walk wins the weight test, 0 - w({100, 104}) >= 0 + 2 - w(W_L), and
+        # holds no vertex outside W_L, but it leaves 101 standing, whose
+        # color it meets.  A loop table that kept this loop would accept it.
+        edges = (search_edge((0,), (), (100, 101, 104)), search_edge((0, 1), (), (104,)),
+                 search_edge((0, 1), (), (100,)))
+        colors = {100: 0b0001, 101: 0b0001, 104: 0b1000}
+        csg = ColorfulSearchGraph((0, 1), edges, (0b1001, 0b1000, 0b0001), colors)
+        g = ConflictGraph([2] * 105, [])
+        assert _mask_colors(edges[0].w_mask, colors) < 0
+        assert 0 - g.weight_mask(_mask((100, 104))) >= 0 + 2 - g.weight_mask(edges[0].w_mask)
+        assert walk_states(csg, 3, -1, -1)[0][0][1][2] == _mask((100, 104))
+        assert find_colorful_binocular(csg, g, walk_cap=3) is None
+        assert reference_loop_stage(csg, g, walk_cap=3) is None
+
     @staticmethod
     def compare(cases) -> dict:
         """Assert that every (colorful graph, conflict graph, walk cap) case
         gives the reference's result, and count the clash skips, the loop
-        pairs by kind and the hits by their number of loops."""
-        counts = dict.fromkeys(("skips", "clashing", "apart", "sharing", "one", "two"), 0)
+        pairs by kind and the hits by their number of loops.
 
-        def spy(mask, vertex_colors):
-            out = _mask_colors(mask, vertex_colors)
-            counts["skips"] += out < 0
-            return out
+        A skip is a choice of one or two loops that the loop stage passes
+        over without a scan: one that ``_loop_choices`` does not yield
+        before it yields a later choice or runs out.  Choices come in
+        ``chain(combinations(loops, 1), combinations(loops, 2))`` order."""
+        counts = dict.fromkeys(("skips", "clashing", "apart", "sharing", "one", "two"), 0)
+        real = cc._loop_choices
         for csg, g, cap in cases:
-            for e, f in combinations([e for e in csg.edges if e.is_loop], 2):
+            loop_ids = [i for i, e in enumerate(csg.edges) if e.is_loop]
+            order = {L: k for k, L in enumerate(
+                chain(combinations(loop_ids, 1), combinations(loop_ids, 2)))}
+
+            def spy(*args):
+                at = 0
+                for choice in real(*args):
+                    k = order[choice[0]]
+                    assert k >= at
+                    counts["skips"] += k - at
+                    at = k + 1
+                    yield choice
+                counts["skips"] += len(order) - at
+            for e, f in combinations([csg.edges[i] for i in loop_ids], 2):
                 if _mask_colors(e.w_mask | f.w_mask, csg.vertex_colors) < 0:
                     counts["clashing"] += 1
                 else:
                     counts["sharing" if e.w_mask & f.w_mask else "apart"] += 1
-            with mock.patch.object(cc, "_mask_colors", spy):
+            with mock.patch.object(cc, "_loop_choices", spy):
                 b = find_colorful_binocular(csg, g, cap)
             assert b == reference_find(csg, g, cap)
             if b is not None and any(e.is_loop for e in b.edges):
@@ -698,7 +820,7 @@ class TestLoopChoices:
                 b = find_colorful_binocular(csg, g, cap)
                 searches += 1
                 digest.update(repr(None if b is None else tuple(map(label_key, b.edges))).encode())
-                ends = walk_states(csg, cap)
+                ends = walk_states(csg, cap, -1, -1)
                 for e in csg.edges:
                     if e.is_loop:
                         stopped += sum(
