@@ -25,6 +25,15 @@ cap grows and never cut off an improving descendant.  The first run caps
 at ``_SMALL_CAP``, where the frequent small improvements are cheap; when
 it finds none, the second caps at tau.
 
+Before the second capped run, on a genuine conflict graph, the
+global-optimality gate (``oracle.packing_above``) looks for a packing of
+the instance's sets above A's key (weight, weight-2 count), within
+``GATE_NODE_BUDGET`` nodes.  Any improvement X of any size gives one, the
+packing (A minus N(X, A)) plus X, so when the gate proves that none exists,
+no improvement does, and the search returns 0: the second run's own answer.
+When the gate finds one or spends its budget, the second run runs as
+before, so every hit stays the same.  The binocular phase is not gated.
+
 The second capped run also cuts by claw shares, an admissible bound from the
 claw-freeness the guarantee rests on: a solution set a has w(a)+1 elements,
 so it meets at most w(a)+1 members of an independent extension F.  Charging
@@ -54,9 +63,18 @@ from typing import Iterable
 
 from .conflict import ConflictGraph, bit_positions, build_conflict_graph
 from .instance import Instance, Packing
+from .oracle import NONE_ABOVE, packing_above
 
 # The grown search's first capped run stops at this size, the second at tau.
 _SMALL_CAP = 3
+
+# The most nodes the global-optimality gate may pop before the second
+# capped run (about 0.06 s).  It decides seven of the eight hereditary-cert
+# closures (43 to 5,726 nodes), every audit-small call that reaches it and
+# the 84- to 164-set closures of generate_random(30, k, 1.0, seed=3).
+# random-30-18-s0 needs 30,461 nodes and the sparse 45- and 60-universe
+# closures far more: there the gate answers "unknown" at this cost.
+GATE_NODE_BUDGET = 10_000
 
 # The second capped run evaluates its claw-share bound only at children
 # whose plain slack w(X) - w(N) + 2 * depth_left is at most this: a larger
@@ -355,9 +373,17 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     # least member.  The first run covers sizes up to _SMALL_CAP, the
     # second the larger ones up to tau; each ends when a hit drives the cap
     # below its stop or the roots run out.  The second also tests the small
-    # sizes, where the first found no improvement.
+    # sizes, where the first found no improvement.  On a genuine conflict
+    # graph the second runs only when the global-optimality gate cannot
+    # prove that no packing beats A's key.
     for stop, cap in ((1, min(tau, _SMALL_CAP)), (_SMALL_CAP + 1, tau)):
+        if cap < stop:
+            break
         if stop > 1 and genuine:
+            masks = [sum(1 << e for e in s) for s in g.members]
+            key = (g.weight_mask(a_mask), g.w2_count_mask(a_mask))
+            if packing_above(masks, key, GATE_NODE_BUDGET)[0] == NONE_ABOVE:
+                return 0
             base_share = [0] * g.n
             by_value: dict[int, int] = {}
             for v, g6 in zip(cands, _claw_shares(g, a_mask, cands)):

@@ -19,10 +19,11 @@ from setpack23.conflict import ConflictGraph, bit_positions, build_conflict_grap
 from setpack23 import local_search
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import generate_random, parse_instance, serialize_instance
-from setpack23.local_search import (SearchParams, _candidate_linkage, _capped_share_sum,
-                                    _claw_shares, _clique_leaders, apply_improvement,
-                                    find_improvement, is_local_improvement, solve)
-from setpack23.oracle import solve_exact
+from setpack23.local_search import (GATE_NODE_BUDGET, SearchParams, _candidate_linkage,
+                                    _capped_share_sum, _claw_shares, _clique_leaders,
+                                    apply_improvement, find_improvement, is_local_improvement,
+                                    solve)
+from setpack23.oracle import FOUND, NONE_ABOVE, UNKNOWN, packing_above, solve_exact
 from conftest import (brute_force_improvement_exists, chain_instance,
                       instance_from_sets, random_packing)
 
@@ -186,6 +187,12 @@ def test_general_tau4_ladder_is_pinned():
                 stats.final_weight) == counts, name
 
 
+def _hereditary_cert_texts() -> dict[str, str]:
+    ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
+    return {d["name"]: d["text"]
+            for d in json.loads(ladders.read_text())["hereditary-cert"]["instances"]}
+
+
 # Golden outputs of the `hereditary-cert` benchmark ladder (closures of the
 # instance texts in perfbench/ladders.json) at tau=10, seed 0: packing,
 # (iterations, final_weight) and the SHA-256 of every _find_improvement_mask
@@ -211,9 +218,7 @@ HEREDITARY_CERT_PINS = {
 
 
 def test_hereditary_cert_ladder_is_pinned(monkeypatch):
-    ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
-    texts = {d["name"]: d["text"]
-             for d in json.loads(ladders.read_text())["hereditary-cert"]["instances"]}
+    texts = _hereditary_cert_texts()
     assert sorted(texts) == sorted(HEREDITARY_CERT_PINS)
     find = local_search._find_improvement_mask
     hits: list[int] = []
@@ -342,10 +347,12 @@ def test_naive_scan_matches_reference_on_seeded_states():
 
 
 # rec_grown frames and share_cut evaluations per `hereditary-cert` closure at
-# tau=10.  The evaluations are the cut decisions: they were counted before
-# the claw-share cut valued the near candidates at their caps first, and a
-# cheaper test of the same bound must make exactly the same ones.  The
-# frames also follow how the search stages its capped runs.
+# tau=10, counted with the global-optimality gate answering "unknown", so that
+# every final call runs its second capped run.  The evaluations are the cut
+# decisions: they were counted before the claw-share cut valued the near
+# candidates at their caps first, and a cheaper test of the same bound must
+# make exactly the same ones.  The frames also follow how the search stages
+# its capped runs.
 HEREDITARY_CERT_FRAMES = {
     "random-30-18-s0": 3009, "random-30-18-s1": 6580, "random-30-18-s2": 1388,
     "random-30-18-s3": 4366, "random-30-18-s4": 1148, "random-30-18-s5": 4466,
@@ -358,11 +365,11 @@ HEREDITARY_CERT_SHARE_CUTS = {
 }
 
 
-def test_hereditary_cert_frames_are_pinned():
-    ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
-    texts = {d["name"]: d["text"]
-             for d in json.loads(ladders.read_text())["hereditary-cert"]["instances"]}
+def test_hereditary_cert_frames_are_pinned(monkeypatch):
+    texts = _hereditary_cert_texts()
     assert sorted(texts) == sorted(HEREDITARY_CERT_FRAMES) == sorted(HEREDITARY_CERT_SHARE_CUTS)
+    monkeypatch.setattr(local_search, "packing_above",
+                        lambda masks, key, budget: (UNKNOWN, budget))
     counts = {"rec_grown": {}, "share_cut": {}}
 
     def count_frames(frame, event, arg):
@@ -379,6 +386,94 @@ def test_hereditary_cert_frames_are_pinned():
             sys.setprofile(None)
     assert counts["share_cut"] == HEREDITARY_CERT_SHARE_CUTS
     assert counts["rec_grown"] == HEREDITARY_CERT_FRAMES
+
+
+# The gate's answers per `hereditary-cert` closure, in call order: (outcome,
+# nodes popped).  Each solve calls it once, before the final second capped run.
+HEREDITARY_CERT_GATE = {
+    "random-30-18-s0": [(UNKNOWN, GATE_NODE_BUDGET)],
+    "random-30-18-s1": [(NONE_ABOVE, 3413)], "random-30-18-s2": [(NONE_ABOVE, 1573)],
+    "random-30-18-s3": [(NONE_ABOVE, 4388)], "random-30-18-s4": [(NONE_ABOVE, 43)],
+    "random-30-18-s5": [(NONE_ABOVE, 5726)], "random-30-18-s6": [(NONE_ABOVE, 868)],
+    "random-30-18-s7": [(NONE_ABOVE, 1005)],
+}
+
+
+def test_hereditary_cert_gate_is_pinned(monkeypatch):
+    texts = _hereditary_cert_texts()
+    assert sorted(texts) == sorted(HEREDITARY_CERT_GATE)
+    gate = local_search.packing_above
+    answers: list[tuple[str, int]] = []
+
+    def recording_gate(*args):
+        answers.append(gate(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(local_search, "packing_above", recording_gate)
+    for name, pinned in HEREDITARY_CERT_GATE.items():
+        answers.clear()
+        solve_hereditary(hereditary_closure(parse_instance(texts[name])))
+        assert answers == pinned, name
+
+
+def reference_best_key(masks: list[int]) -> tuple[int, int]:
+    """The largest (weight, weight-2 count) of any packing of the sets with
+    element masks ``masks``, by a memoized recursion over covered elements:
+    the lowest element not yet decided is either left uncovered or covered
+    by one set that misses every decided element."""
+    memo: dict[int, tuple[int, int]] = {}
+
+    def best(decided: int) -> tuple[int, int]:
+        if decided not in memo:
+            avail = [m for m in masks if not m & decided]
+            out = (0, 0)
+            if avail:
+                union = 0
+                for m in avail:
+                    union |= m
+                low = union & -union
+                out = best(decided | low)
+                for m in avail:
+                    if m & low:
+                        w, w2 = best(decided | m)
+                        out = max(out, (w + m.bit_count() - 1, w2 + (m.bit_count() == 3)))
+            memo[decided] = out
+        return memo[decided]
+    return best(0)
+
+
+def test_gate_matches_reference_on_solve_states(monkeypatch):
+    # every improvement search of the seeded solves of random-small,
+    # hereditary-small and threedm-small: A is each call's solution, from
+    # the empty packing to the fixpoint.  The budget is far above what these
+    # need, so a gate that searches too little answers wrongly rather than
+    # "unknown".
+    find = local_search._find_improvement_mask
+    calls = []
+
+    def recording_find(g, a_mask, tau, method):
+        calls.append((g, a_mask, tau))
+        return find(g, a_mask, tau, method)
+
+    monkeypatch.setattr(local_search, "_find_improvement_mask", recording_find)
+    outcomes = {NONE_ABOVE: 0, FOUND: 0, UNKNOWN: 0}
+    for suite in ("random-small", "hereditary-small", "threedm-small"):
+        for _, inst, params in suite_instances(suite, 40, 1):
+            calls.clear()
+            solve(inst, params)
+            opt = solve_exact(inst).optimum_weight
+            for g, a_mask, tau in calls:
+                masks = [sum(1 << e for e in s) for s in g.members]
+                key = (g.weight_mask(a_mask), g.w2_count_mask(a_mask))
+                outcome, _ = packing_above(masks, key, 200_000)
+                outcomes[outcome] += 1
+                best = reference_best_key(masks)
+                if outcome == NONE_ABOVE:
+                    assert best == key and opt == key[0]
+                    assert reference_naive_hit(g, a_mask, tau) == 0
+                elif outcome == FOUND:
+                    assert best > key
+    assert outcomes == {NONE_ABOVE: 120, FOUND: 478, UNKNOWN: 0}
 
 
 @pytest.mark.parametrize("fault, message", [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from math import comb
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setpack23.cli import random_triples
+from setpack23.cli import random_triples, suite_instances
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import (Instance, Packing, embed_3dm, generate_random, parse_instance,
                                 validate_packing)
@@ -134,3 +135,23 @@ def test_84_set_ladder_point_is_solved_within_the_default_budget():
     result = solve_exact(closed.base)
     _, stats = solve_hereditary(closed)
     assert result.optimum_weight == stats.final_weight == 16
+
+
+def test_solve_exact_is_pinned():
+    # SHA-256 of one line "optimum [sorted witness ids] nodes_explored" per
+    # solve, over audit-small's 1,600 instances (threedm-small, then
+    # hereditary-small, 800 each at seed 0) and the 8 hereditary-cert
+    # closures.  Recorded before solve_exact shared its loop with the
+    # global-optimality gate: optimum, witness and node count stay the same.
+    ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
+    insts = [inst for suite in ("threedm-small", "hereditary-small")
+             for _, inst, _ in suite_instances(suite, 800, 0)]
+    insts += [hereditary_closure(parse_instance(d["text"])).base
+              for d in json.loads(ladders.read_text())["hereditary-cert"]["instances"]]
+    rows = []
+    for inst in insts:
+        r = solve_exact(inst)
+        rows.append(f"{r.optimum_weight} {sorted(r.witness.members)} {r.nodes_explored}")
+    assert len(rows) == 1608
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "95fc392b0cec7ab870ae82981c061e49b627afbdf1184c2cb67c47234bcf88d4")
