@@ -7,7 +7,7 @@ Run from the repository root (Python 3.10+, nothing to install):
     python3 bench/ladder.py --root ../other    # measure another checkout of the repository
 
 Each point is the hereditary closure of ``generate_random(universe, k, 1.0,
-seed=3)``, solved by ``solve_hereditary`` at tau=10.  A point runs in its own
+seed)``, solved by ``solve_hereditary`` at tau=10.  A point runs in its own
 subprocess under a ``TIMEOUT_S`` limit; it solves the closure ``REPEATS``
 times and keeps the least CPU time, then solves it once more to count the
 work: ``rec_grown`` frames and ``share_cut`` evaluations through a profile
@@ -41,25 +41,28 @@ OUT = ROOT / "BENCH_scale.json"
 TIMEOUT_S = 600.0  # per point; the slowest point before the gate took about 11 s
 REPEATS = 3
 
-# (name, universe, k): the closure of generate_random(universe, k, 1.0, seed=3).
+# (name, universe, k, seed): the closure of generate_random(universe, k, 1.0, seed).
 POINTS = (
-    ("closure-30-22-s3", 30, 22),
-    ("closure-30-30-s3", 30, 30),
-    ("closure-30-38-s3", 30, 38),
-    ("closure-30-46-s3", 30, 46),
-    ("closure-45-30-s3", 45, 30),
-    ("closure-60-30-s3", 60, 30),
-    ("closure-45-20-s3", 45, 20),
+    ("closure-30-22-s3", 30, 22, 3),
+    ("closure-30-30-s3", 30, 30, 3),
+    ("closure-30-38-s3", 30, 38, 3),
+    ("closure-30-46-s3", 30, 46, 3),
+    ("closure-45-30-s3", 45, 30, 3),
+    ("closure-60-30-s3", 60, 30, 3),
+    ("closure-45-20-s3", 45, 20, 3),
+    ("closure-30-30-s0", 30, 30, 0),
+    ("closure-30-30-s7", 30, 30, 7),
+    ("closure-30-30-s8", 30, 30, 8),
 )
 
 
-def run_point(universe: int, k: int) -> dict:
+def run_point(universe: int, k: int, seed: int) -> dict:
     """Solve one point in this process; the package comes from PYTHONPATH."""
     from setpack23 import local_search
     from setpack23.hereditary import hereditary_closure, solve_hereditary
     from setpack23.instance import generate_random
 
-    closed = hereditary_closure(generate_random(universe, k, 1.0, seed=3))
+    closed = hereditary_closure(generate_random(universe, k, 1.0, seed=seed))
     cpu = []
     for _ in range(REPEATS):
         start = time.process_time()
@@ -120,15 +123,15 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     if args.point:
-        universe, k = next((u, k) for name, u, k in POINTS if name == args.point)
-        print(json.dumps(run_point(universe, k)))
+        _, universe, k, seed = next(p for p in POINTS if p[0] == args.point)
+        print(json.dumps(run_point(universe, k, seed)))
         return 0
 
     root = args.root.resolve()
     commit, src_sha = describe(root)
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     points = []
-    for name, _, _ in POINTS:
+    for name, *_ in POINTS:
         cmd = [sys.executable, str(Path(__file__).resolve()), "--point", name]
         try:
             proc = subprocess.run(cmd, env=env, capture_output=True, text=True,

@@ -69,11 +69,12 @@ from .oracle import NONE_ABOVE, packing_above
 _SMALL_CAP = 3
 
 # The most nodes the global-optimality gate may pop before the second
-# capped run (about 0.06 s).  It decides seven of the eight hereditary-cert
-# closures (43 to 5,726 nodes), every audit-small call that reaches it and
-# the 84- to 164-set closures of generate_random(30, k, 1.0, seed=3).
-# random-30-18-s0 needs 30,461 nodes and the sparse 45- and 60-universe
-# closures far more: there the gate answers "unknown" at this cost.
+# capped run (0.04-0.06 s).  It decides all eight hereditary-cert closures
+# (43 to 5,405 nodes), every audit-small call that reaches it, the 84- to
+# 164-set closures of generate_random(30, k, 1.0, seed=3) and ten of the
+# twelve closures of generate_random(30, 30, 1.0, seed=s), s = 0..11 (up to
+# 9,970 nodes at s = 7).  At s = 0 and 8 and on the sparse 45- and
+# 60-universe closures it answers "unknown" at this cost.
 GATE_NODE_BUDGET = 10_000
 
 # The second capped run evaluates its claw-share bound only at children

@@ -13,6 +13,22 @@ starts from a packing's key (weight, weight-2 count) and stops at the first
 packing that beats it lexicographically, or answers that none does.  It
 also bounds the weight-2 count: the available 3-sets hold at most
 min(their number, |E3| // 3) disjoint ones, E3 being their union.
+
+A transposition table skips repeated subproblems.  It is keyed on ``live``,
+the union of a node's available sets.  Every available set misses the
+blocked elements, so ``live`` does too, and every set inside ``live`` is
+available: the available family is exactly the sets inside ``live``.
+Branching reads only ``live``, through its lowest element, so two nodes
+with the same ``live`` have identical subtrees.  A child's ``live`` lacks
+its parent's lowest element, so an earlier node with the same ``live`` is
+no ancestor and its subtree is done.  A node whose (weight, weight-2
+count) is no higher than that earlier node's can reach no packing that
+the earlier subtree did not match or beat, so it is dropped.
+``solve_exact`` raises its incumbent only on a strictly heavier packing,
+so its optimum and witness stay those of the table-free loop, and so do
+the gate's answers; only node counts fall.  The table holds at most
+``TABLE_CAP`` entries.  Once full it takes no new ones, but lookups go
+on, so the search stays exact.
 """
 
 from __future__ import annotations
@@ -27,6 +43,10 @@ from .instance import Instance, Packing
 
 
 ORACLE_NODE_BUDGET = 10_000_000  # the most nodes one solve may pop
+# The most transposition-table entries one search keeps: about 19 MB on
+# 120-element universes (the 80-triple 3DM oracle fills it).  The 60-triple
+# 3DM oracle keeps 49,773 entries, a hereditary-cert gate call 1,759 at most.
+TABLE_CAP = 1 << 17
 
 # The answers of ``packing_above``.
 NONE_ABOVE, FOUND, UNKNOWN = "none-above", "found", "unknown"
@@ -60,12 +80,15 @@ def _branch_and_bound(masks: Sequence[int], key: tuple[int, float], budget: int,
     bounds could beat ``key``.  With ``first`` the search returns at the
     first packing above ``key``; otherwise each such packing raises the
     key's weight and keeps its second part, so an infinite second part ranks
-    by weight alone.  Raises ``OracleBudgetExceeded`` once popped nodes
-    exceed ``budget``.
+    by weight alone.  A node is dropped before its bounds when an earlier
+    node with the same union of available sets had a key at least as high;
+    the table keeps the highest key seen per union.  Raises
+    ``OracleBudgetExceeded`` once popped nodes exceed ``budget``.
     """
     key_w, key_w2 = key
     best_sel: tuple[int, ...] = ()
     nodes = 0
+    table: dict[int, tuple[int, int]] = {}
     # Iterative stack: (parent's 3-sets, its 2-sets, blocked elements,
     # weight, weight-2 count, chosen).
     stack = [([m for m in masks if m.bit_count() == 3], [m for m in masks if m.bit_count() == 2],
@@ -82,11 +105,18 @@ def _branch_and_bound(masks: Sequence[int], key: tuple[int, float], budget: int,
         a3 = [m for m in p3 if not m & blocked]
         a2 = [m for m in p2 if not m & blocked]
         e3, e2 = reduce(or_, a3, 0), reduce(or_, a2, 0)
+        live = e3 | e2
+        here = (cur_w, cur_w2)
+        seen = table.get(live)
+        if seen is not None and here <= seen:
+            continue
+        if seen is not None or len(table) < TABLE_CAP:
+            table[live] = here
         n3 = e3.bit_count()
         top = cur_w + min(2 * len(a3) + len(a2), (4 * n3 + 3 * (e2 & ~e3).bit_count()) // 6)
         if top < key_w or top == key_w and cur_w2 + min(len(a3), n3 // 3) <= key_w2:
             continue
-        low = (e3 | e2) & -(e3 | e2)
+        low = live & -live
         # Last pushed pops first: 3-sets by id, then 2-sets, then "uncovered".
         stack.append((a3, a2, blocked | low, cur_w, cur_w2, chosen))
         stack += [(a3, a2, blocked | m, cur_w + 1, cur_w2, chosen + (m,))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Sequence
 
 import pytest
@@ -12,6 +14,7 @@ from setpack23 import build_conflict_graph, is_local_improvement, parse_instance
 from setpack23.conflict import ConflictGraph, bit_positions
 from setpack23.instance import Instance, PackSet, generate_random
 from setpack23.normalize import AnalysisTuple, analysis_tuple
+from setpack23.oracle import OracleBudgetExceeded
 from setpack23.search_graph import SearchEdge, SearchGraph
 
 
@@ -42,6 +45,41 @@ def brute_force_optimum(instance: Instance) -> int:
             if ok:
                 best = max(best, sum(s.weight for s in combo))
     return best
+
+
+def reference_branch_and_bound(masks: Sequence[int], key: tuple[int, float], budget: int,
+                               first: bool) -> tuple[int, tuple[int, ...], int]:
+    """``oracle._branch_and_bound`` without its transposition table: the same
+    branching, bounds, return value and budget error, but a node is never
+    dropped for repeating an earlier node's available sets."""
+    key_w, key_w2 = key
+    best_sel: tuple[int, ...] = ()
+    nodes = 0
+    stack = [([m for m in masks if m.bit_count() == 3], [m for m in masks if m.bit_count() == 2],
+              0, 0, 0, ())]
+    while stack:
+        p3, p2, blocked, cur_w, cur_w2, chosen = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            raise OracleBudgetExceeded(f"exceeded {budget} nodes")
+        if cur_w > key_w or cur_w == key_w and cur_w2 > key_w2:
+            if first:
+                return cur_w, chosen, nodes
+            key_w, best_sel = cur_w, chosen
+        a3 = [m for m in p3 if not m & blocked]
+        a2 = [m for m in p2 if not m & blocked]
+        e3, e2 = reduce(or_, a3, 0), reduce(or_, a2, 0)
+        n3 = e3.bit_count()
+        top = cur_w + min(2 * len(a3) + len(a2), (4 * n3 + 3 * (e2 & ~e3).bit_count()) // 6)
+        if top < key_w or top == key_w and cur_w2 + min(len(a3), n3 // 3) <= key_w2:
+            continue
+        low = (e3 | e2) & -(e3 | e2)
+        stack.append((a3, a2, blocked | low, cur_w, cur_w2, chosen))
+        stack += [(a3, a2, blocked | m, cur_w + 1, cur_w2, chosen + (m,))
+                  for m in reversed(a2) if m & low]
+        stack += [(a3, a2, blocked | m, cur_w + 2, cur_w2 + 1, chosen + (m,))
+                  for m in reversed(a3) if m & low]
+    return key_w, best_sel, nodes
 
 
 def brute_force_improvement_exists(g: ConflictGraph, A: frozenset[int], tau: int) -> bool:

@@ -19,13 +19,12 @@ from setpack23.conflict import ConflictGraph, bit_positions, build_conflict_grap
 from setpack23 import local_search
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import generate_random, parse_instance, serialize_instance
-from setpack23.local_search import (GATE_NODE_BUDGET, SearchParams, _candidate_linkage,
-                                    _capped_share_sum, _claw_shares, _clique_leaders,
-                                    apply_improvement, find_improvement, is_local_improvement,
-                                    solve)
+from setpack23.local_search import (SearchParams, _candidate_linkage, _capped_share_sum,
+                                    _claw_shares, _clique_leaders, apply_improvement,
+                                    find_improvement, is_local_improvement, solve)
 from setpack23.oracle import FOUND, NONE_ABOVE, UNKNOWN, packing_above, solve_exact
 from conftest import (brute_force_improvement_exists, chain_instance,
-                      instance_from_sets, random_packing)
+                      instance_from_sets, random_packing, reference_branch_and_bound)
 
 
 def critical_gadget():
@@ -391,11 +390,11 @@ def test_hereditary_cert_frames_are_pinned(monkeypatch):
 # The gate's answers per `hereditary-cert` closure, in call order: (outcome,
 # nodes popped).  Each solve calls it once, before the final second capped run.
 HEREDITARY_CERT_GATE = {
-    "random-30-18-s0": [(UNKNOWN, GATE_NODE_BUDGET)],
-    "random-30-18-s1": [(NONE_ABOVE, 3413)], "random-30-18-s2": [(NONE_ABOVE, 1573)],
-    "random-30-18-s3": [(NONE_ABOVE, 4388)], "random-30-18-s4": [(NONE_ABOVE, 43)],
-    "random-30-18-s5": [(NONE_ABOVE, 5726)], "random-30-18-s6": [(NONE_ABOVE, 868)],
-    "random-30-18-s7": [(NONE_ABOVE, 1005)],
+    "random-30-18-s0": [(NONE_ABOVE, 5405)],
+    "random-30-18-s1": [(NONE_ABOVE, 1655)], "random-30-18-s2": [(NONE_ABOVE, 857)],
+    "random-30-18-s3": [(NONE_ABOVE, 2559)], "random-30-18-s4": [(NONE_ABOVE, 43)],
+    "random-30-18-s5": [(NONE_ABOVE, 1767)], "random-30-18-s6": [(NONE_ABOVE, 535)],
+    "random-30-18-s7": [(NONE_ABOVE, 445)],
 }
 
 
@@ -447,7 +446,8 @@ def test_gate_matches_reference_on_solve_states(monkeypatch):
     # hereditary-small and threedm-small: A is each call's solution, from
     # the empty packing to the fixpoint.  The budget is far above what these
     # need, so a gate that searches too little answers wrongly rather than
-    # "unknown".
+    # "unknown".  The gate answers as the table-free loop does, in no more
+    # nodes.
     find = local_search._find_improvement_mask
     calls = []
 
@@ -465,8 +465,10 @@ def test_gate_matches_reference_on_solve_states(monkeypatch):
             for g, a_mask, tau in calls:
                 masks = [sum(1 << e for e in s) for s in g.members]
                 key = (g.weight_mask(a_mask), g.w2_count_mask(a_mask))
-                outcome, _ = packing_above(masks, key, 200_000)
+                outcome, nodes = packing_above(masks, key, 200_000)
                 outcomes[outcome] += 1
+                _, chosen, ref_nodes = reference_branch_and_bound(masks, key, 200_000, first=True)
+                assert outcome == (FOUND if chosen else NONE_ABOVE) and nodes <= ref_nodes
                 best = reference_best_key(masks)
                 if outcome == NONE_ABOVE:
                     assert best == key and opt == key[0]

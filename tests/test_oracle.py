@@ -1,18 +1,20 @@
 import hashlib
 import json
 import random
-from math import comb
+from math import comb, inf
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from setpack23 import oracle
 from setpack23.cli import random_triples, suite_instances
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import (Instance, Packing, embed_3dm, generate_random, parse_instance,
                                 validate_packing)
-from setpack23.oracle import OracleBudgetExceeded, OracleResult, solve_exact
-from conftest import brute_force_optimum, chain_instance
+from setpack23.oracle import (FOUND, OracleBudgetExceeded, OracleResult, _branch_and_bound,
+                              packing_above, solve_exact)
+from conftest import brute_force_optimum, chain_instance, reference_branch_and_bound
 
 
 def reference_solve_exact(instance: Instance, budget: int = 10_000_000) -> OracleResult:
@@ -120,6 +122,56 @@ def test_matches_reference_oracle(inst):
     assert result.witness.weight(inst) == result.optimum_weight
 
 
+@given(oracle_instances())
+@settings(max_examples=150, deadline=None)
+def test_matches_table_free_reference(inst):
+    # The transposition table drops only nodes that repeat an earlier node's
+    # available sets at no higher key: solve_exact keeps the table-free
+    # loop's optimum and witness, the gate its answer and packing at keys
+    # around the optimum's, and neither pops more nodes.
+    masks = [sum(1 << e for e in s.elements) for s in sorted(inst.sets, key=lambda s: s.id)]
+    budget = 10_000_000
+    ref = reference_branch_and_bound(masks, (0, inf), budget, first=False)
+    got = _branch_and_bound(masks, (0, inf), budget, first=False)
+    assert got[:2] == ref[:2] and got[2] <= ref[2]
+    opt = ref[0]
+    for key in {(max(w, 0), w2) for w in (opt - 1, opt) for w2 in (0, opt // 4, opt // 2)}:
+        ref = reference_branch_and_bound(masks, key, budget, first=True)
+        got = _branch_and_bound(masks, key, budget, first=True)
+        assert got[:2] == ref[:2] and got[2] <= ref[2], key
+
+
+def test_table_keeps_a_repeat_with_more_3_sets():
+    # Leaving 0 uncovered and taking {1, 2, 4} repeats the available sets of
+    # an earlier node ({0, 1} and {2, 3} taken, 4 left uncovered) at the same
+    # weight but with one more 3-set.  Only the repeat's subtree holds a
+    # packing above (4, 1), so a table that compared weights alone would
+    # drop it and answer that none exists.
+    raw = [(0, 1), (2, 3), (1, 2, 4), (4, 5), (5, 6, 7), (5, 7, 8)]
+    masks = [sum(1 << e for e in s) for s in raw]
+    assert _branch_and_bound(masks, (4, 1), 100, first=True) == (4, (masks[2], masks[4]), 9)
+    assert packing_above(masks, (4, 1), 100) == (FOUND, 9)
+
+
+def test_full_table_stays_exact(monkeypatch):
+    # Once the table is full it takes no new entries but still answers
+    # lookups: the answers stay the table-free loop's, and the node count
+    # lies between that of the uncapped table and the table-free loop's.
+    insts = [embed_3dm(random_triples(10, 10, 10, 20, seed)) for seed in range(4)]
+    insts += [hereditary_closure(generate_random(12, 10, 1.0, seed)).base for seed in range(4)]
+    for inst in insts:
+        masks = [sum(1 << e for e in s.elements) for s in sorted(inst.sets, key=lambda s: s.id)]
+        opt = reference_branch_and_bound(masks, (0, inf), 10_000_000, first=False)[0]
+        for key, first in (((0, inf), False), ((opt - 1, 0), True), ((opt, 0), True)):
+            ref = reference_branch_and_bound(masks, key, 10_000_000, first)
+            monkeypatch.setattr(oracle, "TABLE_CAP", 1 << 17)
+            uncapped = _branch_and_bound(masks, key, 10_000_000, first)
+            monkeypatch.setattr(oracle, "TABLE_CAP", 8)
+            capped = _branch_and_bound(masks, key, 10_000_000, first)
+            assert capped[:2] == uncapped[:2] == ref[:2]
+            assert uncapped[2] <= capped[2] <= ref[2]
+
+
 def test_hereditary_cert_closures_match_stored_optima():
     ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
     instances = json.loads(ladders.read_text())["hereditary-cert"]["instances"]
@@ -138,20 +190,22 @@ def test_84_set_ladder_point_is_solved_within_the_default_budget():
 
 
 def test_solve_exact_is_pinned():
-    # SHA-256 of one line "optimum [sorted witness ids] nodes_explored" per
-    # solve, over audit-small's 1,600 instances (threedm-small, then
-    # hereditary-small, 800 each at seed 0) and the 8 hereditary-cert
-    # closures.  Recorded before solve_exact shared its loop with the
-    # global-optimality gate: optimum, witness and node count stay the same.
+    # SHA-256 of one line "optimum [sorted witness ids]" per solve, and of
+    # one line "nodes_explored" per solve, over audit-small's 1,600
+    # instances (threedm-small, then hereditary-small, 800 each at seed 0)
+    # and the 8 hereditary-cert closures.  The optimum and witness digest is
+    # unchanged since before the transposition table; the table dropped the
+    # total node count from 100,039 to 51,221.
     ladders = Path(__file__).resolve().parents[1] / "perfbench" / "ladders.json"
     insts = [inst for suite in ("threedm-small", "hereditary-small")
              for _, inst, _ in suite_instances(suite, 800, 0)]
     insts += [hereditary_closure(parse_instance(d["text"])).base
               for d in json.loads(ladders.read_text())["hereditary-cert"]["instances"]]
-    rows = []
-    for inst in insts:
-        r = solve_exact(inst)
-        rows.append(f"{r.optimum_weight} {sorted(r.witness.members)} {r.nodes_explored}")
-    assert len(rows) == 1608
-    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
-        "95fc392b0cec7ab870ae82981c061e49b627afbdf1184c2cb67c47234bcf88d4")
+    results = [solve_exact(inst) for inst in insts]
+    assert len(results) == 1608
+    answers = "\n".join(f"{r.optimum_weight} {sorted(r.witness.members)}" for r in results)
+    nodes = "\n".join(str(r.nodes_explored) for r in results)
+    assert hashlib.sha256(answers.encode()).hexdigest() == (
+        "ea1c58a7f8fe678acf1bb065225ef491206d101f458f3ec472b0e4473244118c")
+    assert hashlib.sha256(nodes.encode()).hexdigest() == (
+        "3b8314e77852598acf24788a129d1c5a0bfbf74d51ab2676a5e25e7de739d985")
