@@ -14,14 +14,17 @@ work: ``rec_grown`` frames and ``share_cut`` evaluations through a profile
 hook, and the answers of the global-optimality gate through a wrapper
 around ``local_search.packing_above`` (``null`` where the checkout has no
 gate).  The counts do not depend on host speed.  Nothing under ``src/`` is
-edited.
+edited.  The same process samples the host's speed: it times the reference
+kernel of ``perfbench/refclock.py`` ``KERNEL_RUNS`` times before each timed
+solve and after the last, and keeps the median CPU time, so that times
+taken at different host speeds can be compared (see README.md).
 
 One run appends one record to ``BENCH_scale.json`` at the repository root
 (the one holding this script): the measured checkout's commit
 (``git describe --always --dirty``), a SHA-256 over its ``src/`` files, the
-Python version, and per point the closure size, CPU seconds, weight,
-packing, outcome (``finished``, ``timeout`` or the exception's name) and
-the counters.
+Python version, and per point the closure size, CPU seconds, the kernel's
+median time, weight, packing, outcome (``finished``, ``timeout`` or the
+exception's name) and the counters.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from statistics import median
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_scale.json"
 TIMEOUT_S = 600.0  # per point; the slowest point before the gate took about 11 s
 REPEATS = 3
+KERNEL_RUNS = 15  # reference-kernel timings per host-speed sample
 
 # (name, universe, k, seed): the closure of generate_random(universe, k, 1.0, seed).
 POINTS = (
@@ -61,13 +66,25 @@ def run_point(universe: int, k: int, seed: int) -> dict:
     from setpack23 import local_search
     from setpack23.hereditary import hereditary_closure, solve_hereditary
     from setpack23.instance import generate_random
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from refclock import kernel
+
+    def kernel_times() -> list[float]:
+        out = []
+        for _ in range(KERNEL_RUNS):
+            start = time.process_time()
+            kernel()
+            out.append(time.process_time() - start)
+        return out
 
     closed = hereditary_closure(generate_random(universe, k, 1.0, seed=seed))
     cpu = []
+    ref = kernel_times()
     for _ in range(REPEATS):
         start = time.process_time()
         packing, stats = solve_hereditary(closed)
         cpu.append(time.process_time() - start)
+        ref += kernel_times()
 
     gate = None
     real_gate = getattr(local_search, "packing_above", None)
@@ -90,6 +107,7 @@ def run_point(universe: int, k: int, seed: int) -> dict:
     finally:
         sys.setprofile(None)
     return {"sets": len(closed.base), "cpu_s": round(min(cpu), 4),
+            "ref_kernel_s": round(median(ref), 7),
             "weight": stats.final_weight, "packing": sorted(packing.members),
             "outcome": "finished", "gate": gate,
             "rec_grown_frames": counts["rec_grown"], "share_cut_evals": counts["share_cut"]}

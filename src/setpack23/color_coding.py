@@ -81,7 +81,8 @@ def colorful_subgraph(sg: SearchGraph, f: tuple[int, ...],
     """Filter the search graph down to its colorful edges under the coloring f."""
     if g.members is None:
         raise ValueError("color coding needs the element sets behind each vertex")
-    vcol = {v: reduce(or_, (1 << f[e] for e in g.members[v]), 0) for v in range(g.n)}
+    vcol = {v: reduce(or_, (1 << f[e] for e in bit_positions(m)), 0)
+            for v, m in enumerate(g.members)}
     kept: list[SearchEdge] = []
     cols: list[int] = []
     for e in sg.edges:

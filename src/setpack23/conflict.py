@@ -4,9 +4,10 @@ Vertices are set ids of an instance; two vertices are adjacent exactly when
 the underlying sets intersect.  Such a graph is 4-claw-free, and every
 induced 3-claw is centered at a weight-2 vertex: a set of size k cannot meet
 k+1 pairwise-disjoint sets in distinct elements.  Vertex sets are exposed as
-frozensets but handled internally as integer bitmasks.  The graph stores
-its adjacency only as one neighbor mask per vertex; the sorted neighbor
-tuples of ``adj`` are derived from the masks on first read.
+frozensets but handled internally as integer bitmasks: the graph stores one
+neighbor mask per vertex and, when built from an instance, one element mask
+per set (``members``).  The sorted neighbor tuples of ``adj`` are derived
+from the masks on first read.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class ConflictGraph:
                  "_adj_mask", "_adj", "_w1_mask", "_w2_mask")
 
     def __init__(self, weights: Iterable[int], edges: Iterable[tuple[int, int]],
-                 members: tuple[frozenset[int], ...] | None = None,
+                 members: tuple[int, ...] | None = None,
                  universe_size: int = 0):
         weights = tuple(weights)
         n = len(weights)
@@ -56,7 +57,7 @@ class ConflictGraph:
         self._init(weights, tuple(adj), members, universe_size)
 
     def _init(self, weights: tuple[int, ...], adj_mask: tuple[int, ...],
-              members: tuple[frozenset[int], ...] | None, universe_size: int) -> None:
+              members: tuple[int, ...] | None, universe_size: int) -> None:
         if any(w not in (1, 2) for w in weights):
             raise ValueError("vertex weights must be 1 or 2")
         self.weights = weights
@@ -149,7 +150,7 @@ def build_conflict_graph(instance: Instance) -> ConflictGraph:
         adj.append(m ^ (1 << s.id))
     g = ConflictGraph.__new__(ConflictGraph)
     g._init(tuple(s.weight for s in ordered), tuple(adj),
-            tuple(s.key for s in ordered), instance.universe_size)
+            tuple(sum(1 << e for e in s.elements) for s in ordered), instance.universe_size)
     return g
 
 

@@ -48,9 +48,10 @@ The bound is tested cheapest first, with each linked candidate valued at
 its weight, the most its value can be, and no cover: that sum is never
 smaller, so the cover is built only where it fails to cut, and every cut
 decision stays the same.
-The first capped run and the full scan skip this cut: there the frequent
-small hits end the search before it would pay off.  A child whose
-extension is empty has no children, so it is tested and never entered.
+The second capped run tests the cut at every child that loses weight with
+two or more sizes left below its cap; the first capped run and the full scan
+skip it, as their frequent small hits end the search before it would pay
+off.  A child whose extension is empty is tested and never entered.
 """
 
 from __future__ import annotations
@@ -76,17 +77,6 @@ _SMALL_CAP = 3
 # 9,970 nodes at s = 7).  At s = 0 and 8 and on the sparse 45- and
 # 60-universe closures it answers "unknown" at this cost.
 GATE_NODE_BUDGET = 10_000
-
-# The second capped run evaluates its claw-share bound only at children
-# whose plain slack w(X) - w(N) + 2 * depth_left is at most this: a larger
-# slack is rarely cut, and one evaluation costs about as much as visiting a
-# node.  Without the gate, the eight hereditary-cert closures visit 19,887
-# rec_grown frames instead of 25,724 but make 43,597 evaluations instead of
-# 41,779, for no gain in time; the 800 hereditary-small solves of
-# audit-small visit 114,302 frames instead of 179,786 but make 64,615
-# evaluations instead of 1,880 and run about a third slower.  A gate
-# derived from the input is still open.
-_SHARE_GATE = 8
 
 
 @dataclass(frozen=True)
@@ -162,29 +152,28 @@ def is_local_improvement(g: ConflictGraph, A: Iterable[int], X: Iterable[int]) -
     return _is_improvement_mask(g, g.mask(A), g.mask(X))
 
 
-def _candidate_linkage(g: ConflictGraph, a_mask: int) -> tuple[list[int], list[int]]:
-    """Vertex-indexed masks (cadj, link) over the candidates outside ``a_mask``.
+def _candidate_linkage(g: ConflictGraph, free: int, anb: list[int]) -> tuple[list[int], list[int]]:
+    """Vertex-indexed masks (cadj, link) over the candidates in ``free``.
 
     cadj[v] holds the candidates conflicting with candidate v; link[v] adds
-    those sharing a solution neighbor with it.  Solution vertices keep 0.
-    The cost is one mask union per candidate-solution edge.
+    those sharing a solution neighbor, read from ``anb``, with it.  Other
+    vertices keep 0.  The cost is one mask union per candidate-solution edge.
     """
-    free = ((1 << g.n) - 1) & ~a_mask
     cadj = [0] * g.n
     link = [0] * g.n
     for v in bit_positions(free):
         nbrs = g.adj_mask(v)
         cadj[v] = nbrs & free
-        link[v] = (nbrs | g.neighbors_mask(nbrs & a_mask)) & free & ~(1 << v)
+        link[v] = (nbrs | g.neighbors_mask(anb[v])) & free & ~(1 << v)
     return cadj, link
 
 
-def _claw_shares(g: ConflictGraph, a_mask: int, cands: Iterable[int]) -> list[int]:
+def _claw_shares(g: ConflictGraph, anb: list[int], cands: Iterable[int]) -> list[int]:
     """6 g(c) for each candidate c: 6 w(c), less 3 per weight-1 and 4 per
-    weight-2 solution neighbor, the claw shares of the module docstring."""
+    weight-2 solution neighbor in anb[c], the claw shares of the module docstring."""
     w2m = g.w2_mask
-    return [6 * g.weights[v] - 3 * (g.adj_mask(v) & a_mask).bit_count()
-            - (g.adj_mask(v) & a_mask & w2m).bit_count() for v in cands]
+    return [6 * g.weights[v] - 3 * anb[v].bit_count() - (anb[v] & w2m).bit_count()
+            for v in cands]
 
 
 def _clique_leaders(members: list[tuple[int, int, int]]) -> list[int]:
@@ -252,18 +241,18 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     cands = bit_positions(free)
     if not cands:
         return 0
+    anb = [g.adj_mask(v) & a_mask for v in range(g.n)]
     if method == "grown":
         # A vertex untouched by the solution is an improvement on its own.
         lone = free & ~g.neighbors_mask(a_mask)
         if lone:
             return lone & -lone
         # Candidates are linked when they conflict or share a solution neighbor.
-        cadj, link = _candidate_linkage(g, a_mask)
+        cadj, link = _candidate_linkage(g, free, anb)
     else:
         # The full scan grows no root, so link only feeds closed2, which
         # only the claw-share cut reads: the conflicts stand in for it.
         cadj = link = [g.adj_mask(v) & free for v in range(g.n)]
-    anb = [g.adj_mask(v) & a_mask for v in range(g.n)]
     w = g.weights
     w2m = g.w2_mask
 
@@ -325,8 +314,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     # within the cap, by two tests in this order:
     # * plain slack: each further candidate gains at most 2;
     # * claw shares (``share_cut``), in the second capped run on a genuine
-    #   conflict graph only, for a child with depth_left >= 2 whose plain
-    #   slack is at most _SHARE_GATE.
+    #   conflict graph only, for a child with depth_left >= 2 that loses weight.
     def rec_grown(x_vmask: int, n_mask: int, wx: int, size: int,
                   ext: int, closed: int, gt_root: int) -> None:
         nonlocal hit, cap
@@ -347,8 +335,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             depth_left = cap - size
             if depth_left == 0:
                 continue
-            slack = w2 - wn + 2 * depth_left
-            if slack < 0:
+            if w2 - wn + 2 * depth_left < 0:
                 continue
             # Candidates that conflict with j are in closed | link[j], so
             # dropping them from ext removes them from the branch for good.
@@ -357,7 +344,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             if not ext2:
                 continue  # a childless child: its own test has run
             closed2 = closed | link[j] | low
-            if (share_bound and depth_left >= 2 and wn > w2 and slack <= _SHARE_GATE
+            if (share_bound and depth_left >= 2 and wn > w2
                     and share_cut(ext2, gt_root & ~closed2, n2, depth_left, 6 * (wn - w2))):
                 continue
             rec_grown(x_vmask | low, n2, w2, size, ext2, closed2, gt_root)
@@ -381,13 +368,12 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         if cap < stop:
             break
         if stop > 1 and genuine:
-            masks = [sum(1 << e for e in s) for s in g.members]
             key = (g.weight_mask(a_mask), g.w2_count_mask(a_mask))
-            if packing_above(masks, key, GATE_NODE_BUDGET)[0] == NONE_ABOVE:
+            if packing_above(g.members, key, GATE_NODE_BUDGET)[0] == NONE_ABOVE:
                 return 0
             base_share = [0] * g.n
             by_value: dict[int, int] = {}
-            for v, g6 in zip(cands, _claw_shares(g, a_mask, cands)):
+            for v, g6 in zip(cands, _claw_shares(g, anb, cands)):
                 base_share[v] = g6
                 if g6 > 0:
                     by_value[g6] = by_value.get(g6, 0) | 1 << v

@@ -936,7 +936,7 @@ class TestBinocularSearch:
     def test_empty_search_graph_returns_none(self):
         from setpack23.search_graph import SearchGraph
         from setpack23.conflict import ConflictGraph
-        g = ConflictGraph([2], [], members=(frozenset({0, 1, 2}),), universe_size=3)
+        g = ConflictGraph([2], [], members=(0b111,), universe_size=3)
         sg = SearchGraph((0,), (), tau=2)
         assert search_improving_binocular(sg, g, SearchParams(tau=2), 0) is None
 

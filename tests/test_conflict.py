@@ -84,6 +84,7 @@ def test_masks_match_the_intersection_definition(seed, kind):
     hand = ConflictGraph(g.weights, edges, g.members, g.universe_size)
     assert [hand.adj_mask(v) for v in range(g.n)] == [g.adj_mask(v) for v in range(g.n)]
     assert (hand.adj, hand.w2_mask, hand.members) == (g.adj, g.w2_mask, g.members)
+    assert g.members == tuple(sum(1 << e for e in elems[v]) for v in range(g.n))
     assert g.weight_mask((1 << g.n) - 1) == sum(s.weight for s in inst.sets)
 
 

@@ -11,6 +11,7 @@ from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import generate_random
 from setpack23.local_search import (_SMALL_CAP, SearchParams, apply_improvement,
                                     find_improvement, is_local_improvement)
+from setpack23.oracle import UNKNOWN
 from setpack23.search_graph import (LabeledBinocular, enumerate_search_edges,
                                     extract_improvement, is_improving_binocular)
 from conftest import (full_search_edges, instance_from_sets, random_packing, search_edge,
@@ -196,7 +197,9 @@ def test_grown_matches_naive_where_claw_shares_cut(monkeypatch):
     # optimum hides a least improvement of size 4 that is cut when a
     # weight-2 solution neighbor costs 5 sixths instead of its share of 4.
     # A spy on the clique cover checks that it merges cliques on these
-    # states, so the comparison covers the bound it tightens.
+    # states, so the comparison covers the bound it tightens.  The
+    # global-optimality gate answers "unknown", so that every second capped
+    # run, where the cut runs, is reached and checked against the full scan.
     rng = random.Random(1010)
     states = []
     while len(states) < 4 * 12:
@@ -222,6 +225,8 @@ def test_grown_matches_naive_where_claw_shares_cut(monkeypatch):
         return leaders
 
     monkeypatch.setattr(local_search, "_clique_leaders", spy)
+    monkeypatch.setattr(local_search, "packing_above",
+                        lambda masks, key, budget: (UNKNOWN, budget))
     sizes = []
     for g, a in states:
         for tau in (5, 6, 7):
