@@ -9,14 +9,16 @@ Run from the repository root (Python 3.10+, nothing to install):
 Each point is the hereditary closure of ``generate_random(universe, k, 1.0,
 seed)``, solved by ``solve_hereditary`` at tau=10.  A point runs in its own
 subprocess under a ``TIMEOUT_S`` limit; it solves the closure ``REPEATS``
-times and keeps the least CPU time, then solves it once more to count the
-work: ``rec_grown`` frames and ``share_cut`` evaluations through a profile
-hook, and the answers of the global-optimality gate through a wrapper
-around ``local_search.packing_above`` (``null`` where the checkout has no
-gate).  The counts do not depend on host speed.  Nothing under ``src/`` is
-edited.  The same process samples the host's speed: it times the reference
-kernel of ``perfbench/refclock.py`` ``KERNEL_RUNS`` times before each timed
-solve and after the last, and keeps the median CPU time, so that times
+times, then solves it once more to count the work: ``rec_grown`` frames and
+``share_cut`` evaluations through a profile hook, and the answers of the
+global-optimality gate through a wrapper around
+``local_search.packing_above`` (``null`` where the checkout has no gate).
+The counts do not depend on host speed.  Nothing under ``src/`` is edited.
+The same process samples the host's speed next to each timed solve: it
+times the reference kernel of ``perfbench/refclock.py`` ``KERNEL_RUNS``
+times before the first solve and after each one.  A solve's kernel time is
+the median of the samples just before and just after it, and the point
+keeps the solve with the least CPU time per kernel time, so that times
 taken at different host speeds can be compared (see README.md).
 
 One run appends one record to ``BENCH_scale.json`` at the repository root
@@ -78,13 +80,16 @@ def run_point(universe: int, k: int, seed: int) -> dict:
         return out
 
     closed = hereditary_closure(generate_random(universe, k, 1.0, seed=seed))
-    cpu = []
-    ref = kernel_times()
+    runs = []  # (CPU seconds, kernel seconds) per timed solve
+    before = kernel_times()
     for _ in range(REPEATS):
         start = time.process_time()
         packing, stats = solve_hereditary(closed)
-        cpu.append(time.process_time() - start)
-        ref += kernel_times()
+        cpu = time.process_time() - start
+        after = kernel_times()
+        runs.append((cpu, median(before + after)))
+        before = after
+    cpu, ref = min(runs, key=lambda run: run[0] / run[1])
 
     gate = None
     real_gate = getattr(local_search, "packing_above", None)
@@ -106,8 +111,7 @@ def run_point(universe: int, k: int, seed: int) -> dict:
         solve_hereditary(closed)
     finally:
         sys.setprofile(None)
-    return {"sets": len(closed.base), "cpu_s": round(min(cpu), 4),
-            "ref_kernel_s": round(median(ref), 7),
+    return {"sets": len(closed.base), "cpu_s": round(cpu, 4), "ref_kernel_s": round(ref, 7),
             "weight": stats.final_weight, "packing": sorted(packing.members),
             "outcome": "finished", "gate": gate,
             "rec_grown_frames": counts["rec_grown"], "share_cut_evals": counts["share_cut"]}

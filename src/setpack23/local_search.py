@@ -70,7 +70,7 @@ from .oracle import NONE_ABOVE, packing_above
 _SMALL_CAP = 3
 
 # The most nodes the global-optimality gate may pop before the second
-# capped run (0.04-0.06 s).  It decides all eight hereditary-cert closures
+# capped run (0.025-0.055 s).  It decides all eight hereditary-cert closures
 # (43 to 5,405 nodes), every audit-small call that reaches it, the 84- to
 # 164-set closures of generate_random(30, k, 1.0, seed=3) and ten of the
 # twelve closures of generate_random(30, 30, 1.0, seed=s), s = 0..11 (up to

@@ -47,14 +47,20 @@ def brute_force_optimum(instance: Instance) -> int:
     return best
 
 
-def reference_branch_and_bound(masks: Sequence[int], key: tuple[int, float], budget: int,
-                               first: bool) -> tuple[int, tuple[int, ...], int]:
-    """``oracle._branch_and_bound`` without its transposition table: the same
-    branching, bounds, return value and budget error, but a node is never
-    dropped for repeating an earlier node's available sets."""
+def reference_list_branch_and_bound(masks: Sequence[int], key: tuple[int, float], budget: int,
+                                    first: bool, table_cap: int) -> tuple[int, tuple[int, ...], int]:
+    """``oracle._branch_and_bound`` over lists of element masks, with a table
+    of at most ``table_cap`` entries: the same branching, bounds, return
+    value and budget error.  A node filters its parent's 3-set and 2-set
+    lists by its blocked elements and keys the table on ``live``, the union
+    of the sets that remain, which determines them as the solver's
+    available-set mask does."""
     key_w, key_w2 = key
     best_sel: tuple[int, ...] = ()
     nodes = 0
+    table: dict[int, tuple[int, int]] = {}
+    # Iterative stack: (parent's 3-sets, its 2-sets, blocked elements,
+    # weight, weight-2 count, chosen).
     stack = [([m for m in masks if m.bit_count() == 3], [m for m in masks if m.bit_count() == 2],
               0, 0, 0, ())]
     while stack:
@@ -69,17 +75,32 @@ def reference_branch_and_bound(masks: Sequence[int], key: tuple[int, float], bud
         a3 = [m for m in p3 if not m & blocked]
         a2 = [m for m in p2 if not m & blocked]
         e3, e2 = reduce(or_, a3, 0), reduce(or_, a2, 0)
+        live = e3 | e2
+        here = (cur_w, cur_w2)
+        seen = table.get(live)
+        if seen is not None and here <= seen:
+            continue
+        if seen is not None or len(table) < table_cap:
+            table[live] = here
         n3 = e3.bit_count()
         top = cur_w + min(2 * len(a3) + len(a2), (4 * n3 + 3 * (e2 & ~e3).bit_count()) // 6)
         if top < key_w or top == key_w and cur_w2 + min(len(a3), n3 // 3) <= key_w2:
             continue
-        low = (e3 | e2) & -(e3 | e2)
+        low = live & -live
+        # Last pushed pops first: 3-sets by id, then 2-sets, then "uncovered".
         stack.append((a3, a2, blocked | low, cur_w, cur_w2, chosen))
         stack += [(a3, a2, blocked | m, cur_w + 1, cur_w2, chosen + (m,))
                   for m in reversed(a2) if m & low]
         stack += [(a3, a2, blocked | m, cur_w + 2, cur_w2 + 1, chosen + (m,))
                   for m in reversed(a3) if m & low]
     return key_w, best_sel, nodes
+
+
+def reference_branch_and_bound(masks: Sequence[int], key: tuple[int, float], budget: int,
+                               first: bool) -> tuple[int, tuple[int, ...], int]:
+    """``oracle._branch_and_bound`` without its transposition table: a node
+    is never dropped for repeating an earlier node's available sets."""
+    return reference_list_branch_and_bound(masks, key, budget, first, table_cap=0)
 
 
 def brute_force_improvement_exists(g: ConflictGraph, A: frozenset[int], tau: int) -> bool:

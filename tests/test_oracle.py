@@ -3,6 +3,7 @@ import json
 import random
 from math import comb, inf
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +13,10 @@ from setpack23.cli import random_triples, suite_instances
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import (Instance, Packing, embed_3dm, generate_random, parse_instance,
                                 validate_packing)
-from setpack23.oracle import (FOUND, OracleBudgetExceeded, OracleResult, _branch_and_bound,
-                              packing_above, solve_exact)
-from conftest import brute_force_optimum, chain_instance, reference_branch_and_bound
+from setpack23.oracle import (FOUND, NONE_ABOVE, OracleBudgetExceeded, OracleResult,
+                              _branch_and_bound, packing_above, solve_exact)
+from conftest import (brute_force_optimum, chain_instance, reference_branch_and_bound,
+                      reference_list_branch_and_bound)
 
 
 def reference_solve_exact(instance: Instance, budget: int = 10_000_000) -> OracleResult:
@@ -139,6 +141,38 @@ def test_matches_table_free_reference(inst):
         ref = reference_branch_and_bound(masks, key, budget, first=True)
         got = _branch_and_bound(masks, key, budget, first=True)
         assert got[:2] == ref[:2] and got[2] <= ref[2], key
+
+
+@pytest.mark.parametrize("cap", [oracle.TABLE_CAP, 8])
+@given(inst=oracle_instances())
+@settings(max_examples=150, deadline=None)
+def test_matches_list_loop(cap, inst):
+    # The available-set mask determines live, the union of the available
+    # sets, and is determined by it, so the table keyed on the mask drops
+    # the nodes that the list loop's table keyed on live drops: the final
+    # key, the chosen masks and the node count are the same, in solve_exact
+    # mode and in gate mode at keys around the optimum, with a full table too.
+    masks = [sum(1 << e for e in s.elements) for s in sorted(inst.sets, key=lambda s: s.id)]
+    budget = 10_000_000
+    with mock.patch.object(oracle, "TABLE_CAP", cap):
+        ref = reference_list_branch_and_bound(masks, (0, inf), budget, False, cap)
+        assert _branch_and_bound(masks, (0, inf), budget, first=False) == ref
+        opt = ref[0]
+        for key in {(max(w, 0), w2) for w in (opt - 1, opt, opt + 1)
+                    for w2 in (0, opt // 4, opt // 2)}:
+            ref = reference_list_branch_and_bound(masks, key, budget, True, cap)
+            assert _branch_and_bound(masks, key, budget, first=True) == ref, key
+
+
+def test_empty_family_is_pruned_before_branching():
+    # A node with no available set is pruned by its bounds, which are its
+    # own key; it never branches on a lowest covered element.
+    assert packing_above([], (0, 0), 10) == (NONE_ABOVE, 1)
+    assert _branch_and_bound([], (0, inf), 10, first=False) == (0, (), 1)
+    # Taking the one set and leaving its lowest element uncovered both
+    # leave nothing available: three nodes, and the set is the optimum.
+    assert _branch_and_bound([0b11], (0, inf), 10, first=False) == (1, (0b11,), 3)
+    assert packing_above([0b11], (1, 0), 10) == (NONE_ABOVE, 1)
 
 
 def test_table_keeps_a_repeat_with_more_3_sets():
