@@ -54,16 +54,16 @@ def default_color_count(tau: int, n_vertices: int) -> int:
     return max(1, math.ceil(3 * tau * tau * math.log2(max(2, n_vertices))))
 
 
-def make_colorings(universe_n: int, t: int, reps: int, seed: int) -> list[tuple[int, ...]]:
-    """The one injective coloring when t covers the universe, else ``reps``
-    seeded uniform colorings, each a tuple of one color in 0..t-1 per
-    universe element."""
-    if t < 1 or reps < 1:
-        raise ValueError("need t >= 1 and reps >= 1")
+def make_colorings(universe_n: int, t: int, seed: int) -> list[tuple[int, ...]]:
+    """The one injective coloring when t covers the universe, else
+    ``COLORING_REPS`` seeded uniform colorings, each a tuple of one color in
+    0..t-1 per universe element."""
+    if t < 1:
+        raise ValueError("need t >= 1")
     if t >= universe_n:
         return [tuple(range(universe_n))]
     rng = random.Random(seed)
-    return [tuple(rng.randrange(t) for _ in range(universe_n)) for _ in range(reps)]
+    return [tuple(rng.randrange(t) for _ in range(universe_n)) for _ in range(COLORING_REPS)]
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,7 @@ def search_improving_binocular(sg: SearchGraph, g: ConflictGraph, params,
     # Walks inside a minimal binocular are simple paths or cycles, so lengths
     # beyond the vertex count of the search graph cannot be needed.
     cap = min(math.ceil(sg.tau * math.log2(max(2, g.n))), len(sg.vertices) + 1)
-    for f in make_colorings(g.universe_size, t, COLORING_REPS, seed):
+    for f in make_colorings(g.universe_size, t, seed):
         csg = colorful_subgraph(sg, f, g)
         if not csg.edges:
             continue

@@ -443,26 +443,23 @@ def solve(instance: Instance, params: SearchParams) -> tuple[Packing, RunStats]:
     iteration_bound = 2 * g.n * (g.n + 2)
 
     while True:
-        applied = False
-        hit = _find_improvement_mask(g, a_mask, tau, "auto")
-        if hit:
-            a_mask = _apply_mask(g, a_mask, hit)
+        x_mask = _find_improvement_mask(g, a_mask, tau, "auto")
+        if x_mask:
             stats.improvements_applied += 1
-            applied = True
         elif params.mode == "general":
             members = g.unmask(a_mask)
             sg = enumerate_search_edges(g, members, tau)
             b = search_improving_binocular(
                 sg, g, params, seed=params.seed * 1_000_003 + stats.iterations)
-            if b is not None:
-                x_mask = g.mask(extract_improvement(b, g, members))
-                if not _is_improvement_mask(g, a_mask, x_mask):
-                    raise AssertionError("binocular produced a non-improving set")
-                a_mask = _apply_mask(g, a_mask, x_mask)
-                stats.binoculars_applied += 1
-                applied = True
-        if not applied:
+            if b is None:
+                break
+            x_mask = g.mask(extract_improvement(b, g, members))
+            if not _is_improvement_mask(g, a_mask, x_mask):
+                raise AssertionError("binocular produced a non-improving set")
+            stats.binoculars_applied += 1
+        else:
             break
+        a_mask = _apply_mask(g, a_mask, x_mask)
         stats.iterations += 1
         key = (g.weight_mask(a_mask), g.w2_count_mask(a_mask))
         if key <= prev_key:

@@ -329,15 +329,15 @@ def injective_csg(sg, g) -> ColorfulSearchGraph:
 
 class TestColorings:
     def test_deterministic(self):
-        assert make_colorings(8, 5, 3, seed=42) == make_colorings(8, 5, 3, seed=42)
-        assert make_colorings(8, 5, 3, seed=42) != make_colorings(8, 5, 3, seed=43)
+        assert make_colorings(8, 5, seed=42) == make_colorings(8, 5, seed=42)
+        assert make_colorings(8, 5, seed=42) != make_colorings(8, 5, seed=43)
 
     def test_injective_is_identity(self):
-        assert make_colorings(6, 6, reps=5, seed=0) == [tuple(range(6))]
-        assert make_colorings(6, 9, reps=5, seed=0) == [tuple(range(6))]
-        assert make_colorings(6, 5, reps=5, seed=0) == random_colorings(6, 5, 5, 0)
+        assert make_colorings(6, 6, seed=0) == [tuple(range(6))]
+        assert make_colorings(6, 9, seed=0) == [tuple(range(6))]
+        assert make_colorings(6, 5, seed=0) == random_colorings(6, 5, COLORING_REPS, 0)
         with pytest.raises(ValueError):
-            make_colorings(6, 5, 0, 0)
+            make_colorings(6, 0, 0)
 
     def test_default_color_count(self):
         assert default_color_count(2, 8) == math.ceil(3 * 4 * 3)
@@ -363,7 +363,7 @@ class TestColorfulSubgraph:
         from setpack23.instance import parse_instance
         g = build_conflict_graph(parse_instance(self.inst_sets))
         sg = enumerate_search_edges(g, self.solution, tau=2)
-        f = make_colorings(g.universe_size, g.universe_size, 1, 0)[0]
+        f = make_colorings(g.universe_size, g.universe_size, 0)[0]
         csg = colorful_subgraph(sg, f, g)
         assert set(csg.edges) == set(sg.edges)
 
@@ -483,7 +483,7 @@ class TestClashIndexedWalkStates:
             sg = enumerate_search_edges(g, random_packing(g, rng), rng.choice((2, 3)))
             if not sg.edges:
                 continue
-            colorings = make_colorings(g.universe_size, g.universe_size, 1, 0)
+            colorings = make_colorings(g.universe_size, g.universe_size, 0)
             colorings += random_colorings(g.universe_size, rng.choice((3, 5, 8)), 2, trial)
             for f in colorings:
                 yield colorful_subgraph(sg, f, g), rng.randrange(2, 6)
@@ -600,7 +600,7 @@ class TestFindColorful:
         from setpack23.instance import parse_instance
         g = build_conflict_graph(parse_instance("0 1 2\n0 3 4\n1 5 6\n"))
         sg = enumerate_search_edges(g, {0}, tau=2)
-        f = make_colorings(g.universe_size, g.universe_size, 1, 0)[0]
+        f = make_colorings(g.universe_size, g.universe_size, 0)[0]
         csg = colorful_subgraph(sg, f, g)
         b = find_colorful_binocular(csg, g, walk_cap=4)
         assert b is not None and len(b.edges) == 2 and all(e.is_loop for e in b.edges)
@@ -611,7 +611,7 @@ class TestFindColorful:
         g = build_conflict_graph(parse_instance(inst_text))
         sg = enumerate_search_edges(g, {0, 1}, tau=1)  # tau=1 rules the loops out
         assert all(not e.is_loop for e in sg.edges)
-        f = make_colorings(g.universe_size, g.universe_size, 1, 0)[0]
+        f = make_colorings(g.universe_size, g.universe_size, 0)[0]
         csg = colorful_subgraph(sg, f, g)
         b = find_colorful_binocular(csg, g, walk_cap=4)
         assert b is not None and len(b.edges) == 3 and not any(e.is_loop for e in b.edges)
@@ -875,9 +875,9 @@ class TestBinocularSearch:
         calls = []
         real = cc.make_colorings
 
-        def spy(universe_n, t, reps, seed):
-            colorings = real(universe_n, t, reps, seed)
-            calls.append((universe_n, t, reps, len(colorings)))
+        def spy(universe_n, t, seed):
+            colorings = real(universe_n, t, seed)
+            calls.append((universe_n, t, len(colorings)))
             return colorings
         monkeypatch.setattr(cc, "make_colorings", spy)
         return calls
@@ -891,7 +891,7 @@ class TestBinocularSearch:
                 for s in range(5)}
         assert len(hits) == 1 and None not in hits  # the seed plays no part
         t = default_color_count(2, g.n)
-        assert coloring_calls == [(g.universe_size, t, COLORING_REPS, 1)] * 5
+        assert coloring_calls == [(g.universe_size, t, 1)] * 5
 
     def test_random_colorings_when_universe_exceeds_budget(self, coloring_calls):
         from setpack23.instance import generate_random
@@ -902,10 +902,10 @@ class TestBinocularSearch:
         t = default_color_count(1, g.n)
         assert sg.edges and g.universe_size > t
         search_improving_binocular(sg, g, SearchParams(tau=1), seed=3)
-        assert coloring_calls == [(g.universe_size, t, COLORING_REPS, COLORING_REPS)]
+        assert coloring_calls == [(g.universe_size, t, COLORING_REPS)]
         coloring_calls.clear()
         search_improving_binocular(sg, g, SearchParams(tau=1, injective_colorings=True), 3)
-        assert coloring_calls == [(g.universe_size, g.universe_size, COLORING_REPS, 1)]
+        assert coloring_calls == [(g.universe_size, g.universe_size, 1)]
 
     def test_auto_random_and_naive_agree_on_existence(self):
         # on search graphs of at most 8 edges the naive oracle tries every

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +104,13 @@ def test_generate_random_tiny_universe():
     assert only.sets[0].key == frozenset({0, 1, 2})
     with pytest.raises(FormatError):
         generate_random(3, 5, p3=1.0, seed=1)
+
+
+def test_generate_random_draws_pairs_once_the_triples_run_out():
+    # 10 sets over 4 elements are all 4 triples and all 6 pairs, so draws
+    # that ask for a triple after the fourth one must take a pair instead.
+    keys = {s.key for s in generate_random(4, 10, 0.9, seed=0).sets}
+    assert keys == {frozenset(c) for k in (2, 3) for c in combinations(range(4), k)}
 
 
 def test_embed_3dm_weights_and_disjointness():

@@ -415,6 +415,47 @@ def test_hereditary_cert_gate_is_pinned(monkeypatch):
         assert answers == pinned, name
 
 
+def test_gate_answers_unknown_once_its_budget_runs_out(monkeypatch):
+    # The gate's one call on random-30-18-s0 comes at the fixpoint, where it
+    # proves in 5405 nodes that no packing beats A's key; with 100 nodes it
+    # runs out and answers "unknown".
+    text = _hereditary_cert_texts()["random-30-18-s0"]
+    gate = local_search.packing_above
+    calls = []
+
+    def recording_gate(masks, key, budget):
+        calls.append((masks, key))
+        return gate(masks, key, budget)
+
+    monkeypatch.setattr(local_search, "packing_above", recording_gate)
+    solve_hereditary(hereditary_closure(parse_instance(text)))
+    [(masks, key)] = calls
+    assert packing_above(masks, key, 10_000) == (NONE_ABOVE, 5405)
+    assert packing_above(masks, key, 100) == (UNKNOWN, 100)
+
+
+def test_hereditary_cert_ladder_without_the_gate(monkeypatch):
+    # A one-node budget makes every gate call answer "unknown" from its
+    # real budget overrun, so every final call runs its second capped run,
+    # which must come to the pinned packing on its own.
+    texts = _hereditary_cert_texts()
+    gate = local_search.packing_above
+    answers: list[tuple[str, int]] = []
+
+    def recording_gate(*args):
+        answers.append(gate(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(local_search, "packing_above", recording_gate)
+    monkeypatch.setattr(local_search, "GATE_NODE_BUDGET", 1)
+    for name, (members, counts, _) in HEREDITARY_CERT_PINS.items():
+        answers.clear()
+        packing, stats = solve_hereditary(hereditary_closure(parse_instance(texts[name])))
+        assert answers == [(UNKNOWN, 1)], name
+        assert sorted(packing.members) == members, name
+        assert (stats.iterations, stats.final_weight) == counts, name
+
+
 def reference_best_key(masks: list[int]) -> tuple[int, int]:
     """The largest (weight, weight-2 count) of any packing of the sets with
     element masks ``masks``, by a memoized recursion over covered elements:

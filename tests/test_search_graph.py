@@ -51,6 +51,11 @@ class TestEnumerate:
         assert len({e, twin, SearchEdge((0, 1), 0b1000, 0b100)}) == 2
         assert not e.is_loop and SearchEdge((0,), 0, 0b100).is_loop
 
+    def test_dependent_solution_is_rejected(self):
+        g = build_conflict_graph(two_anchor_instance((3, 4, 9)))
+        with pytest.raises(ValueError, match="solution must be independent"):
+            enumerate_search_edges(g, {0, 2}, tau=1)
+
     def test_weight_balance_rules_out_small_w(self):
         # a lone 2-set cannot satisfy w(U) + 2 = w(W) with U inside N(W, A)
         g = build_conflict_graph(instance_from_sets([(1, 2, 3), (3, 9)]))
