@@ -64,6 +64,17 @@ def random_triples(nx: int, ny: int, nz: int, m: int, seed: int) -> list[tuple]:
     return sorted(pool)
 
 
+def threedm_instance(m: int, seed: int) -> inst.Instance:
+    """m random triples over three parts of max(2, m // 2) elements, as 3-sets."""
+    part = max(2, m // 2)
+    return inst.embed_3dm(random_triples(part, part, part, m, seed))
+
+
+def hereditary_instance(universe: int, k: int, seed: int) -> inst.Instance:
+    """The hereditary closure of k random 3-sets over ``universe`` elements."""
+    return hereditary_closure(inst.generate_random(universe, k, p3=1.0, seed=seed)).base
+
+
 def suite_instances(suite: str, count: int, seed: int):
     """Yield (name, instance, params) triples for a named benchmark family."""
     for i in range(count):
@@ -72,14 +83,10 @@ def suite_instances(suite: str, count: int, seed: int):
         if suite == "hereditary-small":
             universe = rng.randrange(9, 16)
             k = rng.randrange(5, 11)
-            base = inst.generate_random(universe, k, p3=1.0, seed=sub)
-            closed = hereditary_closure(base).base
-            yield f"{suite}-{i:04d}", closed, SearchParams(tau=10, mode="hereditary", seed=sub)
+            yield (f"{suite}-{i:04d}", hereditary_instance(universe, k, sub),
+                   SearchParams(tau=10, mode="hereditary", seed=sub))
         elif suite == "threedm-small":
-            m = rng.randrange(6, 13)
-            part = max(2, m // 2)
-            triples = random_triples(part, part, part, m, sub)
-            yield (f"{suite}-{i:04d}", inst.embed_3dm(triples),
+            yield (f"{suite}-{i:04d}", threedm_instance(rng.randrange(6, 13), sub),
                    SearchParams(tau=8, mode="general", seed=sub, injective_colorings=True))
         elif suite == "random-small":
             n = rng.randrange(8, 15)
@@ -141,11 +148,9 @@ def _cmd_gen(args) -> int:
     if args.kind == "random":
         instance = inst.generate_random(args.universe, args.sets, args.p3, args.seed)
     elif args.kind == "threedm":
-        part = max(2, args.sets // 2)
-        instance = inst.embed_3dm(random_triples(part, part, part, args.sets, args.seed))
+        instance = threedm_instance(args.sets, args.seed)
     else:
-        base = inst.generate_random(args.universe, args.sets, p3=1.0, seed=args.seed)
-        instance = hereditary_closure(base).base
+        instance = hereditary_instance(args.universe, args.sets, args.seed)
     text = inst.serialize_instance(instance, format=args.wire)
     if args.output == "-":
         sys.stdout.write(text)

@@ -5,9 +5,12 @@ the underlying sets intersect.  Such a graph is 4-claw-free, and every
 induced 3-claw is centered at a weight-2 vertex: a set of size k cannot meet
 k+1 pairwise-disjoint sets in distinct elements.  Vertex sets are exposed as
 frozensets but handled internally as integer bitmasks: the graph stores one
-neighbor mask per vertex and, when built from an instance, one element mask
-per set (``members``).  The sorted neighbor tuples of ``adj`` are derived
-from the masks on first read.
+neighbor mask per vertex, the mask of its weight-2 vertices (``w2_mask``)
+and, when built from an instance, one element mask per set (``members``).
+The sorted neighbor tuples of ``adj`` are derived from the masks on first
+read.  Every vertex mask handed to the graph lies inside its vertex set
+``0..n-1``; the weight of U is |U| + |U & w2_mask|, and N(U, W) is
+``neighborhood_mask``.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ def bit_positions(mask: int) -> tuple[int, ...]:
 class ConflictGraph:
     """Immutable weighted graph over dense vertex ids ``0..n-1``."""
 
-    __slots__ = ("n", "weights", "members", "universe_size",
-                 "_adj_mask", "_adj", "_w1_mask", "_w2_mask")
+    __slots__ = ("n", "weights", "members", "universe_size", "w2_mask",
+                 "_adj_mask", "_adj")
 
     def __init__(self, weights: Iterable[int], edges: Iterable[tuple[int, int]],
                  members: tuple[int, ...] | None = None,
@@ -70,8 +73,7 @@ class ConflictGraph:
         for v, w in enumerate(weights):
             if w == 2:
                 w2 |= 1 << v
-        self._w2_mask = w2
-        self._w1_mask = ((1 << self.n) - 1) ^ w2
+        self.w2_mask = w2
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -89,10 +91,11 @@ class ConflictGraph:
         return frozenset(bit_positions(mask))
 
     def weight_mask(self, mask: int) -> int:
-        return (mask & self._w1_mask).bit_count() + 2 * (mask & self._w2_mask).bit_count()
+        """The total weight of a vertex mask, which lies inside ``0..n-1``."""
+        return mask.bit_count() + (mask & self.w2_mask).bit_count()
 
     def w2_count_mask(self, mask: int) -> int:
-        return (mask & self._w2_mask).bit_count()
+        return (mask & self.w2_mask).bit_count()
 
     def adj_mask(self, v: int) -> int:
         return self._adj_mask[v]
@@ -110,22 +113,7 @@ class ConflictGraph:
         return (x_mask | self.neighbors_mask(x_mask)) & a_mask
 
     def independent_mask(self, mask: int) -> bool:
-        m = mask
-        while m:
-            low = m & -m
-            if self._adj_mask[low.bit_length() - 1] & mask:
-                return False
-            m ^= low
-        return True
-
-    @property
-    def w2_mask(self) -> int:
-        return self._w2_mask
-
-    # -- set-level API ---------------------------------------------------
-
-    def weight_of(self, vertices: Iterable[int]) -> int:
-        return sum(self.weights[v] for v in set(vertices))
+        return not self.neighbors_mask(mask) & mask
 
 
 def build_conflict_graph(instance: Instance) -> ConflictGraph:
@@ -152,11 +140,6 @@ def build_conflict_graph(instance: Instance) -> ConflictGraph:
     g._init(tuple(s.weight for s in ordered), tuple(adj),
             tuple(sum(1 << e for e in s.elements) for s in ordered), instance.universe_size)
     return g
-
-
-def neighborhood(g: ConflictGraph, U: Iterable[int], W: Iterable[int]) -> frozenset[int]:
-    """The neighborhood of U inside W: ``(U & W) | {w in W adjacent to some u in U}``."""
-    return g.unmask(g.neighborhood_mask(g.mask(U), g.mask(W)))
 
 
 def find_claw_violations(weights: Mapping[int, int], adj: Mapping[int, Iterable[int]]) -> list[ClawViolation]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class FormatError(ValueError):
@@ -70,9 +70,6 @@ class Instance:
     def __len__(self) -> int:
         return len(self.sets)
 
-    def weight_of(self, set_ids: Iterable[int]) -> int:
-        return sum(self.by_id[i].weight for i in set_ids)
-
     @cached_property
     def by_id(self) -> Mapping[int, PackSet]:
         """Read-only sets by id, built once per instance; not part of equality."""
@@ -86,7 +83,7 @@ class Packing:
     members: frozenset[int] = field(default_factory=frozenset)
 
     def weight(self, instance: Instance) -> int:
-        return instance.weight_of(self.members)
+        return sum(instance.by_id[i].weight for i in self.members)
 
 
 def validate_packing(instance: Instance, packing: Packing) -> None:

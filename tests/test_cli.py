@@ -12,7 +12,8 @@ import pytest
 
 import setpack23
 import setpack23.cli
-from setpack23.cli import main, suite_instances
+from setpack23.cli import hereditary_instance, main, suite_instances, threedm_instance
+from setpack23.hereditary import is_hereditary
 from setpack23.instance import Packing, generate_random, parse_instance, serialize_instance
 from setpack23.local_search import RunStats
 from test_normalize import BRIDGED_CERTIFICATE, BRIDGED_TUPLE
@@ -97,6 +98,31 @@ def test_solve_hereditary_requires_closure(tmp_path, capsys):
     assert code == 2 and "not hereditary" in err
     code, out, _ = run_cli(capsys, "solve-hereditary", str(path), "--close")
     assert code == 0 and json.loads(out)["stats"]["final_weight"] == 2
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--kind", "threedm", "--sets", "9", "--seed", "4"], threedm_instance(9, 4)),
+    (["--kind", "hereditary", "--universe", "11", "--sets", "6", "--seed", "2"],
+     hereditary_instance(11, 6, 2)),
+    ([], generate_random(12, 10, 0.5, 0))], ids=["threedm", "hereditary", "random-defaults"])
+def test_gen_writes_each_family_to_stdout(capsys, monkeypatch, argv, expected):
+    monkeypatch.delenv("SETPACK_SEED", raising=False)
+    assert run_cli(capsys, "gen", *argv) == (0, serialize_instance(expected), "")
+
+
+def test_family_constructors():
+    threedm = threedm_instance(9, 4)
+    assert len(threedm) == 9 and threedm.universe_size <= 3 * 4
+    assert all(s.weight == 2 for s in threedm.sets)
+    closed = hereditary_instance(11, 6, 2)
+    assert is_hereditary(closed) and sum(s.weight == 2 for s in closed.sets) == 6
+
+
+def test_audit_hereditary_rejects_a_non_hereditary_file(tmp_path, capsys):
+    path = tmp_path / "open.txt"
+    path.write_text("1 2 3\n")
+    assert run_cli(capsys, "audit", str(path), "--hereditary") == (
+        2, "", f"{path}: not hereditary\n")
 
 
 def test_audit_csv_shape(tmp_path, capsys, chain_file):

@@ -5,12 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setpack23.cli import random_triples
-from setpack23.conflict import (ConflictGraph, build_conflict_graph, find_claw_violations,
-                                neighborhood)
-from setpack23.hereditary import hereditary_closure
-from setpack23.instance import (Instance, PackSet, embed_3dm, generate_random,
-                                parse_instance)
+from setpack23.cli import hereditary_instance, threedm_instance
+from setpack23.conflict import ConflictGraph, build_conflict_graph, find_claw_violations
+from setpack23.instance import Instance, PackSet, generate_random, parse_instance
 from conftest import chain_instance
 
 
@@ -63,11 +60,8 @@ def _drawn_instance(kind: str, rng: random.Random, seed: int) -> Instance:
     if kind == "random":
         return generate_random(rng.randrange(6, 14), rng.randrange(1, 16), rng.random(), seed)
     if kind == "hereditary":
-        base = generate_random(rng.randrange(6, 14), rng.randrange(1, 10), 1.0, seed)
-        return hereditary_closure(base).base
-    m = rng.randrange(1, 14)
-    part = max(2, m // 2)
-    return embed_3dm(random_triples(part, part, part, m, seed))
+        return hereditary_instance(rng.randrange(6, 14), rng.randrange(1, 10), seed)
+    return threedm_instance(rng.randrange(1, 14), seed)
 
 
 @given(st.integers(0, 2 ** 31), st.sampled_from(["random", "hereditary", "threedm"]))
@@ -90,9 +84,9 @@ def test_masks_match_the_intersection_definition(seed, kind):
 
 def test_neighborhood_identities():
     g = build_conflict_graph(chain_instance())
-    assert neighborhood(g, [], [0, 1, 2, 3]) == frozenset()
-    assert neighborhood(g, [0, 2], [0, 2]) == {0, 2}
-    assert neighborhood(g, [1], [0, 2, 3]) == {0, 2}
+    assert g.neighborhood_mask(0, g.mask([0, 1, 2, 3])) == 0
+    assert g.neighborhood_mask(g.mask([0, 2]), g.mask([0, 2])) == g.mask([0, 2])
+    assert g.neighborhood_mask(g.mask([1]), g.mask([0, 2, 3])) == g.mask([0, 2])
 
 
 @given(st.integers(0, 2 ** 31), st.integers(6, 12), st.integers(3, 14))
@@ -103,9 +97,8 @@ def test_neighborhood_contained_in_w(seed, n, m):
     verts = list(range(g.n))
     u = frozenset(rng.sample(verts, rng.randrange(len(verts) + 1)))
     w = frozenset(rng.sample(verts, rng.randrange(len(verts) + 1)))
-    assert neighborhood(g, u, w) <= w
+    assert not g.neighborhood_mask(g.mask(u), g.mask(w)) & ~g.mask(w)
     expected = {x for x in w if x in u or any(y in u for y in g.adj[x])}
-    assert neighborhood(g, u, w) == expected
     assert g.neighborhood_mask(g.mask(u), g.mask(w)) == g.mask(expected)
 
 
@@ -132,8 +125,8 @@ def test_solution_degree_bound(seed):
         if not g.adj_mask(v) & a_mask:
             a_mask |= 1 << v
     for v in range(g.n):
-        touched = neighborhood(g, [v], g.unmask(a_mask))
-        assert len(touched - {v}) <= g.weights[v] + 1
+        touched = g.neighborhood_mask(1 << v, a_mask)
+        assert (touched & ~(1 << v)).bit_count() <= g.weights[v] + 1
 
 
 def test_hand_built_star_violations():

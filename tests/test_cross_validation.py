@@ -195,7 +195,9 @@ def test_grown_matches_naive_where_claw_shares_cut(monkeypatch):
     # one, the 3-local optimum the solver reaches from the empty one and the
     # packing solve_hereditary returns; and a general draw whose 3-local
     # optimum hides a least improvement of size 4 that is cut when a
-    # weight-2 solution neighbor costs 5 sixths instead of its share of 4.
+    # weight-2 solution neighbor costs 5 sixths instead of its share of 4;
+    # and a general draw where share_cut runs out of share classes with near
+    # candidates left, so its closing loop sums them.
     # A spy on the clique cover checks that it merges cliques on these
     # states, so the comparison covers the bound it tightens.  The
     # global-optimality gate answers "unknown", so that every second capped
@@ -216,6 +218,8 @@ def test_grown_matches_naive_where_claw_shares_cut(monkeypatch):
     a = three_local(g, frozenset({0, 3, 4, 10, 11, 21}))
     assert a == {1, 4, 9, 24, 29}
     states.append((g, a))
+    states.append((build_conflict_graph(generate_random(12, 14, 0.8408114554593497, seed=582)),
+                   frozenset({3, 12, 13})))
     clique_leaders = local_search._clique_leaders
     merges = []
 

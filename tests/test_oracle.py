@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setpack23 import oracle
-from setpack23.cli import random_triples, suite_instances
+from setpack23.cli import hereditary_instance, random_triples, suite_instances, threedm_instance
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import (Instance, Packing, embed_3dm, generate_random, parse_instance,
                                 validate_packing)
@@ -108,11 +108,8 @@ def oracle_instances(draw) -> Instance:
         limit = comb(n, 3) if p3 == 1.0 else comb(n, 2) if p3 == 0.0 else comb(n, 2) + comb(n, 3)
         return generate_random(n, draw(st.integers(1, min(40, limit))), p3, seed)
     if kind == "closure":
-        base = generate_random(draw(st.integers(6, 15)), draw(st.integers(1, 12)), 1.0, seed)
-        return hereditary_closure(base).base
-    m = draw(st.integers(1, 24))
-    part = max(2, m // 2)
-    return embed_3dm(random_triples(part, part, part, m, seed))
+        return hereditary_instance(draw(st.integers(6, 15)), draw(st.integers(1, 12)), seed)
+    return threedm_instance(draw(st.integers(1, 24)), seed)
 
 
 @given(oracle_instances())

@@ -8,14 +8,13 @@ import pytest
 
 import setpack23.search_graph as search_graph
 from setpack23 import parse_instance
-from setpack23.cli import random_triples, suite_instances
+from setpack23.cli import hereditary_instance, suite_instances, threedm_instance
 from setpack23.conflict import ConflictGraph, build_conflict_graph
-from setpack23.hereditary import hereditary_closure
 from setpack23.local_search import SearchParams, is_local_improvement, solve
 from setpack23.search_graph import (LabeledBinocular, SearchEdge,
                                     enumerate_search_edges, extract_improvement,
                                     is_improving_binocular)
-from setpack23.instance import embed_3dm, generate_random
+from setpack23.instance import generate_random
 from conftest import (binocular_gadget, full_search_edges, instance_from_sets, label_key,
                       random_packing, reference_search_edges, search_edge,
                       validate_search_edge)
@@ -120,11 +119,9 @@ def differential_states():
     for seed in range(8):
         graphs.append(build_conflict_graph(generate_random(
             rng.randrange(10, 17), rng.randrange(12, 22), rng.choice((0.3, 0.6, 0.9)), seed + 900)))
-        m = rng.randrange(10, 21)
-        part = max(2, m // 2)
-        graphs.append(build_conflict_graph(embed_3dm(random_triples(part, part, part, m, seed))))
-        base = generate_random(rng.randrange(9, 14), rng.randrange(4, 8), 1.0, seed + 950)
-        graphs.append(build_conflict_graph(hereditary_closure(base).base))
+        graphs.append(build_conflict_graph(threedm_instance(rng.randrange(10, 21), seed)))
+        graphs.append(build_conflict_graph(hereditary_instance(
+            rng.randrange(9, 14), rng.randrange(4, 8), seed + 950)))
         n = rng.randrange(10, 19)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
         graphs.append(ConflictGraph([rng.choice((1, 2, 2)) for _ in range(n)], pairs))
@@ -230,7 +227,7 @@ class TestExtract:
         assert b is not None and len(b.edges) <= 4
         x = extract_improvement(b, g, a)
         assert is_local_improvement(g, a, x)
-        assert g.weight_of(x) > g.weight_mask(b.u_mask)
+        assert g.weight_mask(g.mask(x)) > g.weight_mask(b.u_mask)
 
     def test_theta_weight_margin(self):
         inst = instance_from_sets([(0, 1, 2), (3, 4, 5),
@@ -240,7 +237,7 @@ class TestExtract:
         edges = tuple(search_edge((0, 1), (), (w,)) for w in (2, 3, 4))
         b = LabeledBinocular(edges)
         x = extract_improvement(b, g, a)
-        assert g.weight_of(x) >= g.weight_mask(b.u_mask) + 2
+        assert g.weight_mask(g.mask(x)) >= g.weight_mask(b.u_mask) + 2
 
     def test_extract_rejects_non_improving(self):
         g = _hand_graph([2, 2, 2, 2], [(0, 1), (0, 2), (0, 3), (2, 3)])
