@@ -119,26 +119,25 @@ class ConflictGraph:
 def build_conflict_graph(instance: Instance) -> ConflictGraph:
     """Build the conflict graph of an instance from one set-id mask per element.
 
+    Vertex i is set i: set ids are positions 0..m-1, as ``Instance`` checks.
     Each element's mask holds the sets containing it; a set's neighbors are
     the union of its elements' masks, less the set itself.
     """
-    ordered = sorted(instance.sets, key=lambda s: s.id)
-    if [s.id for s in ordered] != list(range(len(ordered))):
-        raise ValueError("conflict graph needs dense set ids 0..m-1")
+    sets = instance.sets
     by_elem = [0] * instance.universe_size
-    for s in ordered:
+    for s in sets:
         bit = 1 << s.id
         for e in s.elements:
             by_elem[e] |= bit
     adj = []
-    for s in ordered:
+    for s in sets:
         m = 0
         for e in s.elements:
             m |= by_elem[e]
         adj.append(m ^ (1 << s.id))
     g = ConflictGraph.__new__(ConflictGraph)
-    g._init(tuple(s.weight for s in ordered), tuple(adj),
-            tuple(sum(1 << e for e in s.elements) for s in ordered), instance.universe_size)
+    g._init(tuple(s.weight for s in sets), tuple(adj),
+            tuple(sum(1 << e for e in s.elements) for s in sets), instance.universe_size)
     return g
 
 

@@ -24,9 +24,9 @@ class HereditaryInstance:
 
 def _missing_pairs(instance: Instance) -> Iterator[tuple[int, ...]]:
     """The 2-subsets of 3-sets that the instance lacks, in closure order: by
-    set id, then sorted pairs, each pair once."""
+    set id (its position 0..m-1, as ``Instance`` checks), then sorted pairs, once each."""
     keys = {s.key for s in instance.sets}
-    for s in sorted(instance.sets, key=lambda s: s.id):
+    for s in instance.sets:
         if s.weight != 2:
             continue
         for pair in combinations(sorted(s.elements), 2):
@@ -41,10 +41,9 @@ def is_hereditary(instance: Instance) -> bool:
 
 def hereditary_closure(instance: Instance) -> HereditaryInstance:
     """Add the missing 2-subsets of every 3-set; idempotent and minimal."""
-    extra = list(_missing_pairs(instance))
-    next_id = max((s.id for s in instance.sets), default=-1) + 1
+    m = len(instance.sets)
     new_sets = instance.sets + tuple(
-        PackSet(next_id + i, pair) for i, pair in enumerate(extra))
+        PackSet(m + i, pair) for i, pair in enumerate(_missing_pairs(instance)))
     return HereditaryInstance(Instance(new_sets, instance.universe_size))
 
 

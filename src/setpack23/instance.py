@@ -2,7 +2,8 @@
 
 An instance is a collection of sets of cardinality 2 or 3 over a finite
 universe.  The weight of a set is its cardinality minus one, so 2-sets weigh
-1 and 3-sets weigh 2.  Elements are interned to dense integer ids in order
+1 and 3-sets weigh 2.  Set ids are positions 0..m-1; ``Instance`` is the one
+place that checks it.  Elements are interned to dense integer ids in order
 of first appearance; every construction path in this module produces such a
 canonical instance, which is what makes ``parse(serialize(x)) == x`` hold.
 """
@@ -12,10 +13,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 class FormatError(ValueError):
@@ -24,7 +23,7 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class PackSet:
-    """A single candidate set: a unique id and 2 or 3 distinct element ids."""
+    """A single candidate set: its id (its position) and 2 or 3 distinct element ids."""
 
     id: int
     elements: tuple[int, ...]
@@ -48,18 +47,16 @@ class PackSet:
 
 @dataclass(frozen=True)
 class Instance:
-    """An immutable 2-3-set system over ``universe_size`` interned elements."""
+    """An immutable 2-3-set system over ``universe_size`` interned elements; ``sets[i].id == i``."""
 
     sets: tuple[PackSet, ...]
     universe_size: int
 
     def __post_init__(self) -> None:
-        seen_ids: set[int] = set()
         seen_keys: set[frozenset[int]] = set()
-        for s in self.sets:
-            if s.id in seen_ids:
-                raise FormatError(f"duplicate set id {s.id}")
-            seen_ids.add(s.id)
+        for i, s in enumerate(self.sets):
+            if s.id != i:
+                raise FormatError(f"set at position {i} has id {s.id}; ids must be positions 0..m-1")
             key = s.key
             if key in seen_keys:
                 raise FormatError(f"duplicate set {sorted(s.elements)}")
@@ -70,11 +67,6 @@ class Instance:
     def __len__(self) -> int:
         return len(self.sets)
 
-    @cached_property
-    def by_id(self) -> Mapping[int, PackSet]:
-        """Read-only sets by id, built once per instance; not part of equality."""
-        return MappingProxyType({s.id: s for s in self.sets})
-
 
 @dataclass(frozen=True)
 class Packing:
@@ -83,17 +75,17 @@ class Packing:
     members: frozenset[int] = field(default_factory=frozenset)
 
     def weight(self, instance: Instance) -> int:
-        return sum(instance.by_id[i].weight for i in self.members)
+        """Total weight; the members must be valid set ids (see ``validate_packing``)."""
+        return sum(instance.sets[i].weight for i in self.members)
 
 
 def validate_packing(instance: Instance, packing: Packing) -> None:
-    """Raise ``FormatError`` unless the packing's members are pairwise disjoint."""
-    by_id = instance.by_id
+    """Raise ``FormatError`` unless the members are set ids and pairwise disjoint."""
     used: set[int] = set()
     for i in sorted(packing.members):
-        if i not in by_id:
+        if not 0 <= i < len(instance.sets):  # sets[-1] would wrap silently
             raise FormatError(f"packing references unknown set id {i}")
-        elems = set(by_id[i].elements)
+        elems = set(instance.sets[i].elements)
         if used & elems:
             raise FormatError(f"packing not disjoint at set {i}")
         used |= elems
@@ -142,11 +134,10 @@ def parse_instance(data: bytes | str, format: str = "text") -> Instance:
 
 def serialize_instance(instance: Instance, format: str = "text") -> str:
     """Serialize to the text or JSON wire format (tokens are the dense ids)."""
-    ordered = sorted(instance.sets, key=lambda s: s.id)
     if format == "text":
-        return "".join(" ".join(str(e) for e in s.elements) + "\n" for s in ordered)
+        return "".join(" ".join(str(e) for e in s.elements) + "\n" for s in instance.sets)
     if format == "json":
-        return json.dumps({"sets": [list(s.elements) for s in ordered]})
+        return json.dumps({"sets": [list(s.elements) for s in instance.sets]})
     raise FormatError(f"unknown format {format!r}")
 
 

@@ -163,10 +163,9 @@ def _branch_and_bound(masks: Sequence[int], key: tuple[int, float], budget: int,
 
 def solve_exact(instance: Instance, budget: int = ORACLE_NODE_BUDGET) -> OracleResult:
     """Exact optimum; ``OracleBudgetExceeded`` once popped nodes exceed ``budget``."""
-    ids = {sum(1 << e for e in s.elements): s.id for s in instance.sets}
-    best_w, best_sel, nodes = _branch_and_bound(sorted(ids, key=ids.__getitem__), (0, math.inf),
-                                                budget, first=False)
-    witness = Packing(frozenset(ids[m] for m in best_sel))
+    masks = [sum(1 << e for e in s.elements) for s in instance.sets]
+    best_w, best_sel, nodes = _branch_and_bound(masks, (0, math.inf), budget, first=False)
+    witness = Packing(frozenset(masks.index(m) for m in best_sel))
     if witness.weight(instance) != best_w:
         raise AssertionError("oracle witness does not weigh the optimum")
     return OracleResult(best_w, witness, nodes)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from setpack23.cli import hereditary_instance, threedm_instance
 from setpack23.conflict import ConflictGraph, build_conflict_graph, find_claw_violations
-from setpack23.instance import Instance, PackSet, generate_random, parse_instance
+from setpack23.instance import Instance, generate_random, parse_instance
 from conftest import chain_instance
 
 
@@ -40,12 +40,6 @@ def test_self_loop_is_rejected():
 def test_weight_outside_one_and_two_is_rejected():
     with pytest.raises(ValueError, match="weights must be 1 or 2"):
         ConflictGraph([1, 3], [(0, 1)])
-
-
-def test_build_needs_dense_set_ids():
-    inst = Instance((PackSet(0, (0, 1)), PackSet(2, (1, 2))), 3)
-    with pytest.raises(ValueError, match="dense set ids"):
-        build_conflict_graph(inst)
 
 
 def test_out_of_range_endpoint_is_rejected():

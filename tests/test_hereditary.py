@@ -5,7 +5,7 @@ import pytest
 
 from setpack23.hereditary import (HereditaryInstance, hereditary_closure,
                                   is_hereditary, solve_hereditary)
-from setpack23.instance import Instance, generate_random, parse_instance
+from setpack23.instance import generate_random, parse_instance
 from setpack23.oracle import solve_exact
 from conftest import instance_from_sets
 
@@ -44,10 +44,8 @@ def test_shared_pair_added_once():
 def test_closure_is_minimal():
     base = parse_instance("1 2 3\n3 4 5\n")
     closed = hereditary_closure(base).base
-    added = [s for s in closed.sets if s.id >= len(base)]
-    for drop in added:
-        pruned = Instance(tuple(s for s in closed.sets if s.id != drop.id),
-                          closed.universe_size)
+    for drop in range(len(base), len(closed)):
+        pruned = instance_from_sets([s.elements for s in closed.sets if s.id != drop])
         assert not is_hereditary(pruned)
 
 

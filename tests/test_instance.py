@@ -38,7 +38,11 @@ def test_parse_rejects_bad_sets(bad):
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Instance((PackSet(0, (0, 1)), PackSet(0, (1, 2))), 3),
-     FormatError, "duplicate set id 0"),
+     FormatError, "set at position 1 has id 0; ids must be positions 0..m-1"),
+    (lambda: Instance((PackSet(0, (0, 1)), PackSet(2, (1, 2))), 3),
+     FormatError, "set at position 1 has id 2; ids must be positions 0..m-1"),
+    (lambda: Instance((PackSet(1, (0, 1)), PackSet(0, (1, 2))), 3),
+     FormatError, "set at position 0 has id 1; ids must be positions 0..m-1"),
     (lambda: Instance((PackSet(0, (0, 3)),), 3),
      FormatError, "set 0: element id beyond universe of size 3"),
     (lambda: PackSet(0, (-1, 2)), FormatError, "set 0: negative element id"),
@@ -137,17 +141,14 @@ def test_validate_packing():
     validate_packing(inst, Packing(frozenset({1, 2})))
     with pytest.raises(FormatError):
         validate_packing(inst, Packing(frozenset({0, 1})))
-    with pytest.raises(FormatError):
-        validate_packing(inst, Packing(frozenset({9})))
+    # members index ``sets``, so -1 must not wrap round to the last set
+    for bad in (9, -1, len(inst)):
+        with pytest.raises(FormatError, match=f"unknown set id {bad}$"):
+            validate_packing(inst, Packing(frozenset({bad})))
     assert Packing(frozenset({0, 2})).weight(inst) == 3
 
 
-def test_by_id_is_built_once_and_stays_out_of_equality():
+def test_equal_instances_hash_alike():
     inst = parse_instance("1 2 3\n3 4\n")
     twin = parse_instance("1 2 3\n3 4\n")
-    assert inst.by_id is inst.by_id
-    assert inst.by_id[1].elements == (2, 3)
-    with pytest.raises(TypeError):
-        inst.by_id[2] = inst.by_id[1]
     assert inst == twin and hash(inst) == hash(twin)
-    assert "by_id" not in repr(inst)
