@@ -79,8 +79,6 @@ class ColorfulSearchGraph:
 def colorful_subgraph(sg: SearchGraph, f: tuple[int, ...],
                       g: ConflictGraph) -> ColorfulSearchGraph:
     """Filter the search graph down to its colorful edges under the coloring f."""
-    if g.members is None:
-        raise ValueError("color coding needs the element sets behind each vertex")
     vcol = {v: reduce(or_, (1 << f[e] for e in bit_positions(m)), 0)
             for v, m in enumerate(g.members)}
     kept: list[SearchEdge] = []

@@ -6,11 +6,11 @@ induced 3-claw is centered at a weight-2 vertex: a set of size k cannot meet
 k+1 pairwise-disjoint sets in distinct elements.  Vertex sets are exposed as
 frozensets but handled internally as integer bitmasks: the graph stores one
 neighbor mask per vertex, the mask of its weight-2 vertices (``w2_mask``)
-and, when built from an instance, one element mask per set (``members``).
-The sorted neighbor tuples of ``adj`` are derived from the masks on first
-read.  Every vertex mask handed to the graph lies inside its vertex set
-``0..n-1``; the weight of U is |U| + |U & w2_mask|, and N(U, W) is
-``neighborhood_mask``.
+and one element mask per set (``members``); ``build_conflict_graph`` is its
+one constructor.  The sorted neighbor tuples of ``adj`` are derived from the
+masks on first read.  Every vertex mask handed to the graph lies inside its
+vertex set ``0..n-1``, which ``mask`` checks at the frozenset boundary; the
+weight of U is |U| + |U & w2_mask|, and N(U, W) is ``neighborhood_mask``.
 """
 
 from __future__ import annotations
@@ -44,25 +44,8 @@ class ConflictGraph:
     __slots__ = ("n", "weights", "members", "universe_size", "w2_mask",
                  "_adj_mask", "_adj")
 
-    def __init__(self, weights: Iterable[int], edges: Iterable[tuple[int, int]],
-                 members: tuple[int, ...] | None = None,
-                 universe_size: int = 0):
-        weights = tuple(weights)
-        n = len(weights)
-        adj = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError("conflict graph is simple, no self-loops")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self._init(weights, tuple(adj), members, universe_size)
-
-    def _init(self, weights: tuple[int, ...], adj_mask: tuple[int, ...],
-              members: tuple[int, ...] | None, universe_size: int) -> None:
-        if any(w not in (1, 2) for w in weights):
-            raise ValueError("vertex weights must be 1 or 2")
+    def __init__(self, weights: tuple[int, ...], adj_mask: tuple[int, ...],
+                 members: tuple[int, ...], universe_size: int):
         self.weights = weights
         self.n = len(weights)
         self.members = members
@@ -85,7 +68,10 @@ class ConflictGraph:
     # -- bitmask helpers -------------------------------------------------
 
     def mask(self, vertices: Iterable[int]) -> int:
-        return sum(1 << v for v in set(vertices))
+        vs = set(vertices)
+        if outside := sorted(v for v in vs if not 0 <= v < self.n):
+            raise ValueError(f"vertex ids {outside} lie outside 0..{self.n - 1}")
+        return sum(1 << v for v in vs)
 
     def unmask(self, mask: int) -> frozenset[int]:
         return frozenset(bit_positions(mask))
@@ -135,17 +121,17 @@ def build_conflict_graph(instance: Instance) -> ConflictGraph:
         for e in s.elements:
             m |= by_elem[e]
         adj.append(m ^ (1 << s.id))
-    g = ConflictGraph.__new__(ConflictGraph)
-    g._init(tuple(s.weight for s in sets), tuple(adj),
-            tuple(sum(1 << e for e in s.elements) for s in sets), instance.universe_size)
-    return g
+    return ConflictGraph(tuple(s.weight for s in sets), tuple(adj),
+                         tuple(sum(1 << e for e in s.elements) for s in sets),
+                         instance.universe_size)
 
 
 def find_claw_violations(weights: Mapping[int, int], adj: Mapping[int, Iterable[int]]) -> list[ClawViolation]:
     """Find induced claws that a valid conflict graph cannot contain.
 
-    Works on any adjacency mapping (ids need not be dense), so the same check
-    serves hand-built graphs and reduced analysis graphs.  Reports every
+    Works on any adjacency mapping (ids need not be dense), so it also checks
+    graphs that no set system built, such as reduced analysis graphs: a
+    conflict graph never holds what it reports.  Reports every
     center that has w(center)+2 pairwise non-adjacent neighbors, i.e. a
     3-claw at a weight-1 vertex or a 4-claw anywhere.
     """

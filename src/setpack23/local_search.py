@@ -25,12 +25,12 @@ cap grows and never cut off an improving descendant.  The first run caps
 at ``_SMALL_CAP``, where the frequent small improvements are cheap; when
 it finds none, the second caps at tau.
 
-Before the second capped run, on a genuine conflict graph, the
-global-optimality gate (``oracle.packing_above``) looks for a packing of
-the instance's sets above A's key (weight, weight-2 count), within
-``GATE_NODE_BUDGET`` nodes.  Any improvement X of any size gives one, the
-packing (A minus N(X, A)) plus X, so when the gate proves that none exists,
-no improvement does, and the search returns 0: the second run's own answer.
+Before the second capped run, the global-optimality gate
+(``oracle.packing_above``) looks for a packing of the instance's sets above
+A's key (weight, weight-2 count), within ``GATE_NODE_BUDGET`` nodes.  Any
+improvement X of any size gives one, the packing (A minus N(X, A)) plus X,
+so when the gate proves that none exists, no improvement does, and the
+search returns 0: the second run's own answer.
 When the gate finds one or spends its budget, the second run runs as
 before, so every hit stays the same.  The binocular phase is not gated.
 
@@ -255,10 +255,6 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
         cadj = link = [g.adj_mask(v) & free for v in range(g.n)]
     w = g.weights
     w2m = g.w2_mask
-
-    # Only genuine conflict graphs promise the element bound the claw-share
-    # cut rests on; hand-built graphs carry no element sets.
-    genuine = g.members is not None
     hit = 0
     # Test sets of size up to cap; a hit of size s ends the search when
     # s <= stop and otherwise lowers cap to s - 1.
@@ -313,8 +309,8 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     # Every child is tested, then cut when it cannot lead to an improvement
     # within the cap, by two tests in this order:
     # * plain slack: each further candidate gains at most 2;
-    # * claw shares (``share_cut``), in the second capped run on a genuine
-    #   conflict graph only, for a child with depth_left >= 2 that loses weight.
+    # * claw shares (``share_cut``), in the second capped run only, for a
+    #   child with depth_left >= 2 that loses weight.
     def rec_grown(x_vmask: int, n_mask: int, wx: int, size: int,
                   ext: int, closed: int, gt_root: int) -> None:
         nonlocal hit, cap
@@ -361,13 +357,13 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
     # least member.  The first run covers sizes up to _SMALL_CAP, the
     # second the larger ones up to tau; each ends when a hit drives the cap
     # below its stop or the roots run out.  The second also tests the small
-    # sizes, where the first found no improvement.  On a genuine conflict
-    # graph the second runs only when the global-optimality gate cannot
-    # prove that no packing beats A's key.
+    # sizes, where the first found no improvement.  The second runs only
+    # when the global-optimality gate cannot prove that no packing beats
+    # A's key.
     for stop, cap in ((1, min(tau, _SMALL_CAP)), (_SMALL_CAP + 1, tau)):
         if cap < stop:
             break
-        if stop > 1 and genuine:
+        if stop > 1:
             key = (g.weight_mask(a_mask), g.w2_count_mask(a_mask))
             if packing_above(g.members, key, GATE_NODE_BUDGET)[0] == NONE_ABOVE:
                 return 0
@@ -447,13 +443,12 @@ def solve(instance: Instance, params: SearchParams) -> tuple[Packing, RunStats]:
         if x_mask:
             stats.improvements_applied += 1
         elif params.mode == "general":
-            members = g.unmask(a_mask)
-            sg = enumerate_search_edges(g, members, tau)
+            sg = enumerate_search_edges(g, a_mask, tau)
             b = search_improving_binocular(
                 sg, g, params, seed=params.seed * 1_000_003 + stats.iterations)
             if b is None:
                 break
-            x_mask = g.mask(extract_improvement(b, g, members))
+            x_mask = extract_improvement(b, g, a_mask)
             if not _is_improvement_mask(g, a_mask, x_mask):
                 raise AssertionError("binocular produced a non-improving set")
             stats.binoculars_applied += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .conflict import ConflictGraph, bit_positions
 
@@ -72,8 +72,8 @@ class LabeledBinocular:
         return m
 
 
-def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> SearchGraph:
-    """Build the search graph for the solution A.
+def enumerate_search_edges(g: ConflictGraph, a_mask: int, tau: int) -> SearchGraph:
+    """Build the search graph for the solution A, given as the mask ``a_mask``.
 
     U is N(W, A) minus a set R of weight-2 vertices, the edge's endpoints.
     With d = w(N(W, A)) - w(W), the balance w(U) + 2 = w(W) forces
@@ -90,7 +90,6 @@ def enumerate_search_edges(g: ConflictGraph, A: Iterable[int], tau: int) -> Sear
     vertex tuple.  So a stable sort by endpoints and U's tuple gives the edge
     order without building W's tuple.
     """
-    a_mask = g.mask(A)
     if not g.independent_mask(a_mask):
         raise ValueError("solution must be independent")
     a2 = a_mask & g.w2_mask
@@ -146,8 +145,9 @@ def is_improving_binocular(b: LabeledBinocular, g: ConflictGraph) -> bool:
     return g.independent_mask(w1_union | w2_union)
 
 
-def extract_improvement(b: LabeledBinocular, g: ConflictGraph, A: Iterable[int]) -> frozenset[int]:
-    """Return W(B), the local improvement an improving binocular encodes.
+def extract_improvement(b: LabeledBinocular, g: ConflictGraph, a_mask: int) -> int:
+    """Return the mask of W(B), the local improvement that an improving
+    binocular encodes for the solution mask ``a_mask``.
 
     Also re-derives the two facts the caller relies on: every solution
     neighbor of W(B) lies in U(B), and w(W(B)) strictly exceeds w(U(B)).
@@ -155,9 +155,9 @@ def extract_improvement(b: LabeledBinocular, g: ConflictGraph, A: Iterable[int])
     if not is_improving_binocular(b, g):
         raise ValueError("extract_improvement needs an improving binocular")
     w_mask, u_mask = b.w_mask, b.u_mask
-    if g.neighborhood_mask(w_mask, g.mask(A)) & ~u_mask:
+    if g.neighborhood_mask(w_mask, a_mask) & ~u_mask:
         raise AssertionError("solution neighborhood escaped the U-side of the binocular")
     if g.weight_mask(w_mask) <= g.weight_mask(u_mask):
         raise AssertionError("binocular weight chain violated")
-    return g.unmask(w_mask)
+    return w_mask
 

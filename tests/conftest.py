@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, count
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -27,6 +27,27 @@ def instance_from_sets(raw: list[tuple[int, ...]]) -> Instance:
     """Build an instance from explicit element tuples without re-interning."""
     universe = max((e for s in raw for e in s), default=-1) + 1
     return Instance(tuple(PackSet(i, s) for i, s in enumerate(raw)), universe)
+
+
+def graph_from_sets(raw: list[tuple[int, ...]]) -> ConflictGraph:
+    """The conflict graph of explicit element tuples, vertex i being set i."""
+    return build_conflict_graph(instance_from_sets(raw))
+
+
+# K_{2,3} of 3-sets: 0 and 1 are disjoint, and each of 2, 3, 4 meets both of
+# them in one element and nothing else.
+K23_SETS = [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7), (2, 5, 8)]
+
+
+def fresh_sets(weights: Iterable[int]) -> list[tuple[int, ...]]:
+    """One set of w + 1 fresh elements per weight w: no two of them meet."""
+    elements = count()
+    return [tuple(next(elements) for _ in range(w + 1)) for w in weights]
+
+
+def edgeless_graph(weights: Iterable[int]) -> ConflictGraph:
+    """The conflict graph of ``fresh_sets(weights)``: those weights, no edges."""
+    return graph_from_sets(fresh_sets(weights))
 
 
 def brute_force_optimum(instance: Instance) -> int:

@@ -106,7 +106,7 @@ def test_ac2_threedm_worst_ratio():
         # binocular survives termination
         g = build_conflict_graph(inst)
         assert find_improvement(g, packing.members, tau=8, method="naive") is None
-        sg = enumerate_search_edges(g, packing.members, tau=8)
+        sg = enumerate_search_edges(g, g.mask(packing.members), tau=8)
         assert search_improving_binocular(sg, g, params, seed=999) is None
         if len(sg.edges) <= 40:
             assert naive_improving_binocular(sg, g, max_size=4) is None
@@ -128,10 +128,10 @@ def test_ac3_applied_binoculars_are_sound():
         inst, a = binocular_gadget(["double_loop", "theta", "dumbbell"][i % 3],
                                    random.Random(77_000 + i))
         g = build_conflict_graph(inst)
-        sg = enumerate_search_edges(g, a, tau=2)
+        sg = enumerate_search_edges(g, g.mask(a), tau=2)
         b = search_improving_binocular(sg, g, SearchParams(tau=2), seed=i)
         assert b is not None
-        x = extract_improvement(b, g, a)
+        x = g.unmask(extract_improvement(b, g, g.mask(a)))
         assert is_local_improvement(g, a, x), "extracted set must be a local improvement"
         applications += 1
     _report("AC3", f"({applications} binocular applications, all passed the "
@@ -192,7 +192,7 @@ def test_ac7_color_coding_completeness():
     for i in range(50):
         inst, a = binocular_gadget(kinds[i % 3], random.Random(95_000 + i))
         g = build_conflict_graph(inst)
-        sg = enumerate_search_edges(g, a, tau=2)
+        sg = enumerate_search_edges(g, g.mask(a), tau=2)
         nb = naive_improving_binocular(sg, g, max_size=4)
         assert nb is not None and len(nb.edges) <= 4, "instance lost its small binocular"
         # The budget covers these universes, so the solver would run one

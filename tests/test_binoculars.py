@@ -27,7 +27,7 @@ import pytest
 from setpack23.conflict import ConflictGraph, build_conflict_graph
 from setpack23.search_graph import (LabeledBinocular, SearchGraph, enumerate_search_edges,
                                     is_improving_binocular)
-from conftest import binocular_gadget, search_edge
+from conftest import K23_SETS, binocular_gadget, edgeless_graph, graph_from_sets, search_edge
 
 
 @dataclass(frozen=True)
@@ -519,7 +519,7 @@ class TestBermanFurer:
 
 class TestNaiveImproving:
     def test_empty_search_graph(self):
-        g = build_conflict_graph_from_weights([2], [])
+        g = edgeless_graph([2])
         sg = SearchGraph((0,), (), tau=2)
         assert naive_improving_binocular(sg, g) is None
 
@@ -527,26 +527,21 @@ class TestNaiveImproving:
     def test_gadgets_found(self, kind):
         inst, a = binocular_gadget(kind, random.Random(3))
         g = build_conflict_graph(inst)
-        sg = enumerate_search_edges(g, a, tau=2)
+        sg = enumerate_search_edges(g, g.mask(a), tau=2)
         b = naive_improving_binocular(sg, g, max_size=4)
         assert b is not None
         assert is_minimal_binocular([MultiEdge(i, frozenset(e.endpoints))
                                      for i, e in enumerate(b.edges)])
 
     def test_overlapping_w_labels_block_every_candidate(self):
-        g = build_conflict_graph_from_weights(
-            [2, 2, 2, 2, 2], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
+        g = graph_from_sets(K23_SETS)
         edges = (search_edge((0, 1), (), (2, 3)), search_edge((0, 1), (), (3,)),
                  search_edge((0, 1), (), (3, 4)))
         sg = SearchGraph((0, 1), edges, tau=2)
         assert naive_improving_binocular(sg, g, max_size=4) is None
 
     def test_budget_refusal(self):
-        g = build_conflict_graph_from_weights([2], [])
+        g = edgeless_graph([2])
         sg = SearchGraph((0,), (), tau=2)
         with pytest.raises(BinocularBudgetExceeded):
             naive_improving_binocular(sg, g, max_size=9, budget=8)
-
-
-def build_conflict_graph_from_weights(weights, edges):
-    return ConflictGraph(weights, edges)

@@ -17,7 +17,8 @@ from setpack23.conflict import ConflictGraph, bit_positions, build_conflict_grap
 from setpack23.local_search import SearchParams, is_local_improvement
 from setpack23.search_graph import (LabeledBinocular, enumerate_search_edges,
                                     extract_improvement, is_improving_binocular)
-from conftest import binocular_gadget, label_key, search_edge
+from conftest import (binocular_gadget, edgeless_graph, fresh_sets, graph_from_sets, label_key,
+                      search_edge)
 from test_binoculars import naive_improving_binocular
 
 
@@ -362,7 +363,7 @@ class TestColorfulSubgraph:
     def test_injective_keeps_disjoint_w_edges(self):
         from setpack23.instance import parse_instance
         g = build_conflict_graph(parse_instance(self.inst_sets))
-        sg = enumerate_search_edges(g, self.solution, tau=2)
+        sg = enumerate_search_edges(g, g.mask(self.solution), tau=2)
         f = make_colorings(g.universe_size, g.universe_size, 0)[0]
         csg = colorful_subgraph(sg, f, g)
         assert set(csg.edges) == set(sg.edges)
@@ -370,7 +371,7 @@ class TestColorfulSubgraph:
     def test_shared_color_drops_multi_vertex_edges(self):
         from setpack23.instance import parse_instance
         g = build_conflict_graph(parse_instance(self.inst_sets))
-        sg = enumerate_search_edges(g, self.solution, tau=2)
+        sg = enumerate_search_edges(g, g.mask(self.solution), tau=2)
         assert any(e.w_mask.bit_count() == 2 for e in sg.edges)
         f = (0,) * g.universe_size
         csg = colorful_subgraph(sg, f, g)
@@ -480,7 +481,7 @@ class TestClashIndexedWalkStates:
             inst = generate_random(rng.randrange(10, 17), rng.randrange(10, 21),
                                    rng.choice((0.4, 0.7, 1.0)), seed=5_000 + trial)
             g = build_conflict_graph(inst)
-            sg = enumerate_search_edges(g, random_packing(g, rng), rng.choice((2, 3)))
+            sg = enumerate_search_edges(g, g.mask(random_packing(g, rng)), rng.choice((2, 3)))
             if not sg.edges:
                 continue
             colorings = make_colorings(g.universe_size, g.universe_size, 0)
@@ -581,7 +582,7 @@ class TestProjectedWalkStates:
         with_loops = 0
         for csg, max_len in self.graphs():
             with mock.patch.object(cc, "walk_states", spy):
-                find_colorful_binocular(csg, ConflictGraph([2] * 206, []), max_len)
+                find_colorful_binocular(csg, edgeless_graph([2] * 206), max_len)
             assert seen.pop() == keep_masks(csg)
             with_loops += any(e.is_loop for e in csg.edges)
         assert with_loops >= 300
@@ -592,14 +593,13 @@ class TestFindColorful:
         # a single non-loop edge cannot close anything
         e = search_edge((0, 1), (), (100,))
         csg = ColorfulSearchGraph((0, 1), (e,), (0b1,), {100: 0b1})
-        from setpack23.conflict import ConflictGraph
-        g = ConflictGraph([2, 2], [])
+        g = edgeless_graph([2, 2])
         assert find_colorful_binocular(csg, g, walk_cap=4) is None
 
     def test_double_loop_found_through_the_two_loop_case(self):
         from setpack23.instance import parse_instance
         g = build_conflict_graph(parse_instance("0 1 2\n0 3 4\n1 5 6\n"))
-        sg = enumerate_search_edges(g, {0}, tau=2)
+        sg = enumerate_search_edges(g, g.mask({0}), tau=2)
         f = make_colorings(g.universe_size, g.universe_size, 0)[0]
         csg = colorful_subgraph(sg, f, g)
         b = find_colorful_binocular(csg, g, walk_cap=4)
@@ -609,7 +609,7 @@ class TestFindColorful:
         inst_text = "0 1 2\n3 4 5\n0 3 6\n1 4 7\n2 5 8\n"
         from setpack23.instance import parse_instance
         g = build_conflict_graph(parse_instance(inst_text))
-        sg = enumerate_search_edges(g, {0, 1}, tau=1)  # tau=1 rules the loops out
+        sg = enumerate_search_edges(g, g.mask({0, 1}), tau=1)  # tau=1 rules the loops out
         assert all(not e.is_loop for e in sg.edges)
         f = make_colorings(g.universe_size, g.universe_size, 0)[0]
         csg = colorful_subgraph(sg, f, g)
@@ -622,14 +622,16 @@ class TestFindColorful:
         # One loop at 0 with W-label {100, 103} and one closed walk 0-1-0.
         # The walk's second edge has W-vertex 102, which shares color 0b001
         # with loop vertex 100 (and so conflicts with it), or is 100 itself.
-        from setpack23.conflict import ConflictGraph
         from setpack23.search_graph import SearchGraph
         second = 100 if covered else 102
         edges = (search_edge((0,), (), (100, 103)), search_edge((0, 1), (), (101,)),
                  search_edge((0, 1), (), (second,)))
         colors = {100: 0b001, 101: 0b010, 102: 0b001, 103: 0b100}
         csg = ColorfulSearchGraph((0, 1), edges, (0b101, 0b010, 0b001), colors)
-        g = ConflictGraph([2, 2] + [1] * 101 + [2], [] if covered else [(100, 102)])
+        raw = fresh_sets([2, 2] + [1] * 101 + [2])
+        if not covered:
+            raw[102] = (raw[100][0], raw[102][1])  # 100 and 102 meet
+        g = graph_from_sets(raw)
         ctx_w = _mask((100, 103))
         rows = walk_states(csg, 4, -1, -1)[0][0]
         # Per row, the loop W-vertices its colors meet but its W-label misses.
@@ -651,12 +653,11 @@ class TestFindColorful:
         # search graphs, recorded before the assembly read end-grouped tables
         # and dropped loop-blocked walks: every first hit must stay the same.
         import hashlib
-        from setpack23.conflict import ConflictGraph
         digest, hits = hashlib.sha256(), 0
         for i in range(3000):
             rng = random.Random(70_000 + i)
             csg = random_csg(rng)
-            g = ConflictGraph([rng.choice((1, 2)) for _ in range(206)], [])
+            g = edgeless_graph([rng.choice((1, 2)) for _ in range(206)])
             b = find_colorful_binocular(csg, g, walk_cap=1 + i % 5)
             hits += b is not None
             found = None if b is None else tuple(
@@ -678,7 +679,7 @@ class TestLoopChoices:
                  search_edge((0, 1), (), (101,)))
         colors = {100: 0b0001, 101: 0b0001, 102: 0b0010, 103: 0b0100}
         csg = ColorfulSearchGraph((0, 1), edges, (0b0011, 0b0101, 0b0001), colors)
-        g = ConflictGraph([2] * 104, [])
+        g = edgeless_graph([2] * 104)
         ctx_w = _mask((100, 101, 102, 103))
         assert _mask_colors(ctx_w, colors) < 0
         # w(X) - w(Y) >= w(U_L) + 2|L| - w(W_L)
@@ -692,7 +693,7 @@ class TestLoopChoices:
         edges = (search_edge((0,), (200,), (100, 101)), search_edge((0,), (200,), (100, 102)))
         colors = {100: 0b001, 101: 0b010, 102: 0b100}
         csg = ColorfulSearchGraph((0,), edges, (0b011, 0b101), colors)
-        g = ConflictGraph([2 if 100 <= v <= 102 else 1 for v in range(201)], [])
+        g = edgeless_graph([2 if 100 <= v <= 102 else 1 for v in range(201)])
         assert _mask_colors(_mask((100, 101, 102)), colors) >= 0
         b = find_colorful_binocular(csg, g, walk_cap=3)
         assert b is not None and b.edges == edges
@@ -708,7 +709,7 @@ class TestLoopChoices:
                  search_edge((0, 1), (), (100,)))
         colors = {100: 0b0001, 101: 0b0001, 104: 0b1000}
         csg = ColorfulSearchGraph((0, 1), edges, (0b1001, 0b1000, 0b0001), colors)
-        g = ConflictGraph([2] * 105, [])
+        g = edgeless_graph([2] * 105)
         assert _mask_colors(edges[0].w_mask, colors) < 0
         assert 0 - g.weight_mask(_mask((100, 104))) >= 0 + 2 - g.weight_mask(edges[0].w_mask)
         assert walk_states(csg, 3, -1, -1)[0][0][1][2] == _mask((100, 104))
@@ -761,7 +762,7 @@ class TestLoopChoices:
                 rng = random.Random(90_000 + i)
                 csg = (random_csg(rng) if i % 2 else
                        random_csg(rng, max_vertices=3, max_edges=16, loop_rate=0.5))
-                yield csg, ConflictGraph([rng.choice((1, 2)) for _ in range(206)], []), 1 + i % 5
+                yield csg, edgeless_graph([rng.choice((1, 2)) for _ in range(206)]), 1 + i % 5
         counts = self.compare(cases())
         assert counts["skips"] >= 3000 and counts["one"] >= 50 and counts["two"] >= 80
         assert min(counts["clashing"], counts["apart"], counts["sharing"]) >= 3000
@@ -836,17 +837,17 @@ class TestBinocularSearch:
     def test_injective_mode_finds_gadgets(self, kind):
         inst, a = binocular_gadget(kind, random.Random(13))
         g = build_conflict_graph(inst)
-        sg = enumerate_search_edges(g, a, tau=2)
+        sg = enumerate_search_edges(g, g.mask(a), tau=2)
         params = SearchParams(tau=2, injective_colorings=True)
         b = search_improving_binocular(sg, g, params, seed=0)
         assert b is not None
         assert is_improving_binocular(b, g)
-        assert is_local_improvement(g, a, extract_improvement(b, g, a))
+        assert is_local_improvement(g, a, g.unmask(extract_improvement(b, g, g.mask(a))))
 
     def test_random_colorings_find_gadget_often(self):
         inst, a = binocular_gadget("double_loop", random.Random(2))
         g = build_conflict_graph(inst)
-        sg = enumerate_search_edges(g, a, tau=2)
+        sg = enumerate_search_edges(g, g.mask(a), tau=2)
         hits = sum(random_coloring_search(sg, g, a, seed=s) is not None for s in range(20))
         assert hits == 20  # 64 repetitions each; misses would be astronomically rare
 
@@ -885,7 +886,7 @@ class TestBinocularSearch:
     def test_injective_coloring_when_budget_covers_universe(self, coloring_calls):
         inst, a = binocular_gadget("theta", random.Random(5))
         g = build_conflict_graph(inst)
-        sg = enumerate_search_edges(g, a, tau=2)
+        sg = enumerate_search_edges(g, g.mask(a), tau=2)
         assert default_color_count(2, g.n) >= g.universe_size
         hits = {search_improving_binocular(sg, g, SearchParams(tau=2), seed=s)
                 for s in range(5)}
@@ -898,7 +899,7 @@ class TestBinocularSearch:
         from conftest import random_packing
         g = build_conflict_graph(generate_random(30, 20, 1.0, seed=4))
         a = random_packing(g, random.Random(4))
-        sg = enumerate_search_edges(g, a, tau=1)
+        sg = enumerate_search_edges(g, g.mask(a), tau=1)
         t = default_color_count(1, g.n)
         assert sg.edges and g.universe_size > t
         search_improving_binocular(sg, g, SearchParams(tau=1), seed=3)
@@ -921,7 +922,7 @@ class TestBinocularSearch:
             g = build_conflict_graph(inst)
             a = random_packing(g, rng)
             tau = rng.choice([1, 2, 3])
-            sg = enumerate_search_edges(g, a, tau)
+            sg = enumerate_search_edges(g, g.mask(a), tau)
             if not sg.edges or len(sg.edges) > 8:
                 continue
             naive = naive_improving_binocular(sg, g, max_size=max(2, len(sg.edges)))
@@ -935,8 +936,7 @@ class TestBinocularSearch:
 
     def test_empty_search_graph_returns_none(self):
         from setpack23.search_graph import SearchGraph
-        from setpack23.conflict import ConflictGraph
-        g = ConflictGraph([2], [], members=(0b111,), universe_size=3)
+        g = edgeless_graph([2])
         sg = SearchGraph((0,), (), tau=2)
         assert search_improving_binocular(sg, g, SearchParams(tau=2), 0) is None
 
@@ -951,7 +951,7 @@ class TestBinocularSearch:
                                    rng.random(), seed + 900)
             g = build_conflict_graph(inst)
             a = random_packing(g, rng)
-            sg = enumerate_search_edges(g, a, tau=2)
+            sg = enumerate_search_edges(g, g.mask(a), tau=2)
             if len(sg.edges) > 12:
                 continue
             naive = naive_improving_binocular(sg, g, max_size=4)

@@ -46,7 +46,7 @@ def test_improving_binoculars_always_extract_to_improvements():
                                rng.random(), seed=7000 + trial)
         g = build_conflict_graph(inst)
         a = random_packing(g, rng)
-        sg = enumerate_search_edges(g, a, tau=2)
+        sg = enumerate_search_edges(g, g.mask(a), tau=2)
         if not 2 <= len(sg.edges) <= 14:
             continue
         for k in (2, 3):
@@ -57,7 +57,7 @@ def test_improving_binoculars_always_extract_to_improvements():
                 b = LabeledBinocular(tuple(chosen))
                 if is_improving_binocular(b, g):
                     improving_seen += 1
-                    x = extract_improvement(b, g, a)
+                    x = g.unmask(extract_improvement(b, g, g.mask(a)))
                     assert is_local_improvement(g, a, x)
     assert improving_seen >= 20
 
@@ -69,7 +69,7 @@ def test_full_mode_reaches_pairs_canonical_cannot():
                                (1, 4, 7), (2, 10)])
     g = build_conflict_graph(inst)
     a = frozenset({0, 1, 2})
-    canonical = enumerate_search_edges(g, a, tau=2)
+    canonical = enumerate_search_edges(g, g.mask(a), tau=2)
     full = full_search_edges(g, a, tau=2)
     extra = search_edge((0, 1), (2,), (3, 4))
     assert extra not in canonical.edges
@@ -81,31 +81,38 @@ def test_randomized_search_is_deterministic_per_seed():
     inst = instance_from_sets([(0, 1, 2), (0, 3, 4), (1, 5, 6)])
     g = build_conflict_graph(inst)
     a = frozenset({0})
-    sg = enumerate_search_edges(g, a, tau=2)
+    sg = enumerate_search_edges(g, g.mask(a), tau=2)
     params = SearchParams(tau=2)
     runs = {search_improving_binocular(sg, g, params, seed=9).edges for _ in range(5)}
     assert len(runs) == 1
 
 
-def test_grown_matches_naive_on_hand_built_graphs():
-    # graphs without element sets disable the claw-share cut; the grown
-    # search must still agree with the naive reference on plain slack alone
-    from setpack23.conflict import ConflictGraph
+def test_grown_matches_naive_on_hand_built_graphs(monkeypatch):
+    # instance graphs of 4 to 9 sets over 5 to 14 elements, at tau 1..6:
+    # with the global-optimality gate, and with it answering "unknown", so
+    # that the second capped run and its claw-share cut decide every call
+    # from tau 4 up instead of the gate
     rng = random.Random(4242)
+    states = []
     for trial in range(80):
-        n = rng.randrange(4, 10)
-        weights = [rng.choice([1, 2]) for _ in range(n)]
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < 0.35]
-        g = ConflictGraph(weights, edges)
-        a = random_packing(g, rng)
-        tau = rng.randrange(1, 7)
-        grown = find_improvement(g, a, tau, method="grown")
-        naive = find_improvement(g, a, tau, method="naive")
-        assert (grown is None) == (naive is None)
-        for imp in (grown, naive):
-            if imp is not None:
-                assert is_local_improvement(g, a, imp.x)
+        g = build_conflict_graph(generate_random(rng.randrange(5, 15), rng.randrange(4, 10),
+                                                 rng.random(), seed=4300 + trial))
+        states.append((g, random_packing(g, rng), rng.randrange(1, 7)))
+    unknown_keys = []
+
+    def unknown(masks, key, budget):
+        unknown_keys.append(key)
+        return UNKNOWN, budget
+    for gate in (local_search.packing_above, unknown):
+        monkeypatch.setattr(local_search, "packing_above", gate)
+        for g, a, tau in states:
+            grown = find_improvement(g, a, tau, method="grown")
+            naive = find_improvement(g, a, tau, method="naive")
+            assert (grown is None) == (naive is None)
+            for imp in (grown, naive):
+                if imp is not None:
+                    assert is_local_improvement(g, a, imp.x)
+    assert len(unknown_keys) >= 10
 
 
 def test_naive_binocular_and_randomized_search_agree_on_gadget_presence():
@@ -116,7 +123,7 @@ def test_naive_binocular_and_randomized_search_agree_on_gadget_presence():
                                rng.random(), seed=8800 + trial)
         g = build_conflict_graph(inst)
         a = random_packing(g, rng)
-        sg = enumerate_search_edges(g, a, tau=2)
+        sg = enumerate_search_edges(g, g.mask(a), tau=2)
         if len(sg.edges) > 12:
             continue
         naive = naive_improving_binocular(sg, g, max_size=3)

@@ -23,7 +23,7 @@ from setpack23.local_search import (SearchParams, _candidate_linkage, _capped_sh
                                     _claw_shares, _clique_leaders, apply_improvement,
                                     find_improvement, is_local_improvement, solve)
 from setpack23.oracle import FOUND, NONE_ABOVE, UNKNOWN, packing_above, solve_exact
-from conftest import (brute_force_improvement_exists, chain_instance,
+from conftest import (brute_force_improvement_exists, chain_instance, edgeless_graph,
                       instance_from_sets, random_packing, reference_branch_and_bound)
 
 
@@ -98,7 +98,7 @@ class TestFindImprovement:
 
     def test_unknown_method_is_rejected_without_candidates(self):
         # A covers every vertex, so no candidate is left to enumerate
-        g = ConflictGraph([1, 1], [])
+        g = edgeless_graph([1, 1])
         with pytest.raises(ValueError, match="unknown improvement method"):
             find_improvement(g, {0, 1}, tau=2, method="bogus")
 
@@ -125,6 +125,18 @@ class TestApply:
         g = build_conflict_graph(chain_instance())
         with pytest.raises(ValueError):
             apply_improvement(g, {0, 2}, {1})
+
+
+def test_vertex_ids_outside_the_graph_are_rejected():
+    # the frozenset boundary names an id outside 0..n-1 instead of folding
+    # it into a mask: 9 lies past the last vertex, -1 before the first
+    g = build_conflict_graph(chain_instance())
+    with pytest.raises(ValueError, match=r"^vertex ids \[9\] lie outside 0\.\.3$"):
+        is_local_improvement(g, {9}, {0})
+    with pytest.raises(ValueError, match=r"^vertex ids \[9\] lie outside 0\.\.3$"):
+        apply_improvement(g, {1, 9}, {0})
+    with pytest.raises(ValueError, match=r"^vertex ids \[-1\] lie outside 0\.\.3$"):
+        find_improvement(g, {-1}, 2)
 
 
 class TestSolve:
@@ -321,8 +333,9 @@ def test_naive_scan_matches_reference_on_solve_calls(monkeypatch):
 
 
 def test_naive_scan_matches_reference_on_seeded_states():
-    # hand-built graphs (no element sets) and instance graphs, under maximal
-    # and thinned packings, for tau 1..7
+    # instance graphs over 6-11 elements and, on even trials, over 5-24
+    # elements with 2 to 12 sets, under maximal and thinned packings, for
+    # tau 1..7
     rng = random.Random(2323)
     hits = 0
     for trial in range(3000):
@@ -330,10 +343,8 @@ def test_naive_scan_matches_reference_on_seeded_states():
             g = build_conflict_graph(generate_random(rng.randrange(6, 12), rng.randrange(3, 13),
                                                      rng.random(), seed=9000 + trial))
         else:
-            n = rng.randrange(2, 13)
-            density = rng.random() * 0.6
-            g = ConflictGraph([rng.choice((1, 2)) for _ in range(n)],
-                              [e for e in combinations(range(n), 2) if rng.random() < density])
+            g = build_conflict_graph(generate_random(rng.randrange(5, 25), rng.randrange(2, 13),
+                                                     rng.random(), seed=9000 + trial))
         a = random_packing(g, rng)
         if rng.random() < 0.3:
             a = frozenset(v for v in a if rng.random() < 0.7)
@@ -342,7 +353,7 @@ def test_naive_scan_matches_reference_on_seeded_states():
         hit = local_search._find_improvement_mask(g, a_mask, tau, "naive")
         assert hit == reference_naive_hit(g, a_mask, tau), (trial, tau)
         hits += hit != 0
-    assert hits == 1771
+    assert hits == 1732
 
 
 # rec_grown frames and share_cut evaluations per `hereditary-cert` closure at

@@ -128,7 +128,7 @@ def test_matches_table_free_reference(inst):
     # available sets at no higher key: solve_exact keeps the table-free
     # loop's optimum and witness, the gate its answer and packing at keys
     # around the optimum's, and neither pops more nodes.
-    masks = [sum(1 << e for e in s.elements) for s in sorted(inst.sets, key=lambda s: s.id)]
+    masks = [sum(1 << e for e in s.elements) for s in inst.sets]
     budget = 10_000_000
     ref = reference_branch_and_bound(masks, (0, inf), budget, first=False)
     got = _branch_and_bound(masks, (0, inf), budget, first=False)
@@ -149,7 +149,7 @@ def test_matches_list_loop(cap, inst):
     # the nodes that the list loop's table keyed on live drops: the final
     # key, the chosen masks and the node count are the same, in solve_exact
     # mode and in gate mode at keys around the optimum, with a full table too.
-    masks = [sum(1 << e for e in s.elements) for s in sorted(inst.sets, key=lambda s: s.id)]
+    masks = [sum(1 << e for e in s.elements) for s in inst.sets]
     budget = 10_000_000
     with mock.patch.object(oracle, "TABLE_CAP", cap):
         ref = reference_list_branch_and_bound(masks, (0, inf), budget, False, cap)
@@ -191,7 +191,7 @@ def test_full_table_stays_exact(monkeypatch):
     insts = [embed_3dm(random_triples(10, 10, 10, 20, seed)) for seed in range(4)]
     insts += [hereditary_closure(generate_random(12, 10, 1.0, seed)).base for seed in range(4)]
     for inst in insts:
-        masks = [sum(1 << e for e in s.elements) for s in sorted(inst.sets, key=lambda s: s.id)]
+        masks = [sum(1 << e for e in s.elements) for s in inst.sets]
         opt = reference_branch_and_bound(masks, (0, inf), 10_000_000, first=False)[0]
         for key, first in (((0, inf), False), ((opt - 1, 0), True), ((opt, 0), True)):
             ref = reference_branch_and_bound(masks, key, 10_000_000, first)

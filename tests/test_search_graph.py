@@ -9,15 +9,15 @@ import pytest
 import setpack23.search_graph as search_graph
 from setpack23 import parse_instance
 from setpack23.cli import hereditary_instance, suite_instances, threedm_instance
-from setpack23.conflict import ConflictGraph, build_conflict_graph
+from setpack23.conflict import build_conflict_graph
 from setpack23.local_search import SearchParams, is_local_improvement, solve
 from setpack23.search_graph import (LabeledBinocular, SearchEdge,
                                     enumerate_search_edges, extract_improvement,
                                     is_improving_binocular)
 from setpack23.instance import generate_random
-from conftest import (binocular_gadget, full_search_edges, instance_from_sets, label_key,
-                      random_packing, reference_search_edges, search_edge,
-                      validate_search_edge)
+from conftest import (K23_SETS, binocular_gadget, full_search_edges, graph_from_sets,
+                      instance_from_sets, label_key, random_packing, reference_search_edges,
+                      search_edge, validate_search_edge)
 from test_binoculars import naive_improving_binocular
 
 
@@ -29,13 +29,13 @@ def two_anchor_instance(v_elements):
 class TestEnumerate:
     def test_outside_set_meeting_both_anchors_is_an_edge(self):
         g = build_conflict_graph(two_anchor_instance((3, 4, 9)))
-        sg = enumerate_search_edges(g, {0, 1}, tau=1)
+        sg = enumerate_search_edges(g, g.mask({0, 1}), tau=1)
         assert sg.vertices == (0, 1)
         assert search_edge((0, 1), (), (2,)) in sg.edges
 
     def test_outside_set_meeting_one_anchor_is_a_loop(self):
         g = build_conflict_graph(two_anchor_instance((3, 9, 10)))
-        sg = enumerate_search_edges(g, {0, 1}, tau=1)
+        sg = enumerate_search_edges(g, g.mask({0, 1}), tau=1)
         assert search_edge((0,), (), (2,)) in sg.edges
 
     def test_edges_compare_on_endpoints_and_masks(self):
@@ -53,12 +53,12 @@ class TestEnumerate:
     def test_dependent_solution_is_rejected(self):
         g = build_conflict_graph(two_anchor_instance((3, 4, 9)))
         with pytest.raises(ValueError, match="solution must be independent"):
-            enumerate_search_edges(g, {0, 2}, tau=1)
+            enumerate_search_edges(g, g.mask({0, 2}), tau=1)
 
     def test_weight_balance_rules_out_small_w(self):
         # a lone 2-set cannot satisfy w(U) + 2 = w(W) with U inside N(W, A)
         g = build_conflict_graph(instance_from_sets([(1, 2, 3), (3, 9)]))
-        sg = enumerate_search_edges(g, {0}, tau=1)
+        sg = enumerate_search_edges(g, g.mask({0}), tau=1)
         assert sg.edges == ()
 
     def test_all_edges_revalidate(self):
@@ -68,7 +68,7 @@ class TestEnumerate:
                                    rng.random(), seed)
             g = build_conflict_graph(inst)
             a = random_packing(g, rng)
-            sg = enumerate_search_edges(g, a, tau=3)
+            sg = enumerate_search_edges(g, g.mask(a), tau=3)
             for e in sg.edges:
                 assert validate_search_edge(g, a, e, tau=3)
 
@@ -78,7 +78,7 @@ class TestEnumerate:
             inst = generate_random(7, rng.randrange(4, 9), rng.random(), seed + 50)
             g = build_conflict_graph(inst)
             a = random_packing(g, rng)
-            canonical = enumerate_search_edges(g, a, tau=2)
+            canonical = enumerate_search_edges(g, g.mask(a), tau=2)
             full = full_search_edges(g, a, tau=2)
             assert set(canonical.edges) <= set(full.edges)
 
@@ -97,7 +97,7 @@ def test_search_edges_keep_label_order():
         states.append((g, random_packing(g, rng), rng.randrange(1, 4)))
     edges = mask_order_differs = 0
     for g, a, tau in states:
-        sg = enumerate_search_edges(g, a, tau)
+        sg = enumerate_search_edges(g, g.mask(a), tau)
         assert sg.edges == tuple(sorted(sg.edges, key=label_key))
         assert len(set(sg.edges)) == len(sg.edges)
         assert list(sg.vertices) == sorted(set(sg.vertices))
@@ -111,9 +111,9 @@ def test_search_edges_keep_label_order():
 
 def differential_states():
     """Seeded (conflict graph, solution, tau) triples for the differential test:
-    random, 3DM, hereditary-closure and hand-built graphs at every tau from 1
-    to 8, under a maximal packing at alternate tau and a thinned one at the
-    rest."""
+    random, 3DM, hereditary-closure and square random graphs (as many sets
+    as elements, two thirds of them 3-sets) at every tau from 1 to 8, under a
+    maximal packing at alternate tau and a thinned one at the rest."""
     rng = random.Random(2525)
     graphs = []
     for seed in range(8):
@@ -123,8 +123,7 @@ def differential_states():
         graphs.append(build_conflict_graph(hereditary_instance(
             rng.randrange(9, 14), rng.randrange(4, 8), seed + 950)))
         n = rng.randrange(10, 19)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
-        graphs.append(ConflictGraph([rng.choice((1, 2, 2)) for _ in range(n)], pairs))
+        graphs.append(build_conflict_graph(generate_random(n, n, 2 / 3, seed + 980)))
     for i, g in enumerate(graphs):
         a = random_packing(g, rng)
         thinned = frozenset(v for v in a if rng.random() < 0.6)
@@ -135,7 +134,7 @@ def differential_states():
 def test_pruned_enumeration_matches_the_unpruned_reference():
     graphs = edges = loops = 0
     for g, a, tau in differential_states():
-        sg = enumerate_search_edges(g, a, tau)
+        sg = enumerate_search_edges(g, g.mask(a), tau)
         assert sg == reference_search_edges(g, a, tau), (tau, sorted(a))
         graphs += 1
         edges += len(sg.edges)
@@ -181,34 +180,35 @@ def test_solve_search_graphs_are_pinned(family):
     assert (count[0], digest.hexdigest()) == SOLVE_SEARCH_GRAPH_PINS[family]
 
 
-def _hand_graph(weights, edges):
-    return ConflictGraph(weights, edges)
+# 3-sets where 0 meets 1, 2 and 3, and 2 meets 3; 1 meets neither 2 nor 3.
+FAN_SETS = [(0, 1, 2), (0, 4, 5), (1, 3, 6), (2, 3, 7)]
 
 
 class TestImprovingPredicate:
     def test_disjoint_independent_e2_only_is_improving(self):
         # vertices 0,1 solution anchors; 2,3,4 outside, pairwise non-adjacent
-        g = _hand_graph([2, 2, 2, 2, 2], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
+        g = graph_from_sets(K23_SETS)
         edges = tuple(search_edge((0, 1), (), (w,)) for w in (2, 3, 4))
         b = LabeledBinocular(edges)
         assert is_improving_binocular(b, g)
 
     def test_dependent_w_union_fails(self):
-        g = _hand_graph([2, 2, 2, 2], [(0, 1), (0, 2), (0, 3), (2, 3)])
+        g = graph_from_sets(FAN_SETS)
         loops = (search_edge((0,), (), (1, 2)), search_edge((0,), (), (1, 3)))
         b = LabeledBinocular(loops)
         # 2 and 3 are adjacent, so the union of W-labels is dependent
         assert not is_improving_binocular(b, g)
 
     def test_overlapping_e2_w_labels_fail(self):
-        g = _hand_graph([2, 2, 2, 2, 2], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
+        g = graph_from_sets(K23_SETS)
         edges = (search_edge((0, 1), (), (2, 3)), search_edge((0, 1), (), (3,)),
                  search_edge((0, 1), (), (4,)))
         assert not is_improving_binocular(LabeledBinocular(edges), g)
 
     def test_loop_weight_clause(self):
-        # one loop whose W-label does not outweigh its U-label by two
-        g = _hand_graph([2, 1, 2, 2], [(0, 1), (0, 2), (0, 3)])
+        # one loop whose W-label does not outweigh its U-label by two:
+        # 3-set 0 meets the 2-set 1 and the 3-sets 2 and 3, which meet nothing else
+        g = graph_from_sets([(0, 1, 2), (0, 3), (1, 4, 5), (2, 6, 7)])
         loops = (search_edge((0,), (2,), (1,)), search_edge((0,), (3,), (1,)))
         assert not is_improving_binocular(LabeledBinocular(loops), g)
 
@@ -222,25 +222,22 @@ class TestExtract:
     def test_gadget_extraction_is_an_improvement(self, kind):
         inst, a = binocular_gadget(kind, random.Random(7))
         g = build_conflict_graph(inst)
-        sg = enumerate_search_edges(g, a, tau=2)
+        sg = enumerate_search_edges(g, g.mask(a), tau=2)
         b = naive_improving_binocular(sg, g, max_size=4)
         assert b is not None and len(b.edges) <= 4
-        x = extract_improvement(b, g, a)
-        assert is_local_improvement(g, a, x)
-        assert g.weight_mask(g.mask(x)) > g.weight_mask(b.u_mask)
+        x = extract_improvement(b, g, g.mask(a))
+        assert is_local_improvement(g, a, g.unmask(x))
+        assert g.weight_mask(x) > g.weight_mask(b.u_mask)
 
     def test_theta_weight_margin(self):
-        inst = instance_from_sets([(0, 1, 2), (3, 4, 5),
-                                   (0, 3, 6), (1, 4, 7), (2, 5, 8)])
-        g = build_conflict_graph(inst)
-        a = frozenset({0, 1})
+        g = graph_from_sets(K23_SETS)
         edges = tuple(search_edge((0, 1), (), (w,)) for w in (2, 3, 4))
         b = LabeledBinocular(edges)
-        x = extract_improvement(b, g, a)
-        assert g.weight_mask(g.mask(x)) >= g.weight_mask(b.u_mask) + 2
+        x = extract_improvement(b, g, 0b11)
+        assert g.weight_mask(x) >= g.weight_mask(b.u_mask) + 2
 
     def test_extract_rejects_non_improving(self):
-        g = _hand_graph([2, 2, 2, 2], [(0, 1), (0, 2), (0, 3), (2, 3)])
+        g = graph_from_sets(FAN_SETS)
         loops = (search_edge((0,), (), (1, 2)), search_edge((0,), (), (1, 3)))
         with pytest.raises(ValueError):
-            extract_improvement(LabeledBinocular(loops), g, {0})
+            extract_improvement(LabeledBinocular(loops), g, 0b1)

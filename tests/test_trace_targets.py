@@ -34,7 +34,7 @@ def test_enumerate_counts_run_on_a_real_search_graph():
     (count,) = [c for _, _, name, c in targets if name == "search_graph.enumerate"]
     # One outside set meets both anchors (an edge), one meets only the first (a loop).
     g = build_conflict_graph(instance_from_sets([(1, 2, 3), (4, 5, 6), (3, 4, 9), (1, 7, 8)]))
-    sg = enumerate_search_edges(g, {0, 1}, tau=1)
+    sg = enumerate_search_edges(g, g.mask({0, 1}), tau=1)
     assert count(sg, (g, {0, 1}, 1)) == {"vertices": 2, "edges": 2, "loops": 1}
 
 
