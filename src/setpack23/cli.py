@@ -57,8 +57,8 @@ def random_triples(nx: int, ny: int, nz: int, m: int, seed: int) -> list[tuple]:
     rng = random.Random(seed)
     pool = set()
     limit = nx * ny * nz
-    if m > limit:
-        raise ValueError("more triples requested than exist")
+    if not 1 <= m <= limit:
+        raise ValueError("need at least one set" if m < 1 else "more triples requested than exist")
     while len(pool) < m:
         pool.add((("x", rng.randrange(nx)), ("y", rng.randrange(ny)), ("z", rng.randrange(nz))))
     return sorted(pool)
@@ -110,7 +110,11 @@ def _read_instance(path: str, wire: str) -> inst.Instance:
 
 
 def _params_from_args(args, mode: str = "general") -> SearchParams:
-    return SearchParams(tau=args.tau, epsilon=Fraction(args.epsilon) if args.epsilon else None,
+    try:
+        epsilon = Fraction(args.epsilon) if args.epsilon else None
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon has a zero denominator, got {args.epsilon!r}") from None
+    return SearchParams(tau=args.tau, epsilon=epsilon,
                         mode=mode, seed=args.seed, injective_colorings=args.injective_colorings)
 
 

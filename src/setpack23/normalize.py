@@ -206,8 +206,6 @@ def normalize(t: AnalysisTuple) -> NormalizedInstance:
         if len(comp) == 1:
             continue
         cset = set(comp)
-        if any(len(adj2[v] & cset) > 2 for v in cset):
-            raise AssertionError("family component is not a path")
         inner_a1 = sum(1 for v in comp[1:-1] if v in a1r)
         if inner_a1 > 2:
             raise AssertionError("long paths must be gone before the family stage")

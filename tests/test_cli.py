@@ -254,6 +254,19 @@ def test_bad_seed_env_exits_two(capsys, monkeypatch, chain_file):
     assert err == "error: SETPACK_SEED must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_epsilon_with_a_zero_denominator_exits_two(capsys, chain_file, command):
+    code, out, err = run_cli(capsys, command, chain_file, "--epsilon", "1/0")
+    assert code == 2 and out == ""
+    assert err == "error: epsilon has a zero denominator, got '1/0'\n"
+
+
+@pytest.mark.parametrize("sets", ["0", "-3"])
+def test_gen_threedm_needs_at_least_one_set(capsys, sets):
+    code, out, err = run_cli(capsys, "gen", "--kind", "threedm", "--sets", sets)
+    assert (code, out, err) == (2, "", "error: need at least one set\n")
+
+
 @pytest.mark.parametrize("argv", [["oracle", "--seed", "1"],
                                   ["solve-hereditary", "--seed", "1"],
                                   ["audit", "--force-oracle"]])
