@@ -13,7 +13,9 @@ times, then solves it once more to count the work: ``rec_grown`` frames and
 ``share_cut`` evaluations through a profile hook, and the answers of the
 global-optimality gate through a wrapper around
 ``local_search.packing_above`` (``null`` where the checkout has no gate).
-The counts do not depend on host speed.  Nothing under ``src/`` is edited.
+The counts do not depend on host speed.  A wrapper around the same gate
+times it during the timed solves: ``gate_cpu_s`` is the CPU time the kept
+solve spent inside it.  Nothing under ``src/`` is edited.
 The same process samples the host's speed next to each timed solve: it
 times the reference kernel of ``perfbench/refclock.py`` ``KERNEL_RUNS``
 times before the first solve and after each one.  A solve's kernel time is
@@ -25,8 +27,8 @@ One run appends one record to ``BENCH_scale.json`` at the repository root
 (the one holding this script): the measured checkout's commit
 (``git describe --always --dirty``), a SHA-256 over its ``src/`` files, the
 Python version, and per point the closure size, CPU seconds, the kernel's
-median time, weight, packing, outcome (``finished``, ``timeout`` or the
-exception's name) and the counters.
+median time, the gate's CPU seconds, weight, packing, outcome
+(``finished``, ``timeout`` or the exception's name) and the counters.
 """
 
 from __future__ import annotations
@@ -79,20 +81,32 @@ def run_point(universe: int, k: int, seed: int) -> dict:
             out.append(time.process_time() - start)
         return out
 
+    real_gate = getattr(local_search, "packing_above", None)
+    gate_cpu = [0.0]
+
+    def timed_gate(*args):
+        start = time.process_time()
+        try:
+            return real_gate(*args)
+        finally:
+            gate_cpu[0] += time.process_time() - start
+
+    if real_gate is not None:
+        local_search.packing_above = timed_gate
     closed = hereditary_closure(generate_random(universe, k, 1.0, seed=seed))
-    runs = []  # (CPU seconds, kernel seconds) per timed solve
+    runs = []  # (CPU seconds, kernel seconds, gate CPU seconds) per timed solve
     before = kernel_times()
     for _ in range(REPEATS):
+        gate_cpu[0] = 0.0
         start = time.process_time()
         packing, stats = solve_hereditary(closed)
         cpu = time.process_time() - start
         after = kernel_times()
-        runs.append((cpu, median(before + after)))
+        runs.append((cpu, median(before + after), gate_cpu[0]))
         before = after
-    cpu, ref = min(runs, key=lambda run: run[0] / run[1])
+    cpu, ref, gate_s = min(runs, key=lambda run: run[0] / run[1])
 
     gate = None
-    real_gate = getattr(local_search, "packing_above", None)
     if real_gate is not None:
         gate = []
 
@@ -112,6 +126,7 @@ def run_point(universe: int, k: int, seed: int) -> dict:
     finally:
         sys.setprofile(None)
     return {"sets": len(closed.base), "cpu_s": round(cpu, 4), "ref_kernel_s": round(ref, 7),
+            "gate_cpu_s": None if real_gate is None else round(gate_s, 4),
             "weight": stats.final_weight, "packing": sorted(packing.members),
             "outcome": "finished", "gate": gate,
             "rec_grown_frames": counts["rec_grown"], "share_cut_evals": counts["share_cut"]}

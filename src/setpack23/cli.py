@@ -291,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
                 args.seed = int(env_seed)
             except ValueError:
                 raise ValueError(f"SETPACK_SEED must be an integer, got {env_seed!r}") from None
+        for option, least in ("budget", 1), ("oracle_budget", 1), ("count", 0), ("max_oracle_sets", 0):
+            if (value := getattr(args, option, least)) < least:
+                raise ValueError(f"--{option.replace('_', '-')} must be at least {least}, got {value}")
         return args.func(args)
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

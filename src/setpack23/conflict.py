@@ -5,12 +5,14 @@ the underlying sets intersect.  Such a graph is 4-claw-free, and every
 induced 3-claw is centered at a weight-2 vertex: a set of size k cannot meet
 k+1 pairwise-disjoint sets in distinct elements.  Vertex sets are exposed as
 frozensets but handled internally as integer bitmasks: the graph stores one
-neighbor mask per vertex, the mask of its weight-2 vertices (``w2_mask``)
-and one element mask per set (``members``); ``build_conflict_graph`` is its
-one constructor.  The sorted neighbor tuples of ``adj`` are derived from the
-masks on first read.  Every vertex mask handed to the graph lies inside its
-vertex set ``0..n-1``, which ``mask`` checks at the frozenset boundary; the
-weight of U is |U| + |U & w2_mask|, and N(U, W) is ``neighborhood_mask``.
+neighbor mask per vertex, the mask of its weight-2 vertices (``w2_mask``),
+one element mask per set (``members``) and, per element, the mask of the
+sets holding it (``by_elem``, which the exact oracle branches on);
+``build_conflict_graph`` is its one constructor.  The sorted neighbor
+tuples of ``adj`` are derived from the masks on first read.  Every vertex
+mask handed to the graph lies inside its vertex set ``0..n-1``, which
+``mask`` checks at the frozenset boundary; the weight of U is
+|U| + |U & w2_mask|, and N(U, W) is ``neighborhood_mask``.
 """
 
 from __future__ import annotations
@@ -41,22 +43,19 @@ def bit_positions(mask: int) -> tuple[int, ...]:
 class ConflictGraph:
     """Immutable weighted graph over dense vertex ids ``0..n-1``."""
 
-    __slots__ = ("n", "weights", "members", "universe_size", "w2_mask",
+    __slots__ = ("n", "weights", "members", "by_elem", "universe_size", "w2_mask",
                  "_adj_mask", "_adj")
 
     def __init__(self, weights: tuple[int, ...], adj_mask: tuple[int, ...],
-                 members: tuple[int, ...], universe_size: int):
+                 members: tuple[int, ...], by_elem: tuple[int, ...]):
         self.weights = weights
         self.n = len(weights)
         self.members = members
-        self.universe_size = universe_size
+        self.by_elem = by_elem
+        self.universe_size = len(by_elem)
         self._adj_mask = adj_mask
         self._adj = None
-        w2 = 0
-        for v, w in enumerate(weights):
-            if w == 2:
-                w2 |= 1 << v
-        self.w2_mask = w2
+        self.w2_mask = sum(1 << v for v, w in enumerate(weights) if w == 2)
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -111,19 +110,23 @@ def build_conflict_graph(instance: Instance) -> ConflictGraph:
     """
     sets = instance.sets
     by_elem = [0] * instance.universe_size
+    bit = 1
     for s in sets:
-        bit = 1 << s.id
         for e in s.elements:
             by_elem[e] |= bit
-    adj = []
+        bit <<= 1
+    adj, members = [], []
+    bit = 1
     for s in sets:
-        m = 0
+        a = m = 0
         for e in s.elements:
-            m |= by_elem[e]
-        adj.append(m ^ (1 << s.id))
-    return ConflictGraph(tuple(s.weight for s in sets), tuple(adj),
-                         tuple(sum(1 << e for e in s.elements) for s in sets),
-                         instance.universe_size)
+            a |= by_elem[e]
+            m |= 1 << e
+        adj.append(a ^ bit)
+        members.append(m)
+        bit <<= 1
+    return ConflictGraph(tuple(len(s.elements) - 1 for s in sets), tuple(adj), tuple(members),
+                         tuple(by_elem))
 
 
 def find_claw_violations(weights: Mapping[int, int], adj: Mapping[int, Iterable[int]]) -> list[ClawViolation]:

@@ -365,7 +365,7 @@ def _find_improvement_mask(g: ConflictGraph, a_mask: int, tau: int, method: str)
             break
         if stop > 1:
             key = (g.weight_mask(a_mask), g.w2_count_mask(a_mask))
-            if packing_above(g.members, key, GATE_NODE_BUDGET)[0] == NONE_ABOVE:
+            if packing_above(g, key, GATE_NODE_BUDGET)[0] == NONE_ABOVE:
                 return 0
             base_share = [0] * g.n
             by_value: dict[int, int] = {}

@@ -71,8 +71,9 @@ def brute_force_optimum(instance: Instance) -> int:
 def reference_list_branch_and_bound(masks: Sequence[int], key: tuple[int, float], budget: int,
                                     first: bool, table_cap: int) -> tuple[int, tuple[int, ...], int]:
     """``oracle._branch_and_bound`` over lists of element masks, with a table
-    of at most ``table_cap`` entries: the same branching, bounds, return
-    value and budget error.  A node filters its parent's 3-set and 2-set
+    of at most ``table_cap`` entries: the same branching, bounds, final key,
+    node count and budget error, with the chosen sets as a tuple of their
+    element masks.  A node filters its parent's 3-set and 2-set
     lists by its blocked elements and keys the table on ``live``, the union
     of the sets that remain, which determines them as the solver's
     available-set mask does."""

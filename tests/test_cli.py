@@ -267,6 +267,23 @@ def test_gen_threedm_needs_at_least_one_set(capsys, sets):
     assert (code, out, err) == (2, "", "error: need at least one set\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "CHAIN", "--budget", "-5"], "--budget must be at least 1, got -5"),
+    (["oracle", "CHAIN", "--budget", "0"], "--budget must be at least 1, got 0"),
+    (["audit", "CHAIN", "--oracle-budget", "0"], "--oracle-budget must be at least 1, got 0"),
+    (["bench", "--suite", "random-small", "--oracle-budget", "-1"],
+     "--oracle-budget must be at least 1, got -1"),
+    (["bench", "--suite", "random-small", "--count", "-3"], "--count must be at least 0, got -3"),
+    (["audit", "CHAIN", "--max-oracle-sets", "-1"],
+     "--max-oracle-sets must be at least 0, got -1"),
+])
+def test_nonsense_budgets_and_counts_exit_two(capsys, chain_file, argv, message):
+    # A budget of no nodes or a negative count is bad input, not a budget
+    # overrun, an empty suite or an instance too large for the oracle.
+    code, out, err = run_cli(capsys, *[chain_file if a == "CHAIN" else a for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [["oracle", "--seed", "1"],
                                   ["solve-hereditary", "--seed", "1"],
                                   ["audit", "--force-oracle"]])

@@ -379,7 +379,7 @@ def test_hereditary_cert_frames_are_pinned(monkeypatch):
     texts = _hereditary_cert_texts()
     assert sorted(texts) == sorted(HEREDITARY_CERT_FRAMES) == sorted(HEREDITARY_CERT_SHARE_CUTS)
     monkeypatch.setattr(local_search, "packing_above",
-                        lambda masks, key, budget: (UNKNOWN, budget))
+                        lambda g, key, budget: (UNKNOWN, budget))
     counts = {"rec_grown": {}, "share_cut": {}}
 
     def count_frames(frame, event, arg):
@@ -434,15 +434,15 @@ def test_gate_answers_unknown_once_its_budget_runs_out(monkeypatch):
     gate = local_search.packing_above
     calls = []
 
-    def recording_gate(masks, key, budget):
-        calls.append((masks, key))
-        return gate(masks, key, budget)
+    def recording_gate(g, key, budget):
+        calls.append((g, key))
+        return gate(g, key, budget)
 
     monkeypatch.setattr(local_search, "packing_above", recording_gate)
     solve_hereditary(hereditary_closure(parse_instance(text)))
-    [(masks, key)] = calls
-    assert packing_above(masks, key, 10_000) == (NONE_ABOVE, 5405)
-    assert packing_above(masks, key, 100) == (UNKNOWN, 100)
+    [(g, key)] = calls
+    assert packing_above(g, key, 10_000) == (NONE_ABOVE, 5405)
+    assert packing_above(g, key, 100) == (UNKNOWN, 100)
 
 
 def test_hereditary_cert_ladder_without_the_gate(monkeypatch):
@@ -517,7 +517,7 @@ def test_gate_matches_reference_on_solve_states(monkeypatch):
             for g, a_mask, tau in calls:
                 masks = g.members
                 key = (g.weight_mask(a_mask), g.w2_count_mask(a_mask))
-                outcome, nodes = packing_above(masks, key, 200_000)
+                outcome, nodes = packing_above(g, key, 200_000)
                 outcomes[outcome] += 1
                 _, chosen, ref_nodes = reference_branch_and_bound(masks, key, 200_000, first=True)
                 assert outcome == (FOUND if chosen else NONE_ABOVE) and nodes <= ref_nodes

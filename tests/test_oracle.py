@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from setpack23 import oracle
 from setpack23.cli import hereditary_instance, random_triples, suite_instances, threedm_instance
+from setpack23.conflict import bit_positions, build_conflict_graph
 from setpack23.hereditary import hereditary_closure, solve_hereditary
 from setpack23.instance import (Instance, Packing, embed_3dm, generate_random, parse_instance,
                                 validate_packing)
 from setpack23.oracle import (FOUND, NONE_ABOVE, OracleBudgetExceeded, OracleResult,
                               _branch_and_bound, packing_above, solve_exact)
-from conftest import (brute_force_optimum, chain_instance, reference_branch_and_bound,
-                      reference_list_branch_and_bound)
+from conftest import (brute_force_optimum, chain_instance, graph_from_sets,
+                      reference_branch_and_bound, reference_list_branch_and_bound)
 
 
 def reference_solve_exact(instance: Instance, budget: int = 10_000_000) -> OracleResult:
@@ -121,6 +122,18 @@ def test_matches_reference_oracle(inst):
     assert result.witness.weight(inst) == result.optimum_weight
 
 
+def loop(g, key, budget, first):
+    """``_branch_and_bound`` on ``g``, its chosen sets as their sorted element
+    masks, so that it compares with the mask-based reference loops."""
+    w, chosen, nodes = _branch_and_bound(g, key, budget, first)
+    return w, sorted(g.members[i] for i in bit_positions(chosen)), nodes
+
+
+def reference(ref):
+    """A reference loop's result with its chosen element masks sorted."""
+    return ref[0], sorted(ref[1]), ref[2]
+
+
 @given(oracle_instances())
 @settings(max_examples=150, deadline=None)
 def test_matches_table_free_reference(inst):
@@ -128,15 +141,15 @@ def test_matches_table_free_reference(inst):
     # available sets at no higher key: solve_exact keeps the table-free
     # loop's optimum and witness, the gate its answer and packing at keys
     # around the optimum's, and neither pops more nodes.
-    masks = [sum(1 << e for e in s.elements) for s in inst.sets]
+    g = build_conflict_graph(inst)
     budget = 10_000_000
-    ref = reference_branch_and_bound(masks, (0, inf), budget, first=False)
-    got = _branch_and_bound(masks, (0, inf), budget, first=False)
+    ref = reference(reference_branch_and_bound(g.members, (0, inf), budget, first=False))
+    got = loop(g, (0, inf), budget, first=False)
     assert got[:2] == ref[:2] and got[2] <= ref[2]
     opt = ref[0]
     for key in {(max(w, 0), w2) for w in (opt - 1, opt) for w2 in (0, opt // 4, opt // 2)}:
-        ref = reference_branch_and_bound(masks, key, budget, first=True)
-        got = _branch_and_bound(masks, key, budget, first=True)
+        ref = reference(reference_branch_and_bound(g.members, key, budget, first=True))
+        got = loop(g, key, budget, first=True)
         assert got[:2] == ref[:2] and got[2] <= ref[2], key
 
 
@@ -149,27 +162,28 @@ def test_matches_list_loop(cap, inst):
     # the nodes that the list loop's table keyed on live drops: the final
     # key, the chosen masks and the node count are the same, in solve_exact
     # mode and in gate mode at keys around the optimum, with a full table too.
-    masks = [sum(1 << e for e in s.elements) for s in inst.sets]
+    g = build_conflict_graph(inst)
     budget = 10_000_000
     with mock.patch.object(oracle, "TABLE_CAP", cap):
-        ref = reference_list_branch_and_bound(masks, (0, inf), budget, False, cap)
-        assert _branch_and_bound(masks, (0, inf), budget, first=False) == ref
+        ref = reference(reference_list_branch_and_bound(g.members, (0, inf), budget, False, cap))
+        assert loop(g, (0, inf), budget, first=False) == ref
         opt = ref[0]
         for key in {(max(w, 0), w2) for w in (opt - 1, opt, opt + 1)
                     for w2 in (0, opt // 4, opt // 2)}:
-            ref = reference_list_branch_and_bound(masks, key, budget, True, cap)
-            assert _branch_and_bound(masks, key, budget, first=True) == ref, key
+            ref = reference(reference_list_branch_and_bound(g.members, key, budget, True, cap))
+            assert loop(g, key, budget, first=True) == ref, key
 
 
 def test_empty_family_is_pruned_before_branching():
     # A node with no available set is pruned by its bounds, which are its
     # own key; it never branches on a lowest covered element.
-    assert packing_above([], (0, 0), 10) == (NONE_ABOVE, 1)
-    assert _branch_and_bound([], (0, inf), 10, first=False) == (0, (), 1)
+    empty, one = graph_from_sets([]), graph_from_sets([(0, 1)])
+    assert packing_above(empty, (0, 0), 10) == (NONE_ABOVE, 1)
+    assert _branch_and_bound(empty, (0, inf), 10, first=False) == (0, 0, 1)
     # Taking the one set and leaving its lowest element uncovered both
     # leave nothing available: three nodes, and the set is the optimum.
-    assert _branch_and_bound([0b11], (0, inf), 10, first=False) == (1, (0b11,), 3)
-    assert packing_above([0b11], (1, 0), 10) == (NONE_ABOVE, 1)
+    assert _branch_and_bound(one, (0, inf), 10, first=False) == (1, 0b1, 3)
+    assert packing_above(one, (1, 0), 10) == (NONE_ABOVE, 1)
 
 
 def test_table_keeps_a_repeat_with_more_3_sets():
@@ -178,10 +192,9 @@ def test_table_keeps_a_repeat_with_more_3_sets():
     # weight but with one more 3-set.  Only the repeat's subtree holds a
     # packing above (4, 1), so a table that compared weights alone would
     # drop it and answer that none exists.
-    raw = [(0, 1), (2, 3), (1, 2, 4), (4, 5), (5, 6, 7), (5, 7, 8)]
-    masks = [sum(1 << e for e in s) for s in raw]
-    assert _branch_and_bound(masks, (4, 1), 100, first=True) == (4, (masks[2], masks[4]), 9)
-    assert packing_above(masks, (4, 1), 100) == (FOUND, 9)
+    g = graph_from_sets([(0, 1), (2, 3), (1, 2, 4), (4, 5), (5, 6, 7), (5, 7, 8)])
+    assert _branch_and_bound(g, (4, 1), 100, first=True) == (4, 1 << 2 | 1 << 4, 9)
+    assert packing_above(g, (4, 1), 100) == (FOUND, 9)
 
 
 def test_full_table_stays_exact(monkeypatch):
@@ -191,14 +204,14 @@ def test_full_table_stays_exact(monkeypatch):
     insts = [embed_3dm(random_triples(10, 10, 10, 20, seed)) for seed in range(4)]
     insts += [hereditary_closure(generate_random(12, 10, 1.0, seed)).base for seed in range(4)]
     for inst in insts:
-        masks = [sum(1 << e for e in s.elements) for s in inst.sets]
-        opt = reference_branch_and_bound(masks, (0, inf), 10_000_000, first=False)[0]
+        g = build_conflict_graph(inst)
+        opt = reference_branch_and_bound(g.members, (0, inf), 10_000_000, first=False)[0]
         for key, first in (((0, inf), False), ((opt - 1, 0), True), ((opt, 0), True)):
-            ref = reference_branch_and_bound(masks, key, 10_000_000, first)
+            ref = reference(reference_branch_and_bound(g.members, key, 10_000_000, first))
             monkeypatch.setattr(oracle, "TABLE_CAP", 1 << 17)
-            uncapped = _branch_and_bound(masks, key, 10_000_000, first)
+            uncapped = loop(g, key, 10_000_000, first)
             monkeypatch.setattr(oracle, "TABLE_CAP", 8)
-            capped = _branch_and_bound(masks, key, 10_000_000, first)
+            capped = loop(g, key, 10_000_000, first)
             assert capped[:2] == uncapped[:2] == ref[:2]
             assert uncapped[2] <= capped[2] <= ref[2]
 
